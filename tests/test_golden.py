@@ -1,0 +1,67 @@
+"""Byte-for-byte pin of the CSV and manifest of a small fixed sweep.
+
+The runs cover every policy, two SNR points, two power splits, the
+auto-calibrated threshold, and each behaviour switch (IRI cancellation off,
+single antenna, consume-on-jam, worst-SINR seeding, selection noise floor).
+A relay pool larger than T + K keeps the receive-side metric unforced.
+
+The files under ``tests/golden/`` are written by running this module as a
+script (``PYTHONPATH=src python tests/test_golden.py``).  Rewriting them means
+the simulator's numbers changed: say why in ``CHANGES.md``.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from relaysec.config import SystemConfig
+from relaysec.sim import POLICY_ORDER, SweepSpec, emit_results, monte_carlo
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+_BASE = SystemConfig(Q=5, T=2, K=2, gamma0=0.3, warmup_slots=1, seed=20261018)
+_FIXED = _BASE.replace(sinr_threshold=0.3)
+
+
+def _sweep(snrs, etas, trials, slots, policies=POLICY_ORDER):
+    return SweepSpec(policies=policies, snr_db_grid=snrs, eta_grid=etas,
+                     trials=trials, slots_per_trial=slots)
+
+
+RUNS = {
+    "auto": (_BASE.replace(sinr_threshold=None), _sweep((5.0, 15.0), (1.0,), 2, 5)),
+    "grid": (_FIXED, _sweep((5.0, 15.0), (0.75, 1.25), 3, 8)),
+    "default-scenario": (SystemConfig(sinr_threshold=0.3, warmup_slots=1),
+                         _sweep((10.0,), (1.0,), 2, 6)),
+    "iri-off": (_FIXED.replace(iri_cancellation=False), _sweep((10.0,), (1.0,), 2, 8)),
+    "single-antenna": (_FIXED.single_antenna(), _sweep((10.0,), (1.0,), 2, 8)),
+    # the switches below only reach the policies listed with them
+    "consume-on-jam": (_FIXED.replace(consume_on_jam=True),
+                       _sweep((10.0,), (1.0,), 2, 8, ("bf-rjfs", "random", "oracle"))),
+    "worst-seeding": (_FIXED.replace(worst_sinr_seeding=True),
+                      _sweep((10.0,), (1.0,), 2, 8, ("bf-rjfs",))),
+    "noise-floor": (_FIXED.replace(selection_noise_floor=True),
+                    _sweep((10.0,), (1.0,), 2, 8, ("bf-rjfs",))),
+}
+
+
+def write_run(name: str, directory: Path) -> Path:
+    config, sweep = RUNS[name]
+    out = directory / f"{name}.csv"
+    emit_results(monte_carlo(config, sweep), out)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_golden_bytes(name, tmp_path):
+    out = write_run(name, tmp_path)
+    for suffix in ("", ".manifest"):
+        got = Path(str(out) + suffix).read_bytes()
+        want = (GOLDEN_DIR / (out.name + suffix)).read_bytes()
+        assert got == want, f"{out.name}{suffix} differs from tests/golden"
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for run in RUNS:
+        print(write_run(run, GOLDEN_DIR))
