@@ -8,8 +8,7 @@ from .config import SystemConfig, load_config, parse_config, power_split
 from .errors import ConfigError, NumericError
 from .rates import RateReport, secrecy_rate
 from .selection import POLICIES, PolicyState, SelectionOutcome, bf_rjfs_step, fresh_state
-from .sim import (SecrecyReport, SweepSpec, apply_power_split, emit_results,
-                  monte_carlo, run_trial)
+from .sim import SecrecyReport, SweepSpec, emit_results, monte_carlo, run_trial
 
 __all__ = [
     "__version__",
@@ -19,6 +18,6 @@ __all__ = [
     "ConfigError", "NumericError",
     "RateReport", "secrecy_rate",
     "POLICIES", "PolicyState", "SelectionOutcome", "bf_rjfs_step", "fresh_state",
-    "SecrecyReport", "SweepSpec", "apply_power_split", "emit_results",
+    "SecrecyReport", "SweepSpec", "emit_results",
     "monte_carlo", "run_trial",
 ]

@@ -57,10 +57,6 @@ class RelayBuffer:
         return tuple(self._queue)
 
     @property
-    def newest_slot(self) -> int | None:
-        return self._queue[-1].slot if self._queue else None
-
-    @property
     def is_full(self) -> bool:
         return len(self._queue) >= self.capacity
 

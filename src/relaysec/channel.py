@@ -69,20 +69,13 @@ def solve_identity_plus(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NetworkRealization:
-    """One slot's complete set of channel matrices.
+    """One slot's complete set of channel matrices, as read-only stacks.
 
-    Relays carry ids ``1..Q``; eavesdroppers and users are positional
-    (0-based tuples).  The mapping attributes expose individual matrices; the
-    ``*_stack`` attributes expose the same memory as contiguous arrays for
-    vectorized consumers.  Everything is read-only after construction.
+    Relay id q is row ``q - 1`` of the relay-indexed stacks (``rr_row`` gives
+    the row of a relay pair); eavesdroppers and users are positional.
     """
 
     slot: int
-    H_source_relay: dict      # relay id -> (N_i x N_t)
-    H_source_eav: tuple       # e -> (N_e x N_t)
-    H_relay_relay: dict       # (k, i), k != i -> (N_i x N_k)
-    H_relay_eav: dict         # relay id -> tuple over e of (N_e x N_k)
-    H_relay_user: dict        # relay id -> tuple over r of (N_r x N_k)
     su_stack: np.ndarray      # (Q, N_i, N_t)
     se_stack: np.ndarray      # (N, N_e, N_t)
     rr_stack: np.ndarray      # (Q*(Q-1), N_i, N_k), ascending (k, i), k != i
@@ -129,27 +122,6 @@ def gen_network_realization(config, slot: int,
         blocks.append(block)
         offset += size
     su, se, rr, re, ru = blocks
-
-    H_source_relay = {q: su[q - 1] for q in range(1, Q + 1)}
-    H_source_eav = tuple(se[e] for e in range(N))
-    H_relay_relay = {}
-    row = 0
-    for k in range(1, Q + 1):
-        for i in range(1, Q + 1):
-            if k != i:
-                H_relay_relay[(k, i)] = rr[row]
-                row += 1
-    H_relay_eav = {k: tuple(re[k - 1][e] for e in range(N))
-                   for k in range(1, Q + 1)}
-    H_relay_user = {k: tuple(ru[k - 1][r] for r in range(M))
-                    for k in range(1, Q + 1)}
     return NetworkRealization(
-        slot=slot,
-        H_source_relay=H_source_relay,
-        H_source_eav=H_source_eav,
-        H_relay_relay=H_relay_relay,
-        H_relay_eav=H_relay_eav,
-        H_relay_user=H_relay_user,
-        su_stack=su, se_stack=se, rr_stack=rr, re_stack=re, ru_stack=ru,
-        Q=Q,
-    )
+        slot=slot, su_stack=su, se_stack=se, rr_stack=rr, re_stack=re,
+        ru_stack=ru, Q=Q)

@@ -153,10 +153,6 @@ _FLOAT_FIELDS = {"P", "eta", "sigma2_i", "sigma2_e", "sigma2_r", "gamma0"}
 
 
 def _parse_value(key: str, raw: str):
-    if key == "sinr_threshold":
-        if raw.lower() in ("auto", "none"):
-            return None
-        return float(raw)
     if key == "rate_unit":
         return raw
     if key in _BOOL_FIELDS:
@@ -167,6 +163,8 @@ def _parse_value(key: str, raw: str):
             return False
         raise ConfigError(f"config key {key!r}: expected a boolean, got {raw!r}")
     try:
+        if key == "sinr_threshold":
+            return None if raw.lower() in ("auto", "none") else float(raw)
         if key in _INT_FIELDS:
             return int(raw)
         if key in _FLOAT_FIELDS:

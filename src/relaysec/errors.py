@@ -6,6 +6,7 @@ class ConfigError(ValueError):
 
 
 class NumericError(ArithmeticError):
-    """A matrix-rate computation produced a value outside its numeric contract
-    (non-finite determinant, determinant with a non-negligible imaginary part,
-    or a nonpositive argument to a log-determinant)."""
+    """A matrix-rate computation produced a value outside its numeric contract:
+    a non-finite determinant, or a determinant with a nonpositive real part
+    where a metric-valued log-determinant must raise.  The imaginary part of a
+    determinant is not checked."""

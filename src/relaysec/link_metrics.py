@@ -73,19 +73,6 @@ def iri_cancellation_feasible(H_i: np.ndarray, H_ki: np.ndarray,
     return bool(det.real >= gamma0)
 
 
-def iri_feasible_batch(H_i: np.ndarray, H_ki_stack: np.ndarray,
-                       P_tx: float, P_relay: float,
-                       N_t: int, N_k: int, gamma0: float) -> np.ndarray:
-    """Vectorized :func:`iri_cancellation_feasible` over a stack of
-    interferer channels into the same receiver."""
-    n = H_i.shape[0]
-    signal = (P_tx / N_t) * (H_i @ H_i.conj().T) + np.eye(n)
-    interference = (P_relay / N_k) * (
-        H_ki_stack @ np.swapaxes(H_ki_stack.conj(), -1, -2))
-    dets = np.linalg.det(np.linalg.solve(signal, interference))
-    return dets.real >= gamma0
-
-
 def sinr_relay(gamma_S_Ri: float, gamma_Rk_Ri_total: float, phi: int,
                N_i: int, sigma2_i: float) -> SinrValue:
     """Reception SINR at a relay; ``phi = 0`` means IRI was cancelled."""
@@ -93,17 +80,3 @@ def sinr_relay(gamma_S_Ri: float, gamma_Rk_Ri_total: float, phi: int,
         raise ValueError(f"phi must be 0 or 1, got {phi}")
     value = gamma_S_Ri / (phi * gamma_Rk_Ri_total + N_i * sigma2_i)
     return SinrValue(value=float(value), cancellation_applied=(phi == 0))
-
-
-def sinr_eav_scalar(gamma_S_Ee: float, gamma_Rk_Ee_total: float,
-                    N_e: int, sigma2_e: float) -> SinrValue:
-    """Eavesdropper SINR; jamming persists since it cannot strip the replay."""
-    value = gamma_S_Ee / (gamma_Rk_Ee_total + N_e * sigma2_e)
-    return SinrValue(value=float(value), cancellation_applied=False)
-
-
-def sinr_user_scalar(gamma_Rk_Rr_total: float, N_r: int,
-                     sigma2_r: float) -> SinrValue:
-    """User SINR from the relayed signal alone (no direct source link)."""
-    value = gamma_Rk_Rr_total / (N_r * sigma2_r)
-    return SinrValue(value=float(value), cancellation_applied=False)

@@ -4,11 +4,12 @@ The rate matrices sum products of Hermitian factors and are generally not
 Hermitian themselves, so ``det(I + G)`` is genuinely complex: with several
 transmitting relays the imaginary part is structural (commutator-sized), not
 rounding noise.  All log-determinants therefore read the real part of the
-determinant.  Rate-valued results clamp at zero from below and report the
-clamp (a nonpositive real part counts as a clamp to zero); metric-valued
-results raise :class:`~relaysec.errors.NumericError` when the real part is
-nonpositive or the determinant's phase is so large that the real part stops
-being meaningful.
+determinant; the imaginary part is not checked.  Every log-determinant raises
+:class:`~relaysec.errors.NumericError` on a non-finite determinant.
+Rate-valued results clamp at zero from below and report the clamp (a
+nonpositive real part counts as a clamp to zero); metric-valued results raise
+``NumericError`` when the real part is nonpositive, unless a batched caller
+asks for ``-inf`` instead.
 """
 
 from __future__ import annotations
@@ -197,23 +198,6 @@ def eav_sinr_matrix(H_e: np.ndarray,
         Delta = eav_interference_sum(jammer_eav_channels, stored_snapshots,
                                      P_tx, P_relay, N_t, N_k)
     return eav_sinr_from_interference(H_e, Delta, P_tx, N_t)
-
-
-def secrecy_capacity_equal_power(H_ba: np.ndarray, H_ea: np.ndarray,
-                                 Es: float, N_t: int,
-                                 base: float = 2.0) -> float:
-    """Secrecy capacity with the isotropic input covariance (Es/N_t) I."""
-    H_ba = np.asarray(H_ba)
-    H_ea = np.asarray(H_ea)
-    if H_ba.shape[1] != H_ea.shape[1]:
-        raise ValueError(
-            f"transmit dimensions differ: {H_ba.shape} vs {H_ea.shape}")
-    if Es <= 0:
-        raise ValueError("Es must be positive")
-    scale = Es / N_t
-    main = logdet_identity_plus(scale * (H_ba @ H_ba.conj().T), base)
-    leak = logdet_identity_plus(scale * (H_ea @ H_ea.conj().T), base)
-    return max(0.0, main - leak)
 
 
 def secrecy_rate(user_rates: Sequence[float], eav_rates: Sequence[float]) -> float:

@@ -54,11 +54,11 @@ class DiagCounters:
 
 @dataclass
 class PolicyState:
-    """Single-owner per-trial state: buffers plus the jammer set picked at the
-    end of the previous slot."""
+    """Single-owner per-trial state: buffers, the index of the next slot, and
+    the jammer set picked at the end of the previous slot.  Every policy step
+    advances it in place."""
 
     buffers: dict                 # relay id -> RelayBuffer
-    previous_outcome: SelectionOutcome | None
     slot: int
     pending_jammers: tuple | None = None
     pending_jammer_metrics: dict = field(default_factory=dict)
@@ -68,74 +68,79 @@ class PolicyState:
 def fresh_state(config: SystemConfig) -> PolicyState:
     buffers = {q: RelayBuffer(q, config.buffer_capacity)
                for q in range(1, config.Q + 1)}
-    return PolicyState(buffers=buffers, previous_outcome=None, slot=0)
+    return PolicyState(buffers=buffers, slot=0)
 
 
 # ---------------------------------------------------------------------------
 # metric primitives
 
 
-def _source_dets(realization) -> dict:
-    su = realization.su_stack
-    dets = np.linalg.det(su @ np.swapaxes(su.conj(), -1, -2)).real
-    return {q + 1: float(d) for q, d in enumerate(dets)}
+def _gram_stack(X: np.ndarray) -> np.ndarray:
+    """X X^H over the last two axes of a matrix stack."""
+    return X @ np.swapaxes(X.conj(), -1, -2)
 
 
-def initial_ranking(realization) -> list:
-    """Relay ids by descending real det(H_q H_q^H); ties by ascending id."""
-    dets = _source_dets(realization)
-    return sorted(dets, key=lambda q: (-dets[q], q))
+def initial_ranking(realization) -> dict:
+    """Real det(H_q H_q^H) per relay id, in rank order: descending
+    determinant, ties by ascending id."""
+    dets = {q + 1: float(d) for q, d in
+            enumerate(np.linalg.det(_gram_stack(realization.su_stack)).real)}
+    return {q: dets[q] for q in sorted(dets, key=lambda q: (-dets[q], q))}
 
 
-def scalarize_metric(Gamma_e: np.ndarray, Gamma_c: np.ndarray,
-                     base: float = 2.0) -> float:
-    """logdet(I + Gamma_c) - logdet(I + Gamma_e): the scalar that ranks a
-    candidate's matrix SINR against the eavesdropper reference."""
-    Gamma_e = np.asarray(Gamma_e)
-    Gamma_c = np.asarray(Gamma_c)
-    if Gamma_e.shape != Gamma_c.shape or Gamma_e.shape[0] != Gamma_e.shape[1]:
-        raise ValueError("expected square matrices of equal size")
-    return (rates.logdet_identity_plus(Gamma_c, base)
-            - rates.logdet_identity_plus(Gamma_e, base))
+def _peek_replays(state: PolicyState, relay_ids) -> dict:
+    """Record each relay would replay as jamming now; silent relays are
+    absent."""
+    return {k: rec for k in relay_ids
+            if (rec := state.buffers[k].peek_jamming()) is not None}
 
 
-def _replay_snapshots(state: PolicyState, relay_ids) -> dict:
-    """Snapshot each relay would replay now; silent relays are absent."""
-    out = {}
-    for k in relay_ids:
-        rec = state.buffers[k].peek_jamming()
-        if rec is not None:
-            out[k] = rec.snapshot
-    return out
+def _replay_stack(replays: dict, relay_ids) -> tuple:
+    """Ascending ids of the relays in ``relay_ids`` that have a replay, and
+    their (A, N_i, N_t) snapshot stack (None when there are none)."""
+    active = [k for k in sorted(relay_ids) if k in replays]
+    if not active:
+        return active, None
+    return active, np.stack([np.asarray(replays[k].snapshot) for k in active])
+
+
+def _rr_block(realization, senders, receivers) -> np.ndarray:
+    """(len(senders), len(receivers), N_i, N_k) relay->relay channels."""
+    rows = [[realization.rr_row(k, i) for i in receivers] for k in senders]
+    return realization.rr_stack[rows]
 
 
 def _stored_factors(snapshots: np.ndarray, p_tx_eff: float, N_t: int) -> np.ndarray:
     """Stack of I + (p/N_t) Hs Hs^H over a (A, N_i, N_t) snapshot stack."""
-    grams = snapshots @ np.swapaxes(snapshots.conj(), -1, -2)
-    return np.eye(snapshots.shape[1]) + (p_tx_eff / N_t) * grams
+    return np.eye(snapshots.shape[1]) + (p_tx_eff / N_t) * _gram_stack(snapshots)
 
 
 def _eav_interference(realization, config: SystemConfig, replays: dict,
                       jammer_ids, p_tx_eff: float, p_rel_eff: float) -> np.ndarray:
     """Aggregate jamming covariance at the eavesdroppers from the active
     jammers' replays (matches rates.eav_interference_sum term by term)."""
-    active = [k for k in sorted(jammer_ids) if k in replays]
+    active, snaps = _replay_stack(replays, jammer_ids)
     if not active:
         return np.zeros((config.N_e, config.N_e))
-    snaps = np.stack([np.asarray(replays[k].snapshot) for k in active])
     factors = _stored_factors(snaps, p_tx_eff, config.N_t)
     H_ke = realization.re_stack[[k - 1 for k in active]]
     gram_ke = np.einsum("keab,kecb->kac", H_ke, H_ke.conj())
     return (p_rel_eff / config.N_k) * np.einsum("kac,kcd->ad", gram_ke, factors)
 
 
+def _eav_gammas(realization, config: SystemConfig, Delta: np.ndarray,
+                p_tx_eff: float) -> np.ndarray:
+    """Per-eavesdropper SINR matrices (I + Delta)^{-1} (p/N_t) H_e H_e^H."""
+    H_e = realization.se_stack
+    signals = (p_tx_eff / config.N_t) * np.einsum("eab,ecb->eac", H_e, H_e.conj())
+    return np.linalg.solve(np.eye(config.N_e) + Delta, signals)
+
+
 def _eav_reference_logdet(realization, config: SystemConfig, Delta: np.ndarray,
                           p_tx_eff: float) -> float:
     """Mean over eavesdroppers of logdet(I + Gamma_e) given the interference
     floor; candidate-independent reference for the receive-side metric."""
-    H_e = realization.se_stack
-    signals = (p_tx_eff / config.N_t) * np.einsum("eab,ecb->eac", H_e, H_e.conj())
-    gammas = np.linalg.solve(np.eye(config.N_e) + Delta, signals)
+    gammas = _eav_gammas(realization, config, Delta, p_tx_eff)
     logs = rates.logdet_identity_plus_stack(gammas, config.log_base, "neginf")
     finite = logs[np.isfinite(logs)]
     return float(np.mean(finite)) if finite.size else 0.0
@@ -167,18 +172,14 @@ def select_receiving_relays(state: PolicyState, realization,
     p_tx_e = p_tx / config.sigma2_e
     p_rel_e = p_rel / config.sigma2_e
     if replays is None:
-        replays = {k: rec for k in jammers
-                   if (rec := state.buffers[k].peek_jamming()) is not None}
-    active = [k for k in sorted(jammers) if k in replays]
+        replays = _peek_replays(state, jammers)
+    active, snaps = _replay_stack(replays, jammers)
 
-    su = realization.su_stack[[m - 1 for m in pool]]
-    G_m = su @ np.swapaxes(su.conj(), -1, -2)
+    G_m = _gram_stack(realization.su_stack[[m - 1 for m in pool]])
     if active:
-        snaps = np.stack([np.asarray(replays[k].snapshot) for k in active])
-        snap_grams = snaps @ np.swapaxes(snaps.conj(), -1, -2)
-        rows = [[realization.rr_row(k, m) for m in pool] for k in active]
-        H_km = realization.rr_stack[rows]            # (A, C, N_i, N_k)
-        D_m = np.einsum("kcab,kbd,kced->cae", H_km, snap_grams, H_km.conj())
+        H_km = _rr_block(realization, active, pool)  # (A, C, N_i, N_k)
+        D_m = np.einsum("kcab,kbd,kced->cae", H_km, _gram_stack(snaps),
+                        H_km.conj())
     else:
         D_m = np.zeros_like(G_m)
     if config.selection_noise_floor:
@@ -215,16 +216,14 @@ def select_jamming_relays(state: PolicyState, realization,
     p_rel_e = p_rel / config.sigma2_e
 
     if replays is None:
-        replays = {k: rec for k in current_jammers
-                   if (rec := state.buffers[k].peek_jamming()) is not None}
-    own = _replay_snapshots(state, pool)
-    eligible = [n for n in pool if n in own]
+        replays = _peek_replays(state, current_jammers)
+    own = _peek_replays(state, pool)
+    eligible, snaps = _replay_stack(own, pool)
     metrics = {n: 0.0 for n in pool}
 
     if eligible:
         idx = [n - 1 for n in eligible]
-        snaps = np.stack([np.asarray(own[n]) for n in eligible])
-        snap_grams = snaps @ np.swapaxes(snaps.conj(), -1, -2)
+        snap_grams = _gram_stack(snaps)
         H_nr = realization.ru_stack[idx]              # (C, M, N_r, N_k)
         gamma_n = np.einsum("cuab,cbd,cued->cae", H_nr, snap_grams, H_nr.conj())
         H_ne = realization.re_stack[idx]              # (C, N, N_e, N_k)
@@ -282,16 +281,14 @@ def _receive_and_store(state: PolicyState, realization, config: SystemConfig,
             "sinr_threshold is unresolved (None); set a value or run through "
             "monte_carlo, which calibrates it per sweep cell")
     p_tx, p_rel = power_split(config)
-    active = sorted(replays)
+    active, snaps = _replay_stack(replays, replays)
     receivers = sorted(receivers)
     H_rx = realization.su_stack[[i - 1 for i in receivers]]   # (R, N_i, N_t)
     gamma_S = (p_tx / config.N_t) * np.einsum(
         "rab,rab->r", H_rx, H_rx.conj()).real
     residuals = np.zeros(len(receivers))
     if active:
-        snaps = np.stack([np.asarray(replays[k].snapshot) for k in active])
-        rows = [[realization.rr_row(k, i) for i in receivers] for k in active]
-        H_ki = realization.rr_stack[rows]                     # (A, R, N_i, N_k)
+        H_ki = _rr_block(realization, active, receivers)      # (A, R, N_i, N_k)
         prod = np.einsum("krab,kbc->krac", H_ki, snaps)
         powers = (p_rel / config.N_k) * np.einsum(
             "krab,krab->kr", prod, prod.conj()).real
@@ -314,7 +311,7 @@ def _receive_and_store(state: PolicyState, realization, config: SystemConfig,
         if state.diag.collect_sinrs:
             state.diag.sinrs.append(sinr)
         state.buffers[i].push(BufferedSignal(
-            snapshot=realization.H_source_relay[i], sinr_at_reception=sinr,
+            snapshot=realization.su_stack[i - 1], sinr_at_reception=sinr,
             slot=realization.slot,
             signal_class=classify_signal(sinr, threshold)))
 
@@ -331,9 +328,8 @@ def slot_rate_report(realization, config: SystemConfig, replays: dict,
     base = config.log_base
     clamps = 0
 
-    active_tx = [k for k in sorted(transmitters) if k in replays]
+    active_tx, snaps = _replay_stack(replays, transmitters)
     if active_tx:
-        snaps = np.stack([np.asarray(replays[k].snapshot) for k in active_tx])
         factors = _stored_factors(snaps, p_tx / config.sigma2_r, config.N_t)
         users = [t % config.M for t in range(config.T)]
         H_u = realization.ru_stack[[k - 1 for k in active_tx]][:, users]
@@ -349,10 +345,7 @@ def slot_rate_report(realization, config: SystemConfig, replays: dict,
 
     Delta = _eav_interference(realization, config, replays, jammers,
                               p_tx / config.sigma2_e, p_rel / config.sigma2_e)
-    H_e = realization.se_stack
-    signals = (p_tx / config.sigma2_e / config.N_t) * np.einsum(
-        "eab,ecb->eac", H_e, H_e.conj())
-    eav_gammas = np.linalg.solve(np.eye(config.N_e) + Delta, signals)
+    eav_gammas = _eav_gammas(realization, config, Delta, p_tx / config.sigma2_e)
     eav_rates, eav_clamps = rates.clamped_logdet_rate_stack(eav_gammas, base)
     clamps += eav_clamps
 
@@ -362,15 +355,6 @@ def slot_rate_report(realization, config: SystemConfig, replays: dict,
                               eav_rates=tuple(map(float, eav_rates)),
                               secrecy_rate=secrecy)
     return report, clamps
-
-
-def _advanced(state: PolicyState, outcome: SelectionOutcome,
-              pending: tuple | None = None,
-              pending_metrics: dict | None = None) -> PolicyState:
-    return PolicyState(buffers=state.buffers, previous_outcome=outcome,
-                       slot=state.slot + 1, pending_jammers=pending,
-                       pending_jammer_metrics=pending_metrics or {},
-                       diag=state.diag)
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +375,8 @@ def bf_rjfs_step(state: PolicyState, realization, config: SystemConfig,
         jammers = state.pending_jammers
         jam_metrics = dict(state.pending_jammer_metrics)
     elif state.slot == 0:
-        dets = _source_dets(realization)
-        ranking = sorted(dets, key=lambda q: (-dets[q], q))
+        dets = initial_ranking(realization)
+        ranking = list(dets)
         picked = (ranking[-config.K:] if config.worst_sinr_seeding
                   else ranking[:config.K]) if config.K else []
         jammers = tuple(sorted(picked))
@@ -409,9 +393,10 @@ def bf_rjfs_step(state: PolicyState, realization, config: SystemConfig,
         metric_per_candidate={**jam_metrics, **rx_metrics},
         policy_name="bf-rjfs", replays=replays)
     _receive_and_store(state, realization, config, receivers, replays)
-    next_jammers, next_metrics = select_jamming_relays(
+    state.pending_jammers, state.pending_jammer_metrics = select_jamming_relays(
         state, realization, config, current_jammers=jammers, replays=replays)
-    return outcome, _advanced(state, outcome, next_jammers, next_metrics)
+    state.slot += 1
+    return outcome, state
 
 
 def _baseline_step(state: PolicyState, realization, config: SystemConfig,
@@ -422,7 +407,8 @@ def _baseline_step(state: PolicyState, realization, config: SystemConfig,
         transmitting_relays=tuple(sorted(transmitters)),
         metric_per_candidate=metrics, policy_name=name, replays=replays)
     _receive_and_store(state, realization, config, receivers, replays)
-    return outcome, _advanced(state, outcome)
+    state.slot += 1
+    return outcome, state
 
 
 def policy_conventional_bf(state: PolicyState, realization,
@@ -483,27 +469,27 @@ def policy_max_ratio(state: PolicyState, realization, config: SystemConfig,
     T receive, and of the rest the top T by the transmit-side analogue of the
     same ratio deliver."""
     ids = sorted(state.buffers)
-    own = _replay_snapshots(state, ids)
+    own = _peek_replays(state, ids)
 
     def leakage(q):
-        snap = own.get(q)
-        if snap is None:
+        rec = own.get(q)
+        if rec is None:
             return 0.0
-        return sum(relayed_link_power(H, snap)
-                   for H in realization.H_relay_eav[q])
+        return sum(relayed_link_power(H, rec.snapshot)
+                   for H in realization.re_stack[q - 1])
 
     floor = config.N_e * config.sigma2_e
-    rx_ratio = {q: source_link_power(realization.H_source_relay[q])
+    rx_ratio = {q: source_link_power(realization.su_stack[q - 1])
                 / (leakage(q) + floor) for q in ids}
     receivers = sorted(ids, key=lambda q: (-rx_ratio[q], q))[:config.T]
     rest = [q for q in ids if q not in set(receivers)]
 
     def delivered(q):
-        snap = own.get(q)
-        if snap is None:
+        rec = own.get(q)
+        if rec is None:
             return 0.0
-        return sum(relayed_link_power(H, snap)
-                   for H in realization.H_relay_user[q])
+        return sum(relayed_link_power(H, rec.snapshot)
+                   for H in realization.ru_stack[q - 1])
 
     tx_ratio = {q: delivered(q) / (leakage(q) + floor) for q in rest}
     transmitters = sorted(rest, key=lambda q: (-tx_ratio[q], q))[:config.T]
@@ -528,7 +514,8 @@ def policy_random(state: PolicyState, realization, config: SystemConfig,
         transmitting_relays=jammers, metric_per_candidate={},
         policy_name="random", replays=replays)
     _receive_and_store(state, realization, config, receivers, replays)
-    return outcome, _advanced(state, outcome)
+    state.slot += 1
+    return outcome, state
 
 
 _ORACLE_GUARD = 100_000
@@ -547,8 +534,7 @@ def exhaustive_oracle(state: PolicyState, realization, config: SystemConfig,
     if count > _ORACLE_GUARD:
         raise ConfigError(
             f"oracle would enumerate {count} assignments (> {_ORACLE_GUARD})")
-    peeked = {q: rec for q in ids
-              if (rec := state.buffers[q].peek_jamming()) is not None}
+    peeked = _peek_replays(state, ids)
     best = None
     for rx in itertools.combinations(ids, config.T):
         rest = [q for q in ids if q not in set(rx)]
@@ -564,7 +550,8 @@ def exhaustive_oracle(state: PolicyState, realization, config: SystemConfig,
         transmitting_relays=tuple(jam), metric_per_candidate={},
         policy_name="oracle", replays=replays, objective=score)
     _receive_and_store(state, realization, config, rx, replays)
-    return outcome, _advanced(state, outcome)
+    state.slot += 1
+    return outcome, state
 
 
 POLICIES = {

@@ -23,7 +23,7 @@ import numpy as np
 from ._version import __version__
 from .channel import (STREAM_CALIBRATION, STREAM_CHANNEL, STREAM_POLICY,
                       gen_network_realization, substream)
-from .config import SystemConfig, power_split
+from .config import SystemConfig
 from .errors import ConfigError, NumericError
 from .selection import POLICIES, fresh_state, slot_rate_report
 
@@ -31,11 +31,6 @@ POLICY_ORDER = tuple(POLICIES)
 
 _CALIBRATION_SLOTS = 200
 _Z95 = 1.959963984540054
-
-
-def apply_power_split(config: SystemConfig, eta: float) -> tuple[float, float]:
-    """(P_tx, P_relay_each) for a power split parameter eta in [0, 2]."""
-    return power_split(config, eta)
 
 
 @dataclass(frozen=True)

@@ -38,34 +38,29 @@ def realization_from_arrays(config, slot, su, se, rr_map, re, ru):
     su: (Q, N_i, N_t); se: (N, N_e, N_t); rr_map: {(k, i): (N_i, N_k)};
     re: (Q, N, N_e, N_k); ru: (Q, M, N_r, N_k).
     """
-    Q, M, N = config.Q, config.M, config.N
+    Q = config.Q
     su = np.asarray(su, dtype=complex)
     se = np.asarray(se, dtype=complex)
     re = np.asarray(re, dtype=complex)
     ru = np.asarray(ru, dtype=complex)
     rr = np.zeros((Q * (Q - 1), config.N_i, config.N_k), dtype=complex)
     row = 0
-    rr_dict = {}
     for k in range(1, Q + 1):
         for i in range(1, Q + 1):
             if k != i:
                 rr[row] = np.asarray(rr_map[(k, i)])
-                rr_dict[(k, i)] = rr[row]
                 row += 1
     for arr in (su, se, rr, re, ru):
         arr.flags.writeable = False
-    return NetworkRealization(
-        slot=slot,
-        H_source_relay={q: su[q - 1] for q in range(1, Q + 1)},
-        H_source_eav=tuple(se[e] for e in range(N)),
-        H_relay_relay=rr_dict,
-        H_relay_eav={k: tuple(re[k - 1][e] for e in range(N))
-                     for k in range(1, Q + 1)},
-        H_relay_user={k: tuple(ru[k - 1][r] for r in range(M))
-                      for k in range(1, Q + 1)},
-        su_stack=su, se_stack=se, rr_stack=rr, re_stack=re, ru_stack=ru,
-        Q=Q,
-    )
+    return NetworkRealization(slot=slot, su_stack=su, se_stack=se, rr_stack=rr,
+                              re_stack=re, ru_stack=ru, Q=Q)
+
+
+def rr_map(real):
+    """{(k, i): relay k -> relay i channel} of a realization, k != i."""
+    return {(k, i): real.rr_stack[real.rr_row(k, i)]
+            for k in range(1, real.Q + 1) for i in range(1, real.Q + 1)
+            if k != i}
 
 
 def make_instance(config, seed, start_slot=10):

@@ -97,14 +97,11 @@ def test_solve_identity_plus_matches_inverse(rng):
 def test_realization_shapes_default_scenario():
     config = SystemConfig(sinr_threshold=1.0)
     real = gen_network_realization(config, 0, substream(config.seed, 0, 0, 0))
-    for q in range(1, config.Q + 1):
-        assert real.H_source_relay[q].shape == (2, 6)
-    assert len(real.H_source_eav) == 3
-    assert real.H_source_eav[0].shape == (2, 6)
-    assert len(real.H_relay_relay) == config.Q * (config.Q - 1)
-    assert real.H_relay_relay[(1, 2)].shape == (2, 2)
-    assert real.H_relay_user[4][2].shape == (2, 2)
-    assert real.H_relay_eav[6][0].shape == (2, 2)
+    assert real.su_stack.shape == (config.Q, 2, 6)
+    assert real.se_stack.shape == (3, 2, 6)
+    assert real.rr_stack.shape == (config.Q * (config.Q - 1), 2, 2)
+    assert real.ru_stack.shape == (config.Q, 3, 2, 2)
+    assert real.re_stack.shape == (config.Q, 3, 2, 2)
 
 
 def test_realization_deterministic():
@@ -119,30 +116,28 @@ def test_realization_deterministic():
 def test_realization_small_poll_offdiagonal_pairs():
     config = SystemConfig(Q=2, T=1, K=1, sinr_threshold=1.0)
     real = gen_network_realization(config, 0, substream(1, 0, 0, 0))
-    assert set(real.H_relay_relay) == {(1, 2), (2, 1)}
+    assert real.rr_stack.shape[0] == 2
+    assert (real.rr_row(1, 2), real.rr_row(2, 1)) == (0, 1)
+    with pytest.raises(KeyError):
+        real.rr_row(1, 1)
 
 
 def test_realization_immutable():
     config = SystemConfig(Q=2, T=1, K=1, sinr_threshold=1.0)
     real = gen_network_realization(config, 0, substream(1, 0, 0, 0))
     with pytest.raises(ValueError):
-        real.H_source_relay[1][0, 0] = 0
+        real.su_stack[0, 0, 0] = 0
     with pytest.raises(ValueError):
         real.ru_stack[0, 0, 0, 0] = 0
 
 
 def test_realization_views_consistent_with_stacks():
+    # rr_row must follow the carve order: ascending (k, i), k != i
     config = SystemConfig(sinr_threshold=1.0)
     real = gen_network_realization(config, 0, substream(5, 0, 0, 0))
-    for q in range(1, config.Q + 1):
-        np.testing.assert_array_equal(real.H_source_relay[q],
-                                      real.su_stack[q - 1])
-    for (k, i), H in real.H_relay_relay.items():
-        np.testing.assert_array_equal(H, real.rr_stack[real.rr_row(k, i)])
-    for k in range(1, config.Q + 1):
-        for e in range(config.N):
-            np.testing.assert_array_equal(real.H_relay_eav[k][e],
-                                          real.re_stack[k - 1][e])
+    pairs = [(k, i) for k in range(1, config.Q + 1)
+             for i in range(1, config.Q + 1) if k != i]
+    assert [real.rr_row(k, i) for k, i in pairs] == list(range(len(pairs)))
 
 
 def test_realization_entry_statistics():

@@ -52,6 +52,14 @@ def test_cli_bad_config_file(tmp_path, capsys):
     assert code == 2
 
 
+def test_cli_malformed_threshold_in_config(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("sinr_threshold = abc\n")
+    code = main(["--config", str(bad), "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_cli_unwritable_output(tmp_path):
     config = tmp_path / "tiny.cfg"
     config.write_text(

@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 
 from relaysec.channel import received_power
 from relaysec.link_metrics import (iri_cancellation_feasible,
-                                   iri_feasible_batch, relayed_link_power,
-                                   sinr_eav_scalar, sinr_relay,
-                                   sinr_user_scalar, source_link_power)
+                                   relayed_link_power, sinr_relay,
+                                   source_link_power)
 
 from conftest import cn_matrix
 
@@ -93,15 +92,6 @@ def test_iri_feasible_matches_explicit_inverse(rng):
                                          gamma0) == expected
 
 
-def test_iri_feasible_batch_matches_loop(rng):
-    H_i = cn_matrix(rng, 2, 6)
-    stack = np.stack([cn_matrix(rng, 2, 2) for _ in range(5)])
-    batch = iri_feasible_batch(H_i, stack, 2.0, 3.0, 6, 2, 0.4)
-    loop = [iri_cancellation_feasible(H_i, H, 2.0, 3.0, 6, 2, 0.4)
-            for H in stack]
-    assert list(batch) == loop
-
-
 def test_iri_feasible_rejects_mismatch(rng):
     with pytest.raises(ValueError):
         iri_cancellation_feasible(cn_matrix(rng, 2, 6), cn_matrix(rng, 3, 2),
@@ -136,25 +126,3 @@ def test_sinr_relay_cancellation_never_hurts(gs, gi, ni, s2):
     assert with_c >= without
     if gi == 0:
         assert with_c == without
-
-
-@pytest.mark.parametrize("gs,gi,ne,s2,expected", [
-    (8.0, 0.0, 2, 1.0, 4.0),
-    (8.0, 6.0, 2, 1.0, 1.0),
-])
-def test_sinr_eav_values(gs, gi, ne, s2, expected):
-    assert sinr_eav_scalar(gs, gi, ne, s2).value == pytest.approx(expected)
-
-
-def test_sinr_eav_monotone_in_jamming():
-    values = [sinr_eav_scalar(8.0, g, 2, 1.0).value for g in np.linspace(0, 20, 9)]
-    assert all(a > b for a, b in zip(values, values[1:]))
-
-
-@pytest.mark.parametrize("g,nr,s2,expected", [
-    (0.0, 2, 1.0, 0.0),
-    (6.0, 2, 1.0, 3.0),
-    (6.0, 2, 0.5, 6.0),
-])
-def test_sinr_user_values(g, nr, s2, expected):
-    assert sinr_user_scalar(g, nr, s2).value == pytest.approx(expected)

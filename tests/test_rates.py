@@ -7,8 +7,8 @@ from relaysec.errors import NumericError
 from relaysec.rates import (clamped_logdet_rate, clamped_logdet_rate_stack,
                             eav_interference_sum, eav_rate, eav_sinr_matrix,
                             logdet_identity_plus, logdet_identity_plus_stack,
-                            secrecy_capacity_equal_power, secrecy_rate,
-                            stored_signal_factor, user_rate, user_sinr_matrix)
+                            secrecy_rate, stored_signal_factor, user_rate,
+                            user_sinr_matrix)
 
 from conftest import cn_matrix, random_psd
 
@@ -178,35 +178,6 @@ def test_eav_rate_decreases_with_jamming(rng):
     weak = eav_rate(np.linalg.solve(np.eye(2) + delta, s))
     strong = eav_rate(np.linalg.solve(np.eye(2) + 2.0 * delta, s))
     assert strong < weak
-
-
-def test_secrecy_capacity_no_eavesdropper(rng):
-    H = cn_matrix(rng, 2, 4)
-    got = secrecy_capacity_equal_power(H, np.zeros((2, 4)), Es=2.0, N_t=4)
-    assert got == pytest.approx(eig_logdet(0.5 * H @ H.conj().T), rel=1e-9)
-
-
-def test_secrecy_capacity_symmetric_channels(rng):
-    H = cn_matrix(rng, 2, 4)
-    assert secrecy_capacity_equal_power(H, H, 1.0, 4) == 0.0
-
-
-def test_secrecy_capacity_eigen_oracle(rng):
-    H_ba = cn_matrix(rng, 2, 2)
-    H_ea = cn_matrix(rng, 2, 2)
-    expected = max(0.0, eig_logdet(0.5 * H_ba @ H_ba.conj().T)
-                   - eig_logdet(0.5 * H_ea @ H_ea.conj().T))
-    got = secrecy_capacity_equal_power(H_ba, H_ea, 1.0, 2)
-    assert got == pytest.approx(expected, rel=1e-9)
-
-
-def test_secrecy_capacity_validates(rng):
-    with pytest.raises(ValueError):
-        secrecy_capacity_equal_power(cn_matrix(rng, 2, 3), cn_matrix(rng, 2, 4),
-                                     1.0, 3)
-    with pytest.raises(ValueError):
-        secrecy_capacity_equal_power(cn_matrix(rng, 2, 3), cn_matrix(rng, 2, 3),
-                                     0.0, 3)
 
 
 _secrecy_cases = [

@@ -14,12 +14,12 @@ from relaysec.selection import (POLICIES, bf_rjfs_step,
                                 exhaustive_oracle, fresh_state,
                                 initial_ranking, policy_conventional_bf,
                                 policy_max_link, policy_max_ratio,
-                                policy_random, scalarize_metric,
+                                policy_random,
                                 select_jamming_relays,
                                 select_receiving_relays, slot_rate_report)
 
-from conftest import (cn_matrix, make_instance, random_psd,
-                      realization_from_arrays, small_config)
+from conftest import (cn_matrix, make_instance, realization_from_arrays,
+                      rr_map, small_config)
 
 
 def stock(state, relay_id, snapshot, sinr=5.0, slot=0,
@@ -54,7 +54,7 @@ def test_initial_ranking_analytic():
         config, 0, su, cn_matrix(rng, 2, 2)[None].repeat(2, 0),
         {(1, 2): cn_matrix(rng, 2, 2), (2, 1): cn_matrix(rng, 2, 2)},
         np.zeros((2, 2, 2, 2)), np.zeros((2, 2, 2, 2)))
-    assert initial_ranking(real) == [1, 2]
+    assert list(initial_ranking(real)) == [1, 2]
 
 
 def test_initial_ranking_tie_break():
@@ -66,48 +66,16 @@ def test_initial_ranking_tie_break():
           for i in range(1, 5) if k != i}
     real = realization_from_arrays(config, 0, su, np.zeros((2, 2, 2)), rr,
                                    np.zeros((4, 2, 2, 2)), np.zeros((4, 2, 2, 2)))
-    assert initial_ranking(real) == [1, 2, 3, 4]
+    assert list(initial_ranking(real)) == [1, 2, 3, 4]
 
 
 def test_initial_ranking_matches_brute_force(rng):
     config = small_config()
     real = gen_network_realization(config, 0, substream(3, 0, 0, 0))
     dets = {q: np.linalg.det(H @ H.conj().T).real
-            for q, H in real.H_source_relay.items()}
+            for q, H in enumerate(real.su_stack, start=1)}
     expected = sorted(dets, key=lambda q: (-dets[q], q))
-    assert initial_ranking(real) == expected
-
-
-# ---------------------------------------------------------------------------
-# scalarized metric
-
-
-def test_scalarize_equal_matrices(rng):
-    G = random_psd(rng, 2)
-    assert scalarize_metric(G, G) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_scalarize_identity_gain():
-    assert scalarize_metric(np.zeros((2, 2)), np.eye(2)) == pytest.approx(2.0)
-
-
-def test_scalarize_antisymmetry(rng):
-    for _ in range(30):
-        A, B = random_psd(rng, 2), random_psd(rng, 2)
-        assert scalarize_metric(A, B) == pytest.approx(-scalarize_metric(B, A),
-                                                       abs=1e-9)
-
-
-def test_scalarize_eigen_oracle(rng):
-    A, B = random_psd(rng, 3), random_psd(rng, 3)
-    expected = (np.sum(np.log2(1 + np.linalg.eigvalsh(B)))
-                - np.sum(np.log2(1 + np.linalg.eigvalsh(A))))
-    assert scalarize_metric(A, B) == pytest.approx(expected, rel=1e-9)
-
-
-def test_scalarize_shape_check(rng):
-    with pytest.raises(ValueError):
-        scalarize_metric(random_psd(rng, 2), random_psd(rng, 3))
+    assert list(initial_ranking(real)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +188,7 @@ def test_jamming_metrics_match_literal_formulas():
             continue
         inner = np.eye(2) + (p_tx_e / config.N_t) * (rec.snapshot @ rec.snapshot.conj().T)
         for e in range(config.N):
-            H_ke = real.H_relay_eav[k][e]
+            H_ke = real.re_stack[k - 1][e]
             delta += (p_rel_e / config.N_k) * (H_ke @ H_ke.conj().T) @ inner
 
     for n in sorted(state.buffers):
@@ -229,9 +197,9 @@ def test_jamming_metrics_match_literal_formulas():
             assert metrics[n] == 0.0
             continue
         S = rec.snapshot @ rec.snapshot.conj().T
-        gamma_n = sum(real.H_relay_user[n][u] @ S @ real.H_relay_user[n][u].conj().T
+        gamma_n = sum(real.ru_stack[n - 1][u] @ S @ real.ru_stack[n - 1][u].conj().T
                       for u in range(config.M))
-        leak = sum(real.H_relay_eav[n][e] @ S @ real.H_relay_eav[n][e].conj().T
+        leak = sum(real.re_stack[n - 1][e] @ S @ real.re_stack[n - 1][e].conj().T
                    for e in range(config.N))
         gamma_e = np.linalg.solve(np.eye(2) + delta, (p_rel_e / config.N_k) * leak)
         expected = (logdet_identity_plus(gamma_n)
@@ -248,7 +216,7 @@ def test_bf_rjfs_slot0_seeds_best_ranking():
     real = gen_network_realization(config, 0, substream(4, 0, 0, 0))
     state = fresh_state(config)
     outcome, new_state = bf_rjfs_step(state, real, config)
-    ranking = initial_ranking(real)
+    ranking = list(initial_ranking(real))
     assert outcome.jamming_relays == tuple(sorted(ranking[:2]))
     assert outcome.transmitting_relays == outcome.jamming_relays
     assert outcome.receiving_relays == tuple(sorted(ranking[2:]))
@@ -260,7 +228,7 @@ def test_bf_rjfs_slot0_worst_seeding_flag():
     config = small_config(worst_sinr_seeding=True)
     real = gen_network_realization(config, 0, substream(4, 0, 0, 0))
     outcome, _ = bf_rjfs_step(fresh_state(config), real, config)
-    ranking = initial_ranking(real)
+    ranking = list(initial_ranking(real))
     assert outcome.jamming_relays == tuple(sorted(ranking[-2:]))
 
 
@@ -303,13 +271,13 @@ def test_conventional_bf_selects_strongest_links():
     config = small_config()
     state, real = make_instance(config, seed=21)
     outcome, _ = policy_conventional_bf(state, real, config)
-    rx_power = {q: np.sum(np.abs(real.H_source_relay[q]) ** 2)
+    rx_power = {q: np.sum(np.abs(real.su_stack[q - 1]) ** 2)
                 for q in range(1, 5)}
     expected_rx = tuple(sorted(sorted(rx_power, key=lambda q: (-rx_power[q], q))[:2]))
     assert outcome.receiving_relays == expected_rx
     assert outcome.jamming_relays == ()
     rest = [q for q in range(1, 5) if q not in expected_rx]
-    tx_power = {q: sum(np.sum(np.abs(H) ** 2) for H in real.H_relay_user[q])
+    tx_power = {q: sum(np.sum(np.abs(H) ** 2) for H in real.ru_stack[q - 1])
                 for q in rest}
     expected_tx = tuple(sorted(sorted(tx_power, key=lambda q: (-tx_power[q], q))[:2]))
     assert outcome.transmitting_relays == expected_tx
@@ -376,7 +344,7 @@ def test_max_ratio_zero_leakage_reduces_to_max_power():
     for q in state.buffers:
         state.buffers[q]._queue.clear()   # empty buffers: zero leakage
     outcome, _ = policy_max_ratio(state, real, config)
-    rx_power = {q: np.sum(np.abs(real.H_source_relay[q]) ** 2)
+    rx_power = {q: np.sum(np.abs(real.su_stack[q - 1]) ** 2)
                 for q in range(1, 5)}
     expected = tuple(sorted(sorted(rx_power, key=lambda q: (-rx_power[q], q))[:2]))
     assert outcome.receiving_relays == expected
@@ -516,7 +484,7 @@ def _permute_realization(real, config, perm):
     su = np.stack([real.su_stack[inv[q] - 1] for q in range(1, Q + 1)])
     re = np.stack([real.re_stack[inv[q] - 1] for q in range(1, Q + 1)])
     ru = np.stack([real.ru_stack[inv[q] - 1] for q in range(1, Q + 1)])
-    rr = {(perm[k], perm[i]): H for (k, i), H in real.H_relay_relay.items()}
+    rr = {(perm[k], perm[i]): H for (k, i), H in rr_map(real).items()}
     return realization_from_arrays(config, real.slot, su, real.se_stack, rr,
                                    re, ru)
 
@@ -566,11 +534,11 @@ def test_reception_matches_scalar_link_ops():
 
     p_tx, p_rel = power_split(config)
     for i in receivers:
-        H_i = real.H_source_relay[i]
+        H_i = real.su_stack[i - 1]
         gamma_S = (p_tx / config.N_t) * source_link_power(H_i)
         residual = 0.0
         for k in sorted(replays):
-            H_ki = real.H_relay_relay[(k, i)]
+            H_ki = real.rr_stack[real.rr_row(k, i)]
             feasible = iri_cancellation_feasible(
                 H_i, H_ki, p_tx / config.sigma2_i, p_rel / config.sigma2_i,
                 config.N_t, config.N_k, config.gamma0)
@@ -599,7 +567,7 @@ def test_slot_rate_report_matches_rates_module_composition():
     for t in range(config.T):
         u = t % config.M
         if active:
-            G = user_sinr_matrix([real.H_relay_user[k][u] for k in active],
+            G = user_sinr_matrix([real.ru_stack[k - 1][u] for k in active],
                                  snaps, p_rel / config.sigma2_r,
                                  p_tx / config.sigma2_r, config.N_k, config.N_t)
             expected = user_rate(G)
@@ -608,8 +576,8 @@ def test_slot_rate_report_matches_rates_module_composition():
         assert report.user_rates[t] == pytest.approx(expected, abs=1e-10)
     jam_active = [k for k in sorted(out.jamming_relays) if k in out.replays]
     for e in range(config.N):
-        G = eav_sinr_matrix(real.H_source_eav[e],
-                            [real.H_relay_eav[k] for k in jam_active],
+        G = eav_sinr_matrix(real.se_stack[e],
+                            [real.re_stack[k - 1] for k in jam_active],
                             [out.replays[k].snapshot for k in jam_active],
                             p_tx / config.sigma2_e, p_rel / config.sigma2_e,
                             config.N_t, config.N_k, config.N)
@@ -624,5 +592,5 @@ def test_metric_scale_invariance_of_ranking():
     real = gen_network_realization(config, 0, substream(6, 0, 0, 0))
     scaled = realization_from_arrays(
         config, 0, 3.0 * real.su_stack, real.se_stack,
-        dict(real.H_relay_relay), real.re_stack, real.ru_stack)
-    assert initial_ranking(real) == initial_ranking(scaled)
+        rr_map(real), real.re_stack, real.ru_stack)
+    assert list(initial_ranking(real)) == list(initial_ranking(scaled))

@@ -1,10 +1,9 @@
 import pytest
 
-from relaysec.config import SystemConfig, load_config, parse_config
+from relaysec.config import SystemConfig, load_config, parse_config, power_split
 from relaysec.errors import ConfigError
-from relaysec.sim import (SecrecyReport, SweepSpec, apply_power_split,
-                          calibrate_threshold, emit_results, monte_carlo,
-                          run_trial)
+from relaysec.sim import (SecrecyReport, SweepSpec, calibrate_threshold,
+                          emit_results, monte_carlo, run_trial)
 
 from conftest import small_config
 
@@ -17,7 +16,7 @@ from conftest import small_config
 ])
 def test_apply_power_split(eta, P, K, expected):
     config = SystemConfig(P=P, K=K, T=1, Q=K + 1, sinr_threshold=1.0)
-    tx, each = apply_power_split(config, eta)
+    tx, each = power_split(config, eta)
     assert tx == pytest.approx(expected[0])
     assert each == pytest.approx(expected[1])
 
@@ -25,7 +24,7 @@ def test_apply_power_split(eta, P, K, expected):
 def test_apply_power_split_rejects_bad_eta():
     config = SystemConfig(sinr_threshold=1.0)
     with pytest.raises(ConfigError):
-        apply_power_split(config, 2.5)
+        power_split(config, 2.5)
 
 
 def test_zero_slot_config_rejected():
@@ -235,6 +234,8 @@ def test_parse_config_rejects_bad_value():
         parse_config("Q = four\n")
     with pytest.raises(ConfigError):
         parse_config("iri_cancellation = maybe\n")
+    with pytest.raises(ConfigError):
+        parse_config("sinr_threshold = abc\n")
 
 
 def test_load_config(tmp_path):
