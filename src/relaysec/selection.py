@@ -479,8 +479,9 @@ def policy_max_ratio(state: PolicyState, realization, config: SystemConfig,
                    for H in realization.re_stack[q - 1])
 
     floor = config.N_e * config.sigma2_e
+    leak = {q: leakage(q) for q in ids}
     rx_ratio = {q: source_link_power(realization.su_stack[q - 1])
-                / (leakage(q) + floor) for q in ids}
+                / (leak[q] + floor) for q in ids}
     receivers = sorted(ids, key=lambda q: (-rx_ratio[q], q))[:config.T]
     rest = [q for q in ids if q not in set(receivers)]
 
@@ -491,7 +492,7 @@ def policy_max_ratio(state: PolicyState, realization, config: SystemConfig,
         return sum(relayed_link_power(H, rec.snapshot)
                    for H in realization.ru_stack[q - 1])
 
-    tx_ratio = {q: delivered(q) / (leakage(q) + floor) for q in rest}
+    tx_ratio = {q: delivered(q) / (leak[q] + floor) for q in rest}
     transmitters = sorted(rest, key=lambda q: (-tx_ratio[q], q))[:config.T]
     metrics = {**rx_ratio, **tx_ratio}
     return _baseline_step(state, realization, config, receivers, transmitters,

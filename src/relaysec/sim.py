@@ -161,16 +161,15 @@ def calibrate_threshold(config: SystemConfig, policy: str) -> float:
     return float(statistics.median(state.diag.sinrs))
 
 
-def _run_cell(cell_cfg: SystemConfig, policy: str, snr_db: float, eta: float,
-              trials: int, workers: int) -> CellResult:
-    args = [(cell_cfg, policy, t) for t in range(trials)]
-    if workers > 1 and trials > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_trial_worker, args,
-                                 chunksize=max(1, trials // (workers * 8))))
-    else:
-        rows = [_trial_summary(*a) for a in args]
-    rows.sort(key=lambda row: row[0])
+def _calibration_worker(args):
+    return calibrate_threshold(*args)
+
+
+def _run_cell(rows, cell_cfg: SystemConfig, policy: str, snr_db: float,
+              eta: float) -> CellResult:
+    """Aggregate a cell's ``_trial_summary`` rows, in trial-index order,
+    into its CellResult."""
+    trials = len(rows)
     means = np.array([row[1] for row in rows])
     phi_tests = sum(row[2] for row in rows)
     phi_feasible = sum(row[3] for row in rows)
@@ -190,25 +189,56 @@ def _run_cell(cell_cfg: SystemConfig, policy: str, snr_db: float, eta: float,
         sinr_threshold=cell_cfg.sinr_threshold)
 
 
+def _pooled_cells(pool, cells: list, sweep: SweepSpec) -> list:
+    """Run every cell on one pool: all calibration pre-runs are queued first,
+    in cell order, then each cell's trials as soon as its threshold is known;
+    rows are read back once every cell is queued."""
+    thresholds = [pool.submit(_calibration_worker, (cfg, policy))
+                  if cfg.sinr_threshold is None else None
+                  for policy, _, _, cfg in cells]
+    chunksize = max(1, sweep.trials // (sweep.workers * 8))
+    queued = []
+    for (policy, snr_db, eta, cfg), threshold in zip(cells, thresholds):
+        if threshold is not None:
+            cfg = cfg.replace(sinr_threshold=threshold.result())
+        rows = pool.map(_trial_worker,
+                        [(cfg, policy, t) for t in range(sweep.trials)],
+                        chunksize=chunksize)
+        queued.append((rows, cfg, policy, snr_db, eta))
+    return [_run_cell(list(rows), *cell) for rows, *cell in queued]
+
+
 def monte_carlo(config: SystemConfig, sweep: SweepSpec) -> SecrecyReport:
     """Run every sweep cell and aggregate trial-mean secrecy rates.
 
     Cells are independent: each derives its RNG streams and its calibrated
     threshold from (seed, policy, SNR, eta) alone, so adding or removing grid
-    points does not change the numbers of the remaining cells.
+    points does not change the numbers of the remaining cells.  At
+    ``sweep.workers == 1`` everything runs in this process, cell by cell; at
+    N > 1 one pool of N processes runs the calibration pre-runs and the
+    trials of every cell, and the outputs are bit-identical for any N.  An
+    error in a pooled task is raised here when its cell is read back, and
+    the work still queued in the pool is cancelled, not run.
     """
-    cells = []
-    for policy in sweep.policies:
-        for snr_db in sweep.snr_db_grid:
-            for eta in sweep.eta_grid:
-                cell_cfg = config.replace(
-                    eta=eta, slots=sweep.slots_per_trial).with_snr_db(snr_db)
-                if cell_cfg.sinr_threshold is None:
-                    thr = calibrate_threshold(cell_cfg, policy)
-                    cell_cfg = cell_cfg.replace(sinr_threshold=thr)
-                cells.append(_run_cell(cell_cfg, policy, snr_db, eta,
-                                       sweep.trials, sweep.workers))
-    return SecrecyReport(cells=tuple(cells), config=config, sweep=sweep)
+    cells = [(policy, snr_db, eta,
+              config.replace(eta=eta, slots=sweep.slots_per_trial).with_snr_db(snr_db))
+             for policy in sweep.policies
+             for snr_db in sweep.snr_db_grid
+             for eta in sweep.eta_grid]
+    if sweep.workers > 1:
+        pool = concurrent.futures.ProcessPoolExecutor(max_workers=sweep.workers)
+        try:
+            results = _pooled_cells(pool, cells, sweep)
+        finally:
+            pool.shutdown(cancel_futures=True)
+    else:
+        results = []
+        for policy, snr_db, eta, cfg in cells:
+            if cfg.sinr_threshold is None:
+                cfg = cfg.replace(sinr_threshold=calibrate_threshold(cfg, policy))
+            rows = [_trial_summary(cfg, policy, t) for t in range(sweep.trials)]
+            results.append(_run_cell(rows, cfg, policy, snr_db, eta))
+    return SecrecyReport(cells=tuple(results), config=config, sweep=sweep)
 
 
 CSV_HEADER = ("policy,snr_db,eta,mean_secrecy_rate,std,ci95,trials,"

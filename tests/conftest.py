@@ -1,10 +1,14 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
+import relaysec.sim
 from relaysec.buffers import BufferedSignal, classify_signal
 from relaysec.channel import (STREAM_INSTANCE, NetworkRealization,
                               gen_network_realization, substream)
 from relaysec.config import SystemConfig
+from relaysec.errors import NumericError
 from relaysec.selection import fresh_state
 
 
@@ -83,3 +87,17 @@ def make_instance(config, seed, start_slot=10):
     realization = gen_network_realization(
         config, start_slot, substream(config.seed, STREAM_INSTANCE, seed, 1))
     return state, realization
+
+
+# pooled workers see a monkeypatched module only when they are forked from it
+needs_fork = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                                reason="pool workers are not forked")
+
+
+def inject_trial_error(monkeypatch):
+    """Make every trial slot raise NumericError("injected"); calibration
+    pre-runs score no slot, so they are unaffected."""
+    def failing_report(*args, **kwargs):
+        raise NumericError("injected")
+
+    monkeypatch.setattr(relaysec.sim, "slot_rate_report", failing_report)

@@ -3,6 +3,8 @@ import pytest
 from relaysec.cli import _parse_grid, main
 from relaysec.errors import ConfigError
 
+from conftest import inject_trial_error, needs_fork
+
 
 def run_cli(tmp_path, *extra, name="out.csv"):
     out = tmp_path / name
@@ -36,6 +38,15 @@ def test_cli_parallel_identical(tmp_path):
     _, out1 = run_cli(tmp_path, name="a.csv")
     _, out2 = run_cli(tmp_path, "--workers", "2", name="b.csv")
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@needs_fork
+def test_cli_pooled_numeric_error(tmp_path, capsys, monkeypatch):
+    inject_trial_error(monkeypatch)
+    code, _ = run_cli(tmp_path, "--workers", "2")
+    assert code == 3
+    assert ("numeric error: policy 'bf-rjfs' trial 0 slot 0: injected"
+            in capsys.readouterr().err)
 
 
 def test_cli_unknown_policy(tmp_path, capsys):

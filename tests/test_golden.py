@@ -10,6 +10,7 @@ script (``PYTHONPATH=src python tests/test_golden.py``).  Rewriting them means
 the simulator's numbers changed: say why in ``CHANGES.md``.
 """
 
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -45,20 +46,29 @@ RUNS = {
 }
 
 
-def write_run(name: str, directory: Path) -> Path:
+def write_run(name: str, directory: Path, workers: int = 1) -> Path:
     config, sweep = RUNS[name]
     out = directory / f"{name}.csv"
-    emit_results(monte_carlo(config, sweep), out)
+    emit_results(monte_carlo(config, dataclasses.replace(sweep, workers=workers)), out)
     return out
 
 
-@pytest.mark.parametrize("name", sorted(RUNS))
-def test_golden_bytes(name, tmp_path):
-    out = write_run(name, tmp_path)
+def assert_golden(out: Path) -> None:
     for suffix in ("", ".manifest"):
         got = Path(str(out) + suffix).read_bytes()
         want = (GOLDEN_DIR / (out.name + suffix)).read_bytes()
         assert got == want, f"{out.name}{suffix} differs from tests/golden"
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_golden_bytes(name, tmp_path):
+    assert_golden(write_run(name, tmp_path))
+
+
+def test_golden_bytes_pooled(tmp_path):
+    """Calibration and trials through a 2-worker pool give the same bytes
+    (the manifest does not record the worker count)."""
+    assert_golden(write_run("auto", tmp_path, workers=2))
 
 
 if __name__ == "__main__":

@@ -1,11 +1,16 @@
+import concurrent.futures
+import dataclasses
+import time
+
 import pytest
 
+import relaysec.sim
 from relaysec.config import SystemConfig, load_config, parse_config, power_split
-from relaysec.errors import ConfigError
+from relaysec.errors import ConfigError, NumericError
 from relaysec.sim import (SecrecyReport, SweepSpec, calibrate_threshold,
                           emit_results, monte_carlo, run_trial)
 
-from conftest import small_config
+from conftest import inject_trial_error, needs_fork, small_config
 
 
 @pytest.mark.parametrize("eta,P,K,expected", [
@@ -143,6 +148,52 @@ def test_monte_carlo_workers_identical():
     parallel = monte_carlo(cfg, _tiny_sweep(trials=8, workers=2))
     for a, b in zip(serial.cells, parallel.cells):
         assert a == b
+
+
+def test_one_pool_per_sweep_runs_calibration(monkeypatch):
+    built = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    # relaysec.sim looks the class up here, so that a serial run never
+    # imports multiprocessing
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    cfg = small_config(sinr_threshold=None, seed=21, warmup_slots=1)
+    sweep = _tiny_sweep(trials=3)
+    serial = monte_carlo(cfg, sweep)
+    assert built == []
+    pooled = monte_carlo(cfg, dataclasses.replace(sweep, workers=2))
+    assert len(built) == 1
+    assert len(serial.cells) == 4
+    assert all(cell.sinr_threshold > 0.0 for cell in serial.cells)
+    assert pooled.cells == serial.cells
+
+
+@needs_fork
+def test_pool_error_reaches_caller_and_cancels_queued_cells(monkeypatch, tmp_path):
+    inject_trial_error(monkeypatch)
+    real_summary = relaysec.sim._trial_summary
+
+    def summary(config, policy, trial_index):   # leaves a file per started trial
+        (tmp_path / f"{config.eta}-{trial_index}").touch()
+        if trial_index:
+            time.sleep(0.2)
+        return real_summary(config, policy, trial_index)
+
+    monkeypatch.setattr(relaysec.sim, "_trial_summary", summary)
+    sweep = SweepSpec(policies=("bf-rjfs",), snr_db_grid=(10.0,),
+                      eta_grid=(0.5, 1.0, 1.5), trials=8, slots_per_trial=4,
+                      workers=2)
+    with pytest.raises(NumericError,
+                       match=r"policy 'bf-rjfs' trial 0 slot 0: injected"):
+        monte_carlo(small_config(seed=9), sweep)
+    # trial 0 of the first cell fails at once; no trial of a later cell starts
+    started = [path.name for path in tmp_path.iterdir()]
+    assert "0.5-0" in started
+    assert all(name.startswith("0.5-") for name in started)
 
 
 def test_calibration_deterministic_and_policy_scoped():
