@@ -79,10 +79,10 @@ class SystemConfig:
             raise ConfigError(
                 f"N_r must equal N_i for the user-rate matrix product to be "
                 f"defined, got N_r={self.N_r}, N_i={self.N_i}")
-        if self.K > 0 and self.N_k != self.N_i:
+        if self.N_k != self.N_i:
             raise ConfigError(
-                f"with jamming relays (K > 0) the buffered snapshot must be "
-                f"replayable, which needs N_k == N_i, got N_k={self.N_k}, "
+                f"every policy replays buffered snapshots through the relays' "
+                f"transmit antennas, which needs N_k == N_i, got N_k={self.N_k}, "
                 f"N_i={self.N_i}")
         if self.K > 0 and self.N_e != self.N_i:
             raise ConfigError(

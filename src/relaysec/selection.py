@@ -130,10 +130,13 @@ def _eav_interference(realization, config: SystemConfig, replays: dict,
 
 def _eav_gammas(realization, config: SystemConfig, Delta: np.ndarray,
                 p_tx_eff: float) -> np.ndarray:
-    """Per-eavesdropper SINR matrices (I + Delta)^{-1} (p/N_t) H_e H_e^H."""
+    """Per-eavesdropper SINR matrices (I + Delta)^{-1} (p/N_t) H_e H_e^H.
+
+    ``Delta`` is one (N_e, N_e) floor or a (..., N_e, N_e) batch of them;
+    the result is (..., N, N_e, N_e)."""
     H_e = realization.se_stack
     signals = (p_tx_eff / config.N_t) * np.einsum("eab,ecb->eac", H_e, H_e.conj())
-    return np.linalg.solve(np.eye(config.N_e) + Delta, signals)
+    return np.linalg.solve(np.eye(config.N_e) + Delta[..., None, :, :], signals)
 
 
 def _eav_reference_logdet(realization, config: SystemConfig, Delta: np.ndarray,
@@ -522,34 +525,77 @@ def policy_random(state: PolicyState, realization, config: SystemConfig,
 _ORACLE_GUARD = 100_000
 
 
+def _jam_set_scores(realization, config: SystemConfig, replays: dict,
+                    jam_sets: np.ndarray) -> np.ndarray:
+    """Slot secrecy rate of each row of ``jam_sets`` ((S, K) ascending relay
+    ids) as the jamming and transmitting set, each member replaying its
+    record in ``replays`` (silent when it has none).
+
+    Each replaying relay's user-side signal term and eavesdropper-side
+    interference term are computed once, then summed per set in ascending
+    relay order with a silent relay adding an exact zero, so sets with the
+    same replaying members score bit-identically.
+    """
+    p_tx, p_rel = power_split(config)
+    S = len(jam_sets)
+    user_terms = np.zeros((config.Q, config.T, config.N_r, config.N_r), dtype=complex)
+    eav_terms = np.zeros((config.Q, config.N_e, config.N_e), dtype=complex)
+    active, snaps = _replay_stack(replays, set(jam_sets.ravel().tolist()))
+    if active:
+        idx = [k - 1 for k in active]
+        users = [t % config.M for t in range(config.T)]
+        H_u = realization.ru_stack[idx][:, users]               # (A, T, N_r, N_k)
+        f_r = _stored_factors(snaps, p_tx / config.sigma2_r, config.N_t)
+        user_terms[idx] = (p_rel / config.sigma2_r / config.N_k) * (
+            _gram_stack(H_u) @ f_r[:, None])
+        f_e = _stored_factors(snaps, p_tx / config.sigma2_e, config.N_t)
+        gram_e = _gram_stack(realization.re_stack[idx]).sum(axis=1)   # (A, N_e, N_e)
+        eav_terms[idx] = (p_rel / config.sigma2_e / config.N_k) * (gram_e @ f_e)
+    user_gammas = np.zeros((S, config.T, config.N_r, config.N_r), dtype=complex)
+    Delta = np.zeros((S, config.N_e, config.N_e), dtype=complex)
+    for col in (jam_sets - 1).T:
+        user_gammas += user_terms[col]
+        Delta += eav_terms[col]
+    eav_gammas = _eav_gammas(realization, config, Delta, p_tx / config.sigma2_e)
+    user_rates, _ = rates.clamped_logdet_rate_stack(user_gammas, config.log_base)
+    eav_rates, _ = rates.clamped_logdet_rate_stack(eav_gammas, config.log_base)
+    diffs = user_rates[:, :, None] - eav_rates[:, None, :]
+    return np.maximum(diffs, 0.0).sum(axis=(1, 2))
+
+
 def exhaustive_oracle(state: PolicyState, realization, config: SystemConfig,
                       rng=None) -> tuple:
-    """Enumerate every disjoint (receive, jam) assignment, score each by the
-    slot secrecy rate it would achieve with the current buffers, and take the
-    argmax (ties: lexicographically smallest id sets).
+    """Take the disjoint (receive, jam) assignment with the highest slot
+    secrecy rate under the current buffers.
 
-    Refuses to run when C(Q,T) * C(Q-T,K) exceeds 100000.
+    That rate does not depend on the receive set, so the search scores each
+    of the C(Q, K) jam sets once, in one batch.  Ties go to the first receive
+    set in ``itertools.combinations`` order that is disjoint from a
+    max-scoring jam set, then to the first such jam set in the same order:
+    the first best assignment of a receive-major enumeration.  The objective
+    is ``slot_rate_report`` of the chosen assignment.
+
+    Refuses to run when C(Q, K) exceeds 100000.
     """
     ids = sorted(state.buffers)
-    count = math.comb(config.Q, config.T) * math.comb(config.Q - config.T, config.K)
+    count = math.comb(config.Q, config.K)
     if count > _ORACLE_GUARD:
         raise ConfigError(
-            f"oracle would enumerate {count} assignments (> {_ORACLE_GUARD})")
-    peeked = _peek_replays(state, ids)
-    best = None
+            f"oracle would score {count} jam sets (> {_ORACLE_GUARD})")
+    jam_sets = list(itertools.combinations(ids, config.K))
+    scores = _jam_set_scores(realization, config, _peek_replays(state, ids),
+                             np.array(jam_sets, dtype=int))
+    best = [jam_sets[s] for s in np.flatnonzero(scores == scores.max())]
     for rx in itertools.combinations(ids, config.T):
-        rest = [q for q in ids if q not in set(rx)]
-        for jam in itertools.combinations(rest, config.K):
-            replays = {k: peeked[k] for k in jam if k in peeked}
-            report, _ = slot_rate_report(realization, config, replays, jam, jam)
-            if best is None or report.secrecy_rate > best[0]:
-                best = (report.secrecy_rate, rx, jam)
-    score, rx, jam = best
+        jam = next((j for j in best if set(j).isdisjoint(rx)), None)
+        if jam is not None:
+            break
     replays = _resolve_replays(state, jam, config, forward_only=False)
+    report, _ = slot_rate_report(realization, config, replays, jam, jam)
     outcome = SelectionOutcome(
-        receiving_relays=tuple(rx), jamming_relays=tuple(jam),
-        transmitting_relays=tuple(jam), metric_per_candidate={},
-        policy_name="oracle", replays=replays, objective=score)
+        receiving_relays=rx, jamming_relays=jam,
+        transmitting_relays=jam, metric_per_candidate={},
+        policy_name="oracle", replays=replays, objective=report.secrecy_rate)
     _receive_and_store(state, realization, config, rx, replays)
     state.slot += 1
     return outcome, state

@@ -71,6 +71,17 @@ def test_cli_malformed_threshold_in_config(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_cli_replay_antenna_mismatch_in_config(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("Q = 4\nT = 1\nK = 0\nN_r = 1\nN_i = 1\nN_k = 2\n"
+                   "warmup_slots = 0\n")
+    code = main(["--config", str(bad), "--policy", "max-ratio", "--snr", "10",
+                 "--eta", "1.0", "--trials", "1", "--slots", "3",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "N_k == N_i" in capsys.readouterr().err
+
+
 def test_cli_unwritable_output(tmp_path):
     config = tmp_path / "tiny.cfg"
     config.write_text(

@@ -9,8 +9,9 @@ from relaysec.channel import (STREAM_CHANNEL, gen_network_realization,
                               substream)
 from relaysec.config import power_split
 from relaysec.errors import ConfigError
-from relaysec.rates import logdet_identity_plus
-from relaysec.selection import (POLICIES, bf_rjfs_step,
+from relaysec.rates import (eav_rate, eav_sinr_matrix, logdet_identity_plus,
+                            secrecy_rate, user_rate, user_sinr_matrix)
+from relaysec.selection import (POLICIES, _jam_set_scores, bf_rjfs_step,
                                 exhaustive_oracle, fresh_state,
                                 initial_ranking, policy_conventional_bf,
                                 policy_max_link, policy_max_ratio,
@@ -459,6 +460,149 @@ def test_oracle_dominates_other_policies_on_instances():
         if out_o.objective < rep_b.secrecy_rate:
             worse += 1
     assert worse == 0
+
+
+def peek_all(state):
+    """{relay id: record it would replay now} over the relays that have one."""
+    return {q: rec for q in sorted(state.buffers)
+            if (rec := state.buffers[q].peek_jamming()) is not None}
+
+
+def reference_oracle(state, real, config):
+    """Receive-major search over all C(Q,T) C(Q-T,K) assignments with one
+    slot_rate_report each, keeping the first best (strict >)."""
+    ids = sorted(state.buffers)
+    peeked = peek_all(state)
+    best = None
+    for rx in itertools.combinations(ids, config.T):
+        rest = [q for q in ids if q not in rx]
+        for jam in itertools.combinations(rest, config.K):
+            replays = {k: peeked[k] for k in jam if k in peeked}
+            report, _ = slot_rate_report(real, config, replays, jam, jam)
+            if best is None or report.secrecy_rate > best[0]:
+                best = (report.secrecy_rate, rx, jam)
+    return best
+
+
+def scalar_jam_set_score(state, real, config, jam):
+    """Slot secrecy rate of a jam set from the per-matrix rate operations."""
+    p_tx, p_rel = power_split(config)
+    peeked = peek_all(state)
+    active = [k for k in jam if k in peeked]
+    snaps = [peeked[k].snapshot for k in active]
+    user_rates = []
+    for t in range(config.T):
+        if active:
+            G = user_sinr_matrix([real.ru_stack[k - 1][t % config.M] for k in active],
+                                 snaps, p_rel / config.sigma2_r,
+                                 p_tx / config.sigma2_r, config.N_k, config.N_t)
+            user_rates.append(user_rate(G, config.log_base))
+        else:
+            user_rates.append(0.0)
+    eav_rates = [eav_rate(eav_sinr_matrix(
+        real.se_stack[e], [real.re_stack[k - 1] for k in active], snaps,
+        p_tx / config.sigma2_e, p_rel / config.sigma2_e,
+        config.N_t, config.N_k, config.N), config.log_base)
+        for e in range(config.N)]
+    return secrecy_rate(user_rates, eav_rates)
+
+
+ORACLE_CONFIGS = {
+    "T+K=Q": dict(),
+    "T+K<Q": dict(Q=5),
+    "K=0, N_e != N_i": dict(Q=4, K=0, N_e=1),
+    "capacity 1": dict(Q=5, buffer_capacity=1),
+    "single antenna": dict(Q=5, N_t=1, N_r=1, N_e=1, N_i=1, N_k=1),
+    "consume_on_jam": dict(Q=5, T=1, consume_on_jam=True),
+    "nats, high snr": dict(Q=6, T=2, K=3, rate_unit="nats", sigma2_i=0.01,
+                           sigma2_e=0.01, sigma2_r=0.01),
+}
+
+
+def oracle_slots(config, n_instances=6, n_slots=6):
+    """(state, realization) pairs for the oracle: the slots of one trial from
+    empty buffers (slot 0 ties every jam set), then pre-stocked instances in
+    which some relays have nothing to replay.  The caller steps the oracle
+    once on each pair, which carries the trial's buffers to its next slot."""
+    state = fresh_state(config)
+    for slot in range(n_slots):
+        real = gen_network_realization(
+            config, slot, substream(config.seed, STREAM_CHANNEL, 0, slot))
+        yield state, real
+    for seed in range(n_instances):
+        yield make_instance(config, seed=seed)
+
+
+@pytest.mark.parametrize("overrides", ORACLE_CONFIGS.values(),
+                         ids=ORACLE_CONFIGS.keys())
+def test_oracle_matches_receive_major_reference(overrides):
+    config = small_config(**overrides)
+    silent = 0
+    for state, real in oracle_slots(config):
+        score, rx, jam = reference_oracle(state, real, config)
+        silent += sum(len(b) == 0 for b in state.buffers.values())
+        outcome, _ = exhaustive_oracle(state, real, config)
+        assert outcome.receiving_relays == rx
+        assert outcome.jamming_relays == jam
+        assert outcome.transmitting_relays == jam
+        assert outcome.objective == score
+        report, _ = slot_rate_report(real, config, outcome.replays, jam, jam)
+        assert outcome.objective == report.secrecy_rate
+    assert silent > 0
+
+
+@pytest.mark.parametrize("overrides", ORACLE_CONFIGS.values(),
+                         ids=ORACLE_CONFIGS.keys())
+def test_jam_set_scores_match_rates_module_composition(overrides):
+    config = small_config(**overrides)
+    ids = list(range(1, config.Q + 1))
+    jam_sets = list(itertools.combinations(ids, config.K))
+    for state, real in oracle_slots(config, n_instances=6, n_slots=3):
+        scores = _jam_set_scores(real, config, peek_all(state),
+                                 np.array(jam_sets, dtype=int))
+        assert scores.shape == (len(jam_sets),)
+        for jam, got in zip(jam_sets, scores):
+            expected = scalar_jam_set_score(state, real, config, jam)
+            assert got == pytest.approx(expected, rel=1e-12)
+        exhaustive_oracle(state, real, config)
+
+
+def test_oracle_empty_buffers_tie_every_jam_set():
+    config = small_config(Q=6, T=2, K=2)
+    state = fresh_state(config)
+    real = gen_network_realization(config, 0, substream(3, 0, 0, 0))
+    jam_sets = np.array(list(itertools.combinations(range(1, 7), 2)))
+    scores = _jam_set_scores(real, config, {}, jam_sets)
+    assert np.all(scores == scores[0])
+    outcome, _ = exhaustive_oracle(state, real, config)
+    assert outcome.receiving_relays == (1, 2)
+    assert outcome.jamming_relays == (3, 4)
+
+
+def test_oracle_silent_members_tie_exactly():
+    # sets that differ only in silent relays score bit-identically, so the
+    # tie-break, not rounding, picks between them
+    config = small_config(Q=6, T=2, K=2)
+    state = fresh_state(config)
+    stock(state, 5, cn_matrix(np.random.default_rng(8), 2, 2))
+    real = gen_network_realization(config, 4, substream(3, 0, 0, 4))
+    jam_sets = np.array([(1, 5), (2, 5), (3, 5), (4, 5), (5, 6)])
+    scores = _jam_set_scores(real, config, {5: state.buffers[5].peek_jamming()},
+                             jam_sets)
+    assert np.all(scores == scores[0])
+
+
+def test_oracle_scores_jam_sets_not_assignments():
+    # Q=16, T=4, K=4: 900 900 assignments but 1 820 jam sets, under the guard
+    config = small_config(Q=16, T=4, K=4)
+    state, real = make_instance(config, seed=5)
+    scores = _jam_set_scores(real, config, peek_all(state), np.array(
+        list(itertools.combinations(range(1, 17), 4))))
+    outcome, _ = exhaustive_oracle(state, real, config)
+    assert len(outcome.receiving_relays) == 4
+    assert len(outcome.jamming_relays) == 4
+    assert not set(outcome.receiving_relays) & set(outcome.jamming_relays)
+    assert outcome.objective == pytest.approx(scores.max(), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

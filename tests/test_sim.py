@@ -37,6 +37,13 @@ def test_zero_slot_config_rejected():
         small_config(slots=0)
 
 
+def test_replay_antenna_mismatch_rejected_without_jammers():
+    # every policy replays buffered snapshots through the N_k transmit
+    # antennas, so N_k != N_i is invalid even with K = 0
+    with pytest.raises(ConfigError, match="N_k == N_i"):
+        SystemConfig(Q=4, T=1, K=0, N_r=1, N_i=1, N_k=2)
+
+
 def test_unknown_policy_rejected():
     with pytest.raises(ConfigError):
         run_trial(small_config(), "bogus", 0)
