@@ -46,11 +46,12 @@ def gen_channel(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def gram(H: np.ndarray) -> np.ndarray:
-    """H @ H^H: Hermitian positive-semidefinite, shape (rows, rows)."""
+    """H @ H^H over the last two axes of a matrix or a (..., rows, cols)
+    stack: Hermitian positive-semidefinite, shape (..., rows, rows)."""
     H = np.asarray(H)
-    if H.ndim != 2:
-        raise ValueError(f"expected a matrix, got ndim={H.ndim}")
-    return H @ H.conj().T
+    if H.ndim < 2:
+        raise ValueError(f"expected a matrix or a matrix stack, got ndim={H.ndim}")
+    return H @ np.swapaxes(H.conj(), -1, -2)
 
 
 def received_power(H: np.ndarray) -> float:
@@ -59,12 +60,6 @@ def received_power(H: np.ndarray) -> float:
     if H.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={H.ndim}")
     return float(np.sum(H.real**2 + H.imag**2))
-
-
-def solve_identity_plus(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """(I + A)^{-1} @ B without forming the inverse explicitly."""
-    A = np.asarray(A)
-    return np.linalg.solve(np.eye(A.shape[-1]) + A, B)
 
 
 @dataclass(frozen=True)

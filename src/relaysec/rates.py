@@ -1,5 +1,11 @@
 """Achievable user/eavesdropper rates and the system secrecy rate.
 
+This module owns the rate formulas, each implemented once and batched over
+leading axes: the stored-signal factor, the per-relay replay term that user
+signal matrices and the eavesdroppers' jamming covariance sum, the
+eavesdropper SINR, the clamped and metric log-determinants and the secrecy
+sum.  The scalar helpers are one-element views of these kernels.
+
 The rate matrices sum products of Hermitian factors and are generally not
 Hermitian themselves, so ``det(I + G)`` is genuinely complex: with several
 transmitting relays the imaginary part is structural (commutator-sized), not
@@ -16,11 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .channel import solve_identity_plus
+from .channel import gram
 from .errors import NumericError
 
 
@@ -61,10 +66,7 @@ def logdet_identity_plus(Gamma: np.ndarray, base: float = 2.0) -> float:
     Raises NumericError when the determinant's real part is nonpositive, the
     one case where the real-part reading has no defined logarithm.
     """
-    det = complex(_dets_identity_plus(Gamma)[0])
-    if det.real <= 0.0:
-        raise NumericError(f"det(I + Gamma) has nonpositive real part: {det}")
-    return math.log(det.real, base)
+    return float(logdet_identity_plus_stack(np.asarray(Gamma)[None], base)[0])
 
 
 def logdet_identity_plus_stack(Gammas: np.ndarray, base: float = 2.0,
@@ -92,10 +94,8 @@ def clamped_logdet_rate(Gamma: np.ndarray, base: float = 2.0) -> tuple[float, bo
     A negative log-determinant or a nonpositive determinant real part (both
     artifacts of the non-Hermitian sums) clamps to 0 and flags the event.
     """
-    det = complex(_dets_identity_plus(Gamma)[0])
-    if det.real <= 1.0:
-        return 0.0, det.real < 1.0
-    return math.log(det.real, base), False
+    rates, clamps = clamped_logdet_rate_stack(np.asarray(Gamma)[None], base)
+    return float(rates[0]), clamps == 1
 
 
 def clamped_logdet_rate_stack(Gammas: np.ndarray,
@@ -116,98 +116,40 @@ def eav_rate(Gamma_e: np.ndarray, base: float = 2.0) -> float:
     return clamped_logdet_rate(Gamma_e, base)[0]
 
 
-def stored_signal_factor(snapshot: np.ndarray, P_tx: float, N_t: int) -> np.ndarray:
-    """Covariance factor I + (P_tx/N_t) Hs Hs^H of a replayed buffered signal."""
-    snapshot = np.asarray(snapshot)
-    return np.eye(snapshot.shape[0]) + (P_tx / N_t) * (snapshot @ snapshot.conj().T)
+def stored_signal_factor(snapshots: np.ndarray, P_tx: float, N_t: int) -> np.ndarray:
+    """Covariance factors I + (P_tx/N_t) Hs Hs^H of replayed buffered signals,
+    over a snapshot matrix or a (..., N_i, N_t) snapshot stack."""
+    snapshots = np.asarray(snapshots)
+    return _eye(snapshots.shape[-2]) + (P_tx / N_t) * gram(snapshots)
 
 
-def user_sinr_matrix(jammer_user_channels: Sequence[np.ndarray],
-                     stored_snapshots: Sequence[np.ndarray],
-                     P_relay: float, P_tx: float,
-                     N_k: int, N_t: int) -> np.ndarray:
-    """Signal matrix at one user: sum over transmitting relays k of
-    (P_relay/N_k) H_kr H_kr^H (I + (P_tx/N_t) Hs_k Hs_k^H).
+def relay_terms(channel_grams: np.ndarray, factors: np.ndarray,
+                P_relay: float, N_k: int) -> np.ndarray:
+    """Per-relay replay terms (P_relay/N_k) G_k F_k over matching stacks.
 
-    Each relay is paired with its own buffered snapshot.  Relays with nothing
-    to replay simply do not appear in the lists.
+    G_k is the Gram H H^H of relay k's channel to a user, or that Gram
+    summed over the eavesdroppers; F_k is its stored-signal factor.  A
+    user's signal matrix is the sum of its terms over the transmitting
+    relays, the eavesdroppers' interference covariance Delta the sum over
+    the jamming relays.
     """
-    if len(jammer_user_channels) != len(stored_snapshots):
-        raise ValueError("one stored snapshot per transmitting relay required")
-    if not jammer_user_channels:
-        raise ValueError("at least one transmitting relay required; an empty "
-                         "set has no defined user signal matrix")
-    n = np.asarray(jammer_user_channels[0]).shape[0]
-    total = np.zeros((n, n), dtype=complex)
-    for H_kr, snap in zip(jammer_user_channels, stored_snapshots):
-        H_kr = np.asarray(H_kr)
-        if H_kr.shape[0] != n:
-            raise ValueError("inconsistent user antenna counts")
-        term = (H_kr @ H_kr.conj().T) @ stored_signal_factor(snap, P_tx, N_t)
-        total += (P_relay / N_k) * term
-    return total
+    return (P_relay / N_k) * (channel_grams @ factors)
 
 
-def eav_interference_sum(jammer_eav_channels: Sequence[Sequence[np.ndarray]],
-                         stored_snapshots: Sequence[np.ndarray],
-                         P_tx: float, P_relay: float,
-                         N_t: int, N_k: int) -> np.ndarray:
-    """Aggregate jamming covariance at the eavesdroppers.
-
-    ``jammer_eav_channels[k][e]`` is the channel from transmitting relay k to
-    eavesdropper e; the sum runs over every (relay, eavesdropper) pair, each
-    relay paired with its own snapshot.
-    """
-    if len(jammer_eav_channels) != len(stored_snapshots):
-        raise ValueError("one stored snapshot per transmitting relay required")
-    if not jammer_eav_channels:
-        raise ValueError("empty relay set has no interference sum; use a zero "
-                         "matrix of the right size instead")
-    n = np.asarray(jammer_eav_channels[0][0]).shape[0]
-    delta = np.zeros((n, n), dtype=complex)
-    for per_eav, snap in zip(jammer_eav_channels, stored_snapshots):
-        factor = stored_signal_factor(snap, P_tx, N_t)
-        for H_ke in per_eav:
-            H_ke = np.asarray(H_ke)
-            delta += (P_relay / N_k) * ((H_ke @ H_ke.conj().T) @ factor)
-    return delta
+def eav_sinr(H_e: np.ndarray, Delta: np.ndarray, P_tx: float, N_t: int) -> np.ndarray:
+    """Per-eavesdropper SINR matrices (I + Delta)^{-1} (P_tx/N_t) H_e H_e^H
+    of the (N, N_e, N_t) stack ``H_e``, for one (N_e, N_e) interference
+    covariance or a (..., N_e, N_e) batch: shape (..., N, N_e, N_e)."""
+    signals = (P_tx / N_t) * gram(H_e)
+    return np.linalg.solve(_eye(Delta.shape[-1]) + Delta[..., None, :, :], signals)
 
 
-def eav_sinr_from_interference(H_e: np.ndarray, Delta: np.ndarray,
-                               P_tx: float, N_t: int) -> np.ndarray:
-    """(I + Delta)^{-1} (P_tx/N_t) H_e H_e^H."""
-    H_e = np.asarray(H_e)
-    signal = (P_tx / N_t) * (H_e @ H_e.conj().T)
-    return solve_identity_plus(Delta, signal)
-
-
-def eav_sinr_matrix(H_e: np.ndarray,
-                    jammer_eav_channels: Sequence[Sequence[np.ndarray]],
-                    stored_snapshots: Sequence[np.ndarray],
-                    P_tx: float, P_relay: float,
-                    N_t: int, N_k: int, N: int) -> np.ndarray:
-    """SINR matrix at one eavesdropper under jamming from all active relays."""
-    for per_eav in jammer_eav_channels:
-        if len(per_eav) != N:
-            raise ValueError(
-                f"expected one channel per eavesdropper (N={N}), got {len(per_eav)}")
-    H_e = np.asarray(H_e)
-    if not jammer_eav_channels:
-        Delta = np.zeros((H_e.shape[0], H_e.shape[0]))
-    else:
-        Delta = eav_interference_sum(jammer_eav_channels, stored_snapshots,
-                                     P_tx, P_relay, N_t, N_k)
-    return eav_sinr_from_interference(H_e, Delta, P_tx, N_t)
-
-
-def secrecy_rate(user_rates: Sequence[float], eav_rates: Sequence[float]) -> float:
-    """Sum over (user-side, eavesdropper) pairs of max(0, R_r - R_e)."""
-    if len(user_rates) == 0 or len(eav_rates) == 0:
+def secrecy_rate(user_rates, eav_rates):
+    """Sum over (user-side, eavesdropper) pairs of max(0, R_r - R_e); the
+    pairs run over the last axes, so (..., T) and (..., N) give (...)."""
+    user_rates = np.asarray(user_rates, dtype=float)
+    eav_rates = np.asarray(eav_rates, dtype=float)
+    if user_rates.shape[-1] == 0 or eav_rates.shape[-1] == 0:
         raise ValueError("rate lists must be nonempty")
-    total = 0.0
-    for rr in user_rates:
-        for re_ in eav_rates:
-            diff = rr - re_
-            if diff > 0.0:
-                total += diff
-    return total
+    diffs = user_rates[..., :, None] - eav_rates[..., None, :]
+    return np.maximum(diffs, 0.0).sum(axis=(-2, -1))

@@ -14,6 +14,11 @@ Role semantics shared by the whole simulator:
 
 A transmitting relay with an empty buffer stays silent for the slot and
 contributes nothing anywhere (counted in the diagnostics).
+
+This module owns the selection metrics and the slot machinery that feeds
+realizations and buffers into the formula kernels: the rate formulas live in
+:mod:`relaysec.rates`, the reception formulas in :mod:`relaysec.link_metrics`
+and the Gram in :mod:`relaysec.channel`.
 """
 
 from __future__ import annotations
@@ -26,9 +31,11 @@ import numpy as np
 
 from . import rates
 from .buffers import BufferedSignal, RelayBuffer, classify_signal
+from .channel import gram
 from .config import SystemConfig, power_split
 from .errors import ConfigError
-from .link_metrics import relayed_link_power, source_link_power
+from .link_metrics import (iri_feasible, reception_sinr, relayed_link_power,
+                           source_link_power)
 
 
 @dataclass(frozen=True)
@@ -36,7 +43,6 @@ class SelectionOutcome:
     receiving_relays: tuple       # sorted relay ids, |.| == T
     jamming_relays: tuple         # sorted relay ids, |.| <= K
     transmitting_relays: tuple    # sorted relay ids serving the users
-    metric_per_candidate: dict    # relay id -> scalarized selection metric
     policy_name: str
     replays: dict                 # relay id -> BufferedSignal actually replayed
     objective: float | None = None  # oracle: maximized slot secrecy rate
@@ -61,7 +67,6 @@ class PolicyState:
     buffers: dict                 # relay id -> RelayBuffer
     slot: int
     pending_jammers: tuple | None = None
-    pending_jammer_metrics: dict = field(default_factory=dict)
     diag: DiagCounters = field(default_factory=DiagCounters)
 
 
@@ -75,16 +80,11 @@ def fresh_state(config: SystemConfig) -> PolicyState:
 # metric primitives
 
 
-def _gram_stack(X: np.ndarray) -> np.ndarray:
-    """X X^H over the last two axes of a matrix stack."""
-    return X @ np.swapaxes(X.conj(), -1, -2)
-
-
 def initial_ranking(realization) -> dict:
     """Real det(H_q H_q^H) per relay id, in rank order: descending
     determinant, ties by ascending id."""
     dets = {q + 1: float(d) for q, d in
-            enumerate(np.linalg.det(_gram_stack(realization.su_stack)).real)}
+            enumerate(np.linalg.det(gram(realization.su_stack)).real)}
     return {q: dets[q] for q in sorted(dets, key=lambda q: (-dets[q], q))}
 
 
@@ -110,43 +110,48 @@ def _rr_block(realization, senders, receivers) -> np.ndarray:
     return realization.rr_stack[rows]
 
 
-def _stored_factors(snapshots: np.ndarray, p_tx_eff: float, N_t: int) -> np.ndarray:
-    """Stack of I + (p/N_t) Hs Hs^H over a (A, N_i, N_t) snapshot stack."""
-    return np.eye(snapshots.shape[1]) + (p_tx_eff / N_t) * _gram_stack(snapshots)
+def _user_terms(realization, config: SystemConfig, active, snaps) -> np.ndarray:
+    """(A, T, N_r, N_r) user-side terms of the replaying relays ``active``
+    (ascending ids, snapshot stack ``snaps``); user-side entry t is user
+    t mod M."""
+    p_tx, p_rel = power_split(config)
+    users = [t % config.M for t in range(config.T)]
+    H_u = realization.ru_stack[[k - 1 for k in active]][:, users]
+    factors = rates.stored_signal_factor(snaps, p_tx / config.sigma2_r, config.N_t)
+    return rates.relay_terms(gram(H_u), factors[:, None], p_rel / config.sigma2_r,
+                             config.N_k)
+
+
+def _jamming_terms(realization, config: SystemConfig, active, snaps) -> np.ndarray:
+    """(A, N_e, N_e) jamming terms of the replaying relays ``active``."""
+    p_tx, p_rel = power_split(config)
+    factors = rates.stored_signal_factor(snaps, p_tx / config.sigma2_e, config.N_t)
+    grams = gram(realization.re_stack[[k - 1 for k in active]]).sum(axis=1)
+    return rates.relay_terms(grams, factors, p_rel / config.sigma2_e, config.N_k)
 
 
 def _eav_interference(realization, config: SystemConfig, replays: dict,
-                      jammer_ids, p_tx_eff: float, p_rel_eff: float) -> np.ndarray:
-    """Aggregate jamming covariance at the eavesdroppers from the active
-    jammers' replays (matches rates.eav_interference_sum term by term)."""
+                      jammer_ids) -> np.ndarray:
+    """Aggregate jamming covariance at the eavesdroppers: the active jammers'
+    terms summed in ascending relay order."""
     active, snaps = _replay_stack(replays, jammer_ids)
     if not active:
         return np.zeros((config.N_e, config.N_e))
-    factors = _stored_factors(snaps, p_tx_eff, config.N_t)
-    H_ke = realization.re_stack[[k - 1 for k in active]]
-    gram_ke = np.einsum("keab,kecb->kac", H_ke, H_ke.conj())
-    return (p_rel_eff / config.N_k) * np.einsum("kac,kcd->ad", gram_ke, factors)
+    return _jamming_terms(realization, config, active, snaps).sum(axis=0)
 
 
-def _eav_gammas(realization, config: SystemConfig, Delta: np.ndarray,
-                p_tx_eff: float) -> np.ndarray:
-    """Per-eavesdropper SINR matrices (I + Delta)^{-1} (p/N_t) H_e H_e^H.
-
-    ``Delta`` is one (N_e, N_e) floor or a (..., N_e, N_e) batch of them;
-    the result is (..., N, N_e, N_e)."""
-    H_e = realization.se_stack
-    signals = (p_tx_eff / config.N_t) * np.einsum("eab,ecb->eac", H_e, H_e.conj())
-    return np.linalg.solve(np.eye(config.N_e) + Delta[..., None, :, :], signals)
-
-
-def _eav_reference_logdet(realization, config: SystemConfig, Delta: np.ndarray,
-                          p_tx_eff: float) -> float:
-    """Mean over eavesdroppers of logdet(I + Gamma_e) given the interference
-    floor; candidate-independent reference for the receive-side metric."""
-    gammas = _eav_gammas(realization, config, Delta, p_tx_eff)
-    logs = rates.logdet_identity_plus_stack(gammas, config.log_base, "neginf")
-    finite = logs[np.isfinite(logs)]
-    return float(np.mean(finite)) if finite.size else 0.0
+def _slot_rates(realization, config: SystemConfig, user_gammas: np.ndarray,
+                Delta: np.ndarray) -> tuple:
+    """User rates, eavesdropper rates and the clamp count for user signal
+    matrices and interference covariances with matching leading axes."""
+    p_tx, _ = power_split(config)
+    eav_gammas = rates.eav_sinr(realization.se_stack, Delta,
+                                p_tx / config.sigma2_e, config.N_t)
+    user_rates, user_clamps = rates.clamped_logdet_rate_stack(
+        user_gammas, config.log_base)
+    eav_rates, eav_clamps = rates.clamped_logdet_rate_stack(
+        eav_gammas, config.log_base)
+    return user_rates, eav_rates, user_clamps + eav_clamps
 
 
 # ---------------------------------------------------------------------------
@@ -171,18 +176,14 @@ def select_receiving_relays(state: PolicyState, realization,
     if len(pool) == config.T:
         return tuple(pool), {}
 
-    p_tx, p_rel = power_split(config)
-    p_tx_e = p_tx / config.sigma2_e
-    p_rel_e = p_rel / config.sigma2_e
     if replays is None:
         replays = _peek_replays(state, jammers)
     active, snaps = _replay_stack(replays, jammers)
 
-    G_m = _gram_stack(realization.su_stack[[m - 1 for m in pool]])
+    G_m = gram(realization.su_stack[[m - 1 for m in pool]])
     if active:
         H_km = _rr_block(realization, active, pool)  # (A, C, N_i, N_k)
-        D_m = np.einsum("kcab,kbd,kced->cae", H_km, _gram_stack(snaps),
-                        H_km.conj())
+        D_m = np.einsum("kcab,kbd,kced->cae", H_km, gram(snaps), H_km.conj())
     else:
         D_m = np.zeros_like(G_m)
     if config.selection_noise_floor:
@@ -190,9 +191,14 @@ def select_receiving_relays(state: PolicyState, realization,
     gammas = np.linalg.solve(np.eye(config.N_i) + D_m, G_m)
     logdets = rates.logdet_identity_plus_stack(gammas, config.log_base, "neginf")
 
-    Delta = _eav_interference(realization, config, replays, jammers,
-                              p_tx_e, p_rel_e)
-    ref = _eav_reference_logdet(realization, config, Delta, p_tx_e)
+    # candidate-independent reference: mean eavesdropper log-det
+    p_tx, _ = power_split(config)
+    Delta = _eav_interference(realization, config, replays, jammers)
+    eav_logs = rates.logdet_identity_plus_stack(
+        rates.eav_sinr(realization.se_stack, Delta, p_tx / config.sigma2_e,
+                       config.N_t), config.log_base, "neginf")
+    finite = eav_logs[np.isfinite(eav_logs)]
+    ref = float(np.mean(finite)) if finite.size else 0.0
     metrics = {m: float(ld - ref) for m, ld in zip(pool, logdets)}
     chosen = sorted(pool, key=lambda m: (-metrics[m], m))[:config.T]
     return tuple(sorted(chosen)), metrics
@@ -214,9 +220,7 @@ def select_jamming_relays(state: PolicyState, realization,
     if config.K == 0:
         return (), {}
     pool = sorted(state.buffers)
-    p_tx, p_rel = power_split(config)
-    p_tx_e = p_tx / config.sigma2_e
-    p_rel_e = p_rel / config.sigma2_e
+    _, p_rel = power_split(config)
 
     if replays is None:
         replays = _peek_replays(state, current_jammers)
@@ -226,14 +230,13 @@ def select_jamming_relays(state: PolicyState, realization,
 
     if eligible:
         idx = [n - 1 for n in eligible]
-        snap_grams = _gram_stack(snaps)
+        snap_grams = gram(snaps)
         H_nr = realization.ru_stack[idx]              # (C, M, N_r, N_k)
         gamma_n = np.einsum("cuab,cbd,cued->cae", H_nr, snap_grams, H_nr.conj())
         H_ne = realization.re_stack[idx]              # (C, N, N_e, N_k)
-        leak = (p_rel_e / config.N_k) * np.einsum(
+        leak = (p_rel / config.sigma2_e / config.N_k) * np.einsum(
             "ceab,cbd,cefd->caf", H_ne, snap_grams, H_ne.conj())
-        Delta = _eav_interference(realization, config, replays,
-                                  current_jammers, p_tx_e, p_rel_e)
+        Delta = _eav_interference(realization, config, replays, current_jammers)
         gamma_e = np.linalg.solve(np.eye(config.N_e) + Delta, leak)
         ld_n = rates.logdet_identity_plus_stack(gamma_n, config.log_base, "neginf")
         ld_e = rates.logdet_identity_plus_stack(gamma_e, config.log_base, "neginf")
@@ -289,28 +292,23 @@ def _receive_and_store(state: PolicyState, realization, config: SystemConfig,
     H_rx = realization.su_stack[[i - 1 for i in receivers]]   # (R, N_i, N_t)
     gamma_S = (p_tx / config.N_t) * np.einsum(
         "rab,rab->r", H_rx, H_rx.conj()).real
-    residuals = np.zeros(len(receivers))
+    powers = np.zeros((0, len(receivers)))
+    phi = 1
     if active:
         H_ki = _rr_block(realization, active, receivers)      # (A, R, N_i, N_k)
         prod = np.einsum("krab,kbc->krac", H_ki, snaps)
         powers = (p_rel / config.N_k) * np.einsum(
             "krab,krab->kr", prod, prod.conj()).real
         if config.iri_cancellation:
-            signal = ((p_tx / config.sigma2_i / config.N_t)
-                      * np.einsum("rab,rcb->rac", H_rx, H_rx.conj())
-                      + np.eye(config.N_i))
-            interference = (p_rel / config.sigma2_i / config.N_k) * np.einsum(
-                "krab,krcb->krac", H_ki, H_ki.conj())
-            dets = np.linalg.det(np.linalg.solve(signal, interference))
-            feasible = dets.real >= config.gamma0
+            feasible = iri_feasible(H_rx, H_ki, p_tx / config.sigma2_i,
+                                    p_rel / config.sigma2_i, config.N_t,
+                                    config.N_k, config.gamma0)
             state.diag.phi_tests += feasible.size
             state.diag.phi_feasible += int(np.count_nonzero(feasible))
-            residuals = np.where(feasible, 0.0, powers).sum(axis=0)
-        else:
-            residuals = powers.sum(axis=0)
-    noise = config.N_i * config.sigma2_i
+            phi = ~feasible
+    sinrs = reception_sinr(gamma_S, powers, phi, config.N_i, config.sigma2_i)
     for idx, i in enumerate(receivers):
-        sinr = float(gamma_S[idx] / (residuals[idx] + noise))
+        sinr = float(sinrs[idx])
         if state.diag.collect_sinrs:
             state.diag.sinrs.append(sinr)
         state.buffers[i].push(BufferedSignal(
@@ -327,36 +325,18 @@ def slot_rate_report(realization, config: SystemConfig, replays: dict,
     eavesdroppers see the source plus interference from the jamming relays'
     replays.  Returns (RateReport, clamp_event_count).
     """
-    p_tx, p_rel = power_split(config)
-    base = config.log_base
-    clamps = 0
-
     active_tx, snaps = _replay_stack(replays, transmitters)
     if active_tx:
-        factors = _stored_factors(snaps, p_tx / config.sigma2_r, config.N_t)
-        users = [t % config.M for t in range(config.T)]
-        H_u = realization.ru_stack[[k - 1 for k in active_tx]][:, users]
-        H_u = np.swapaxes(H_u, 0, 1)                 # (T, A, N_r, N_k)
-        gram_u = np.einsum("tkab,tkcb->tkac", H_u, H_u.conj())
-        terms = np.einsum("tkac,kcd->tad", gram_u, factors)
-        user_gammas = (p_rel / config.sigma2_r / config.N_k) * terms
+        user_gammas = _user_terms(realization, config, active_tx, snaps).sum(axis=0)
     else:
         user_gammas = np.zeros((config.T, config.N_r, config.N_r))
-
-    user_rates, user_clamps = rates.clamped_logdet_rate_stack(user_gammas, base)
-    clamps += user_clamps
-
-    Delta = _eav_interference(realization, config, replays, jammers,
-                              p_tx / config.sigma2_e, p_rel / config.sigma2_e)
-    eav_gammas = _eav_gammas(realization, config, Delta, p_tx / config.sigma2_e)
-    eav_rates, eav_clamps = rates.clamped_logdet_rate_stack(eav_gammas, base)
-    clamps += eav_clamps
-
-    diffs = user_rates[:, None] - eav_rates[None, :]
-    secrecy = float(np.sum(np.maximum(diffs, 0.0)))
-    report = rates.RateReport(user_rates=tuple(map(float, user_rates)),
-                              eav_rates=tuple(map(float, eav_rates)),
-                              secrecy_rate=secrecy)
+    Delta = _eav_interference(realization, config, replays, jammers)
+    user_rates, eav_rates, clamps = _slot_rates(realization, config,
+                                                user_gammas, Delta)
+    report = rates.RateReport(
+        user_rates=tuple(map(float, user_rates)),
+        eav_rates=tuple(map(float, eav_rates)),
+        secrecy_rate=float(rates.secrecy_rate(user_rates, eav_rates)))
     return report, clamps
 
 
@@ -376,39 +356,34 @@ def bf_rjfs_step(state: PolicyState, realization, config: SystemConfig,
     """
     if state.pending_jammers is not None:
         jammers = state.pending_jammers
-        jam_metrics = dict(state.pending_jammer_metrics)
     elif state.slot == 0:
-        dets = initial_ranking(realization)
-        ranking = list(dets)
+        ranking = list(initial_ranking(realization))
         picked = (ranking[-config.K:] if config.worst_sinr_seeding
                   else ranking[:config.K]) if config.K else []
         jammers = tuple(sorted(picked))
-        jam_metrics = {q: dets[q] for q in jammers}
     else:
-        jammers, jam_metrics = select_jamming_relays(state, realization, config)
+        jammers, _ = select_jamming_relays(state, realization, config)
 
     replays = _resolve_replays(state, jammers, config, forward_only=False)
-    receivers, rx_metrics = select_receiving_relays(
+    receivers, _ = select_receiving_relays(
         state, realization, config, jammers, replays)
     outcome = SelectionOutcome(
         receiving_relays=receivers, jamming_relays=jammers,
-        transmitting_relays=jammers,
-        metric_per_candidate={**jam_metrics, **rx_metrics},
-        policy_name="bf-rjfs", replays=replays)
+        transmitting_relays=jammers, policy_name="bf-rjfs", replays=replays)
     _receive_and_store(state, realization, config, receivers, replays)
-    state.pending_jammers, state.pending_jammer_metrics = select_jamming_relays(
+    state.pending_jammers, _ = select_jamming_relays(
         state, realization, config, current_jammers=jammers, replays=replays)
     state.slot += 1
     return outcome, state
 
 
 def _baseline_step(state: PolicyState, realization, config: SystemConfig,
-                   receivers, transmitters, metrics, name: str) -> tuple:
+                   receivers, transmitters, name: str) -> tuple:
     replays = _resolve_replays(state, transmitters, config, forward_only=True)
     outcome = SelectionOutcome(
         receiving_relays=tuple(sorted(receivers)), jamming_relays=(),
-        transmitting_relays=tuple(sorted(transmitters)),
-        metric_per_candidate=metrics, policy_name=name, replays=replays)
+        transmitting_relays=tuple(sorted(transmitters)), policy_name=name,
+        replays=replays)
     _receive_and_store(state, realization, config, receivers, replays)
     state.slot += 1
     return outcome, state
@@ -429,9 +404,8 @@ def policy_conventional_bf(state: PolicyState, realization,
     tx_vals = np.einsum("quab,quab->q", ru, ru.conj()).real
     tx_power = {q: float(tx_vals[q - 1]) for q in rest}
     transmitters = sorted(rest, key=lambda q: (-tx_power[q], q))[:config.T]
-    metrics = {**rx_power, **tx_power}
     return _baseline_step(state, realization, config, receivers, transmitters,
-                          metrics, "conventional-bf")
+                          "conventional-bf")
 
 
 def policy_max_link(state: PolicyState, realization, config: SystemConfig,
@@ -461,9 +435,8 @@ def policy_max_link(state: PolicyState, realization, config: SystemConfig,
         elif kind == "tx" and len(transmitters) < config.T:
             transmitters.append(q)
             assigned.add(q)
-    metrics = {q: power for _, power, kind, q in links if kind == "rx"}
     return _baseline_step(state, realization, config, receivers, transmitters,
-                          metrics, "max-link")
+                          "max-link")
 
 
 def policy_max_ratio(state: PolicyState, realization, config: SystemConfig,
@@ -497,9 +470,8 @@ def policy_max_ratio(state: PolicyState, realization, config: SystemConfig,
 
     tx_ratio = {q: delivered(q) / (leak[q] + floor) for q in rest}
     transmitters = sorted(rest, key=lambda q: (-tx_ratio[q], q))[:config.T]
-    metrics = {**rx_ratio, **tx_ratio}
     return _baseline_step(state, realization, config, receivers, transmitters,
-                          metrics, "max-ratio")
+                          "max-ratio")
 
 
 def policy_random(state: PolicyState, realization, config: SystemConfig,
@@ -515,8 +487,7 @@ def policy_random(state: PolicyState, realization, config: SystemConfig,
     replays = _resolve_replays(state, jammers, config, forward_only=False)
     outcome = SelectionOutcome(
         receiving_relays=receivers, jamming_relays=jammers,
-        transmitting_relays=jammers, metric_per_candidate={},
-        policy_name="random", replays=replays)
+        transmitting_relays=jammers, policy_name="random", replays=replays)
     _receive_and_store(state, realization, config, receivers, replays)
     state.slot += 1
     return outcome, state
@@ -534,33 +505,24 @@ def _jam_set_scores(realization, config: SystemConfig, replays: dict,
     Each replaying relay's user-side signal term and eavesdropper-side
     interference term are computed once, then summed per set in ascending
     relay order with a silent relay adding an exact zero, so sets with the
-    same replaying members score bit-identically.
+    same replaying members score bit-identically, and each score equals
+    ``slot_rate_report`` of its set bit for bit.
     """
-    p_tx, p_rel = power_split(config)
     S = len(jam_sets)
     user_terms = np.zeros((config.Q, config.T, config.N_r, config.N_r), dtype=complex)
     eav_terms = np.zeros((config.Q, config.N_e, config.N_e), dtype=complex)
     active, snaps = _replay_stack(replays, set(jam_sets.ravel().tolist()))
     if active:
         idx = [k - 1 for k in active]
-        users = [t % config.M for t in range(config.T)]
-        H_u = realization.ru_stack[idx][:, users]               # (A, T, N_r, N_k)
-        f_r = _stored_factors(snaps, p_tx / config.sigma2_r, config.N_t)
-        user_terms[idx] = (p_rel / config.sigma2_r / config.N_k) * (
-            _gram_stack(H_u) @ f_r[:, None])
-        f_e = _stored_factors(snaps, p_tx / config.sigma2_e, config.N_t)
-        gram_e = _gram_stack(realization.re_stack[idx]).sum(axis=1)   # (A, N_e, N_e)
-        eav_terms[idx] = (p_rel / config.sigma2_e / config.N_k) * (gram_e @ f_e)
+        user_terms[idx] = _user_terms(realization, config, active, snaps)
+        eav_terms[idx] = _jamming_terms(realization, config, active, snaps)
     user_gammas = np.zeros((S, config.T, config.N_r, config.N_r), dtype=complex)
     Delta = np.zeros((S, config.N_e, config.N_e), dtype=complex)
     for col in (jam_sets - 1).T:
         user_gammas += user_terms[col]
         Delta += eav_terms[col]
-    eav_gammas = _eav_gammas(realization, config, Delta, p_tx / config.sigma2_e)
-    user_rates, _ = rates.clamped_logdet_rate_stack(user_gammas, config.log_base)
-    eav_rates, _ = rates.clamped_logdet_rate_stack(eav_gammas, config.log_base)
-    diffs = user_rates[:, :, None] - eav_rates[:, None, :]
-    return np.maximum(diffs, 0.0).sum(axis=(1, 2))
+    user_rates, eav_rates, _ = _slot_rates(realization, config, user_gammas, Delta)
+    return rates.secrecy_rate(user_rates, eav_rates)
 
 
 def exhaustive_oracle(state: PolicyState, realization, config: SystemConfig,
@@ -594,8 +556,8 @@ def exhaustive_oracle(state: PolicyState, realization, config: SystemConfig,
     report, _ = slot_rate_report(realization, config, replays, jam, jam)
     outcome = SelectionOutcome(
         receiving_relays=rx, jamming_relays=jam,
-        transmitting_relays=jam, metric_per_candidate={},
-        policy_name="oracle", replays=replays, objective=report.secrecy_rate)
+        transmitting_relays=jam, policy_name="oracle", replays=replays,
+        objective=report.secrecy_rate)
     _receive_and_store(state, realization, config, rx, replays)
     state.slot += 1
     return outcome, state

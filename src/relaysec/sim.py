@@ -14,6 +14,7 @@ noise variance; the sweep driver keeps all node noise variances equal
 from __future__ import annotations
 
 import concurrent.futures
+import math
 import statistics
 import struct
 from dataclasses import dataclass
@@ -53,6 +54,9 @@ class SweepSpec:
                     f"unknown policy {name!r}; choose from {sorted(POLICIES)}")
         if not self.snr_db_grid or not self.eta_grid:
             raise ConfigError("snr and eta grids must be nonempty")
+        for snr_db in self.snr_db_grid:
+            if not math.isfinite(snr_db):
+                raise ConfigError(f"snr grid value {snr_db} dB is not finite")
         for eta in self.eta_grid:
             if not (0.0 <= eta <= 2.0):
                 raise ConfigError(f"eta grid value {eta} outside [0, 2]")

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import numpy as np
 
-from relaysec import buffers, selection
+from relaysec import buffers, rates, selection
+
+from conftest import make_instance, small_config
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 
@@ -22,3 +24,23 @@ def test_tracer_wraps_every_hooked_name(monkeypatch):
     assert originals == (np.einsum, selection.slot_rate_report,
                          selection.source_link_power, buffers.RelayBuffer.push,
                          selection.POLICIES)
+
+
+def test_rate_report_reaches_patched_logdet(monkeypatch):
+    # the tracer's rates.logdet figures read 0 if the engine binds the kernel
+    # by name instead of looking it up on the rates module
+    config = small_config()
+    state, real = make_instance(config, seed=3)
+    outcome, _ = selection.bf_rjfs_step(state, real, config)
+    calls = []
+    kernel = rates.clamped_logdet_rate_stack
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(rates, "clamped_logdet_rate_stack", counted)
+    selection.slot_rate_report(real, config, outcome.replays,
+                               outcome.jamming_relays,
+                               outcome.transmitting_relays)
+    assert calls

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relaysec.channel import (gen_channel, gen_network_realization, gram,
-                              received_power, solve_identity_plus, substream)
+                              received_power, substream)
 from relaysec.config import SystemConfig
 
 from conftest import cn_matrix
+from reference import solve_identity_plus
 
 
 def test_gen_channel_shape():

@@ -49,6 +49,14 @@ def test_cli_pooled_numeric_error(tmp_path, capsys, monkeypatch):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("snr", ["-inf", "inf", "nan"])
+def test_cli_non_finite_snr(tmp_path, capsys, snr):
+    code, _ = run_cli(tmp_path, f"--snr={snr}")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "snr" in err
+
+
 def test_cli_unknown_policy(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "--policy", "bogus")
     # the later --policy wins in argparse, so this exercises the error path

@@ -3,14 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relaysec.channel import gram
 from relaysec.errors import NumericError
 from relaysec.rates import (clamped_logdet_rate, clamped_logdet_rate_stack,
-                            eav_interference_sum, eav_rate, eav_sinr_matrix,
-                            logdet_identity_plus, logdet_identity_plus_stack,
-                            secrecy_rate, stored_signal_factor, user_rate,
-                            user_sinr_matrix)
+                            eav_rate, eav_sinr, logdet_identity_plus,
+                            logdet_identity_plus_stack, relay_terms,
+                            secrecy_rate, stored_signal_factor, user_rate)
 
+import reference
 from conftest import cn_matrix, random_psd
+from reference import eav_interference_sum, eav_sinr_matrix, user_sinr_matrix
 
 
 def eig_logdet(S, base=2.0):
@@ -98,6 +100,41 @@ def test_stored_signal_factor(rng):
     F = stored_signal_factor(snap, 3.0, 6)
     np.testing.assert_allclose(F, np.eye(2) + 0.5 * snap @ snap.conj().T,
                                atol=1e-14)
+
+
+def test_kernels_match_reference_compositions(rng):
+    # the batched kernels against the per-matrix loop forms, with batch axes
+    A, U, N, S, n, N_t = 3, 2, 2, 4, 2, 6
+    P_relay, P_tx, N_k = 1.3, 2.1, 2
+    snaps = np.stack([cn_matrix(rng, n, N_t) for _ in range(A)])
+    H_u = np.stack([[cn_matrix(rng, n, N_k) for _ in range(U)] for _ in range(A)])
+    H_ke = np.stack([[cn_matrix(rng, n, N_k) for _ in range(N)] for _ in range(A)])
+    H_e = np.stack([cn_matrix(rng, n, N_t) for _ in range(N)])
+    factors = stored_signal_factor(snaps, P_tx, N_t)
+    for snap, F in zip(snaps, factors):
+        np.testing.assert_allclose(F, reference.stored_signal_factor(snap, P_tx, N_t),
+                                   rtol=1e-12)
+    users = relay_terms(gram(H_u), factors[:, None], P_relay, N_k).sum(axis=0)
+    for u in range(U):
+        np.testing.assert_allclose(users[u], user_sinr_matrix(
+            list(H_u[:, u]), list(snaps), P_relay, P_tx, N_k, N_t), rtol=1e-12)
+    Delta = relay_terms(gram(H_ke).sum(axis=1), factors, P_relay, N_k).sum(axis=0)
+    np.testing.assert_allclose(Delta, eav_interference_sum(
+        list(map(list, H_ke)), list(snaps), P_tx, P_relay, N_t, N_k), rtol=1e-12)
+    Deltas = np.stack([s * Delta for s in range(S)])
+    gammas = eav_sinr(H_e, Deltas, P_tx, N_t)
+    assert gammas.shape == (S, N, n, n)
+    for s in range(S):
+        for e in range(N):
+            np.testing.assert_allclose(gammas[s, e], reference.eav_sinr_from_interference(
+                H_e[e], Deltas[s], P_tx, N_t), rtol=1e-10, atol=1e-14)
+    user_rates = rng.uniform(0, 5, (S, U))
+    eav_rates = rng.uniform(0, 5, (S, N))
+    batched = secrecy_rate(user_rates, eav_rates)
+    assert batched.shape == (S,)
+    for s in range(S):
+        assert batched[s] == pytest.approx(
+            reference.secrecy_rate(user_rates[s], eav_rates[s]), rel=1e-12)
 
 
 def test_user_sinr_matrix_zero_snapshots(rng):
