@@ -54,12 +54,14 @@ def gram(H: np.ndarray) -> np.ndarray:
     return H @ np.swapaxes(H.conj(), -1, -2)
 
 
-def received_power(H: np.ndarray) -> float:
-    """trace(H @ H^H), i.e. the sum of squared entry magnitudes."""
+def received_power(H: np.ndarray):
+    """trace(H @ H^H), i.e. the sum of squared entry magnitudes: a float for
+    a matrix, an array of shape (...) for a (..., rows, cols) stack."""
     H = np.asarray(H)
-    if H.ndim != 2:
-        raise ValueError(f"expected a matrix, got ndim={H.ndim}")
-    return float(np.sum(H.real**2 + H.imag**2))
+    if H.ndim < 2:
+        raise ValueError(f"expected a matrix or a matrix stack, got ndim={H.ndim}")
+    powers = (H.real**2 + H.imag**2).sum(axis=(-2, -1))
+    return float(powers) if H.ndim == 2 else powers
 
 
 @dataclass(frozen=True)
@@ -106,15 +108,14 @@ def gen_network_realization(config, slot: int,
         (Q, N, N_e, N_k),
         (Q, M, N_r, N_k),
     )
-    sizes = [int(np.prod(s)) for s in shapes]
+    sizes = [math.prod(s) for s in shapes]
     parts = rng.standard_normal((sum(sizes), 2))
     flat = _SQRT_HALF * (parts[:, 0] + 1j * parts[:, 1])
+    flat.flags.writeable = False
     blocks = []
     offset = 0
     for shape, size in zip(shapes, sizes):
-        block = flat[offset:offset + size].reshape(shape)
-        block.flags.writeable = False
-        blocks.append(block)
+        blocks.append(flat[offset:offset + size].reshape(shape))
         offset += size
     su, se, rr, re, ru = blocks
     return NetworkRealization(

@@ -88,15 +88,14 @@ class SystemConfig:
             raise ConfigError(
                 f"with jamming relays (K > 0) the eavesdropper interference "
                 f"product needs N_e == N_i, got N_e={self.N_e}, N_i={self.N_i}")
-        if not self.P > 0:
-            raise ConfigError(f"P must be > 0, got {self.P}")
+        if not 0 < self.P < math.inf:
+            raise ConfigError(f"P must be finite and > 0, got {self.P}")
         if not (0.0 <= self.eta <= 2.0):
             raise ConfigError(f"eta must lie in [0, 2], got {self.eta}")
-        for name in ("sigma2_i", "sigma2_e", "sigma2_r"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
-        if not self.gamma0 > 0:
-            raise ConfigError(f"gamma0 must be > 0, got {self.gamma0}")
+        for name in ("sigma2_i", "sigma2_e", "sigma2_r", "gamma0"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(
+                    f"{name} must be finite and > 0, got {getattr(self, name)}")
         if self.sinr_threshold is not None:
             if math.isnan(self.sinr_threshold) or self.sinr_threshold < 0:
                 raise ConfigError(
@@ -122,8 +121,16 @@ class SystemConfig:
         return self.replace(N_t=1, N_r=1, N_e=1, N_i=1, N_k=1)
 
     def with_snr_db(self, snr_db: float) -> "SystemConfig":
-        """Set all node noise variances so that P/sigma^2 equals ``snr_db``."""
-        s2 = self.P / 10.0 ** (snr_db / 10.0)
+        """Set all node noise variances so that P/sigma^2 equals ``snr_db``;
+        raises ConfigError when that variance is not finite and positive."""
+        try:
+            s2 = self.P / 10.0 ** (snr_db / 10.0)
+        except (OverflowError, ZeroDivisionError):
+            s2 = math.nan
+        if not 0 < s2 < math.inf:
+            raise ConfigError(
+                f"SNR {snr_db} dB gives a noise variance P/10^(SNR/10) that is "
+                f"not finite and positive")
         return self.replace(sigma2_i=s2, sigma2_e=s2, sigma2_r=s2)
 
 

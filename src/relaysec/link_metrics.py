@@ -1,10 +1,11 @@
 """Link powers, the IRI-cancellation feasibility test and the relay
 reception SINR.
 
-The feasibility test and the reception SINR are implemented once each,
-batched (:func:`iri_feasible`, :func:`reception_sinr`); the engine's
-reception step calls them, and :func:`iri_cancellation_feasible` and
-:func:`sinr_relay` are their one-pair views.
+The link powers take matrices or stacks.  The feasibility test and the
+reception SINR are implemented once each, batched (:func:`iri_feasible`,
+:func:`reception_sinr`); the engine's reception step calls them, and
+:func:`iri_cancellation_feasible` and :func:`sinr_relay` are their one-pair
+views.
 
 Replayed-signal quantities are built from the buffered channel snapshot of
 the transmitting relay (the source-side channel it saw when the signal was
@@ -26,22 +27,26 @@ class SinrValue:
     cancellation_applied: bool
 
 
-def source_link_power(H: np.ndarray) -> float:
-    """Instantaneous received power of a direct source->node link."""
+def source_link_power(H: np.ndarray):
+    """Instantaneous received power of a direct link (no buffered replay),
+    or of each link in a (..., rows, cols) stack; see
+    :func:`~relaysec.channel.received_power`."""
     return received_power(H)
 
 
-def relayed_link_power(H_ab: np.ndarray, H_stored: np.ndarray) -> float:
+def relayed_link_power(H_ab: np.ndarray, H_stored: np.ndarray):
     """trace(H_ab Hs Hs^H H_ab^H) for a replayed buffered signal.
 
     ``H_stored`` is the snapshot the transmitting relay recorded at reception;
     its row count must match the transmit antenna count (columns of H_ab).
+    Matrices give a float; (..., rows, cols) stacks, broadcast against each
+    other, give an array over the leading axes.
     """
     H_ab = np.asarray(H_ab)
     H_stored = np.asarray(H_stored)
-    if H_ab.ndim != 2 or H_stored.ndim != 2:
-        raise ValueError("expected matrices")
-    if H_ab.shape[1] != H_stored.shape[0]:
+    if H_ab.ndim < 2 or H_stored.ndim < 2:
+        raise ValueError("expected matrices or matrix stacks")
+    if H_ab.shape[-1] != H_stored.shape[-2]:
         raise ValueError(
             f"replay dimension mismatch: H_ab is {H_ab.shape}, snapshot is "
             f"{H_stored.shape}")

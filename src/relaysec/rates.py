@@ -55,7 +55,7 @@ def _dets_identity_plus(Gammas: np.ndarray) -> np.ndarray:
     Gammas = np.asarray(Gammas)
     with np.errstate(invalid="ignore"):
         dets = np.atleast_1d(np.linalg.det(_eye(Gammas.shape[-1]) + Gammas))
-    if not np.all(np.isfinite(dets.real)) or not np.all(np.isfinite(np.imag(dets))):
+    if not np.isfinite(dets).all():
         raise NumericError("non-finite determinant")
     return dets
 
@@ -79,7 +79,7 @@ def logdet_identity_plus_stack(Gammas: np.ndarray, base: float = 2.0,
     """
     real = _dets_identity_plus(Gammas).real
     bad = real <= 0.0
-    if np.any(bad):
+    if bad.any():
         if nonpositive == "raise":
             raise NumericError("nonpositive real det(I + Gamma) in batch")
         out = np.full(real.shape, -np.inf)

@@ -130,11 +130,11 @@ def _jamming_terms(realization, config: SystemConfig, active, snaps) -> np.ndarr
     return rates.relay_terms(grams, factors, p_rel / config.sigma2_e, config.N_k)
 
 
-def _eav_interference(realization, config: SystemConfig, replays: dict,
-                      jammer_ids) -> np.ndarray:
-    """Aggregate jamming covariance at the eavesdroppers: the active jammers'
-    terms summed in ascending relay order."""
-    active, snaps = _replay_stack(replays, jammer_ids)
+def _eav_interference(realization, config: SystemConfig, active,
+                      snaps) -> np.ndarray:
+    """Aggregate jamming covariance at the eavesdroppers: the terms of the
+    replaying jammers ``active`` (a :func:`_replay_stack`) summed in
+    ascending relay order."""
     if not active:
         return np.zeros((config.N_e, config.N_e))
     return _jamming_terms(realization, config, active, snaps).sum(axis=0)
@@ -163,11 +163,11 @@ def select_receiving_relays(state: PolicyState, realization,
                             replays: dict | None = None) -> tuple:
     """Pick the T receivers among relays not jamming this slot.
 
-    Candidates are ranked by logdet(I + Gamma_m) minus the eavesdropper
-    reference log-det, where Gamma_m = (I + D_m)^{-1} H_m H_m^H and D_m sums
-    the inter-relay interference of the active jammers' replays at candidate
-    m.  Returns (ids, metric map); the metric map is empty when the pool is
-    exactly T (forced set).
+    Candidates are ranked by logdet(I + Gamma_m), where
+    Gamma_m = (I + D_m)^{-1} H_m H_m^H and D_m sums the inter-relay
+    interference of the active jammers' replays at candidate m; ties break
+    by ascending id.  Returns (ids, metric map of those log-dets); the metric
+    map is empty when the pool is exactly T (forced set).
     """
     pool = [q for q in sorted(state.buffers) if q not in set(jammers)]
     if len(pool) < config.T:
@@ -190,16 +190,7 @@ def select_receiving_relays(state: PolicyState, realization,
         D_m = D_m + (config.N_i * config.sigma2_i) * np.eye(config.N_i)
     gammas = np.linalg.solve(np.eye(config.N_i) + D_m, G_m)
     logdets = rates.logdet_identity_plus_stack(gammas, config.log_base, "neginf")
-
-    # candidate-independent reference: mean eavesdropper log-det
-    p_tx, _ = power_split(config)
-    Delta = _eav_interference(realization, config, replays, jammers)
-    eav_logs = rates.logdet_identity_plus_stack(
-        rates.eav_sinr(realization.se_stack, Delta, p_tx / config.sigma2_e,
-                       config.N_t), config.log_base, "neginf")
-    finite = eav_logs[np.isfinite(eav_logs)]
-    ref = float(np.mean(finite)) if finite.size else 0.0
-    metrics = {m: float(ld - ref) for m, ld in zip(pool, logdets)}
+    metrics = dict(zip(pool, logdets.tolist()))
     chosen = sorted(pool, key=lambda m: (-metrics[m], m))[:config.T]
     return tuple(sorted(chosen)), metrics
 
@@ -236,13 +227,17 @@ def select_jamming_relays(state: PolicyState, realization,
         H_ne = realization.re_stack[idx]              # (C, N, N_e, N_k)
         leak = (p_rel / config.sigma2_e / config.N_k) * np.einsum(
             "ceab,cbd,cefd->caf", H_ne, snap_grams, H_ne.conj())
-        Delta = _eav_interference(realization, config, replays, current_jammers)
-        gamma_e = np.linalg.solve(np.eye(config.N_e) + Delta, leak)
-        ld_n = rates.logdet_identity_plus_stack(gamma_n, config.log_base, "neginf")
-        ld_e = rates.logdet_identity_plus_stack(gamma_e, config.log_base, "neginf")
-        for n, a, b in zip(eligible, ld_n, ld_e):
-            # degenerate determinants rank the candidate last, not crash a trial
-            metrics[n] = float(a - b) if np.isfinite(a) and np.isfinite(b) else -np.inf
+        Delta = _eav_interference(realization, config,
+                                  *_replay_stack(replays, current_jammers))
+        gamma_e = np.linalg.solve(rates._eye(config.N_e) + Delta, leak)
+        # N_e == N_r whenever K > 0, so both metrics share one log-det call
+        ld_n, ld_e = rates.logdet_identity_plus_stack(
+            np.stack([gamma_n, gamma_e]), config.log_base, "neginf")
+        # degenerate determinants rank the candidate last, not crash a trial
+        with np.errstate(invalid="ignore"):
+            scores = np.where(np.isfinite(ld_n) & np.isfinite(ld_e), ld_n - ld_e,
+                              -np.inf)
+        metrics.update(zip(eligible, scores.tolist()))
 
     has = {n: (1 if n in own else 0) for n in pool}
     chosen = sorted(pool, key=lambda n: (-has[n], -metrics[n], n))[:config.K]
@@ -307,8 +302,7 @@ def _receive_and_store(state: PolicyState, realization, config: SystemConfig,
             state.diag.phi_feasible += int(np.count_nonzero(feasible))
             phi = ~feasible
     sinrs = reception_sinr(gamma_S, powers, phi, config.N_i, config.sigma2_i)
-    for idx, i in enumerate(receivers):
-        sinr = float(sinrs[idx])
+    for i, sinr in zip(receivers, sinrs.tolist()):
         if state.diag.collect_sinrs:
             state.diag.sinrs.append(sinr)
         state.buffers[i].push(BufferedSignal(
@@ -330,7 +324,9 @@ def slot_rate_report(realization, config: SystemConfig, replays: dict,
         user_gammas = _user_terms(realization, config, active_tx, snaps).sum(axis=0)
     else:
         user_gammas = np.zeros((config.T, config.N_r, config.N_r))
-    Delta = _eav_interference(realization, config, replays, jammers)
+    jam_stack = ((active_tx, snaps) if jammers == transmitters
+                 else _replay_stack(replays, jammers))
+    Delta = _eav_interference(realization, config, *jam_stack)
     user_rates, eav_rates, clamps = _slot_rates(realization, config,
                                                 user_gammas, Delta)
     report = rates.RateReport(
@@ -395,15 +391,11 @@ def policy_conventional_bf(state: PolicyState, realization,
     receive; of the rest, the T relays with the strongest aggregate
     relay-to-user channels deliver a stored forward-class record."""
     ids = sorted(state.buffers)
-    su = realization.su_stack
-    rx_vals = np.einsum("qab,qab->q", su, su.conj()).real
-    rx_power = {q: float(rx_vals[q - 1]) for q in ids}
-    receivers = sorted(ids, key=lambda q: (-rx_power[q], q))[:config.T]
+    rx_vals = source_link_power(realization.su_stack).tolist()
+    receivers = sorted(ids, key=lambda q: (-rx_vals[q - 1], q))[:config.T]
     rest = [q for q in ids if q not in set(receivers)]
-    ru = realization.ru_stack
-    tx_vals = np.einsum("quab,quab->q", ru, ru.conj()).real
-    tx_power = {q: float(tx_vals[q - 1]) for q in rest}
-    transmitters = sorted(rest, key=lambda q: (-tx_power[q], q))[:config.T]
+    tx_vals = source_link_power(realization.ru_stack).sum(axis=1).tolist()
+    transmitters = sorted(rest, key=lambda q: (-tx_vals[q - 1], q))[:config.T]
     return _baseline_step(state, realization, config, receivers, transmitters,
                           "conventional-bf")
 
@@ -415,15 +407,14 @@ def policy_max_link(state: PolicyState, realization, config: SystemConfig,
     greedily fill T receive and up to T transmit roles in descending link
     strength, one role per relay."""
     ids = sorted(state.buffers)
-    su, ru = realization.su_stack, realization.ru_stack
-    rx_vals = np.einsum("qab,qab->q", su, su.conj()).real
-    tx_vals = np.einsum("quab,quab->qu", ru, ru.conj()).real.max(axis=1)
+    rx_vals = source_link_power(realization.su_stack).tolist()
+    tx_vals = source_link_power(realization.ru_stack).max(axis=1).tolist()
     links = []
     for q in ids:
         eligible = 0 if state.buffers[q].is_full else 1
-        links.append((eligible, float(rx_vals[q - 1]), "rx", q))
+        links.append((eligible, rx_vals[q - 1], "rx", q))
         if len(state.buffers[q]) > 0:
-            links.append((1, float(tx_vals[q - 1]), "tx", q))
+            links.append((1, tx_vals[q - 1], "tx", q))
     links.sort(key=lambda item: (-item[0], -item[1], item[3], item[2]))
     receivers, transmitters, assigned = [], [], set()
     for _, power, kind, q in links:
@@ -445,31 +436,22 @@ def policy_max_ratio(state: PolicyState, realization, config: SystemConfig,
     T receive, and of the rest the top T by the transmit-side analogue of the
     same ratio deliver."""
     ids = sorted(state.buffers)
-    own = _peek_replays(state, ids)
-
-    def leakage(q):
-        rec = own.get(q)
-        if rec is None:
-            return 0.0
-        return sum(relayed_link_power(H, rec.snapshot)
-                   for H in realization.re_stack[q - 1])
-
+    active, snaps = _replay_stack(_peek_replays(state, ids), ids)
+    # relays with nothing to replay leak and deliver nothing
+    leak = np.zeros(config.Q)
+    delivered = np.zeros(config.Q)
+    if active:
+        idx = [q - 1 for q in active]
+        leak[idx] = relayed_link_power(realization.re_stack[idx],
+                                       snaps[:, None]).sum(axis=1)
+        delivered[idx] = relayed_link_power(realization.ru_stack[idx],
+                                            snaps[:, None]).sum(axis=1)
     floor = config.N_e * config.sigma2_e
-    leak = {q: leakage(q) for q in ids}
-    rx_ratio = {q: source_link_power(realization.su_stack[q - 1])
-                / (leak[q] + floor) for q in ids}
-    receivers = sorted(ids, key=lambda q: (-rx_ratio[q], q))[:config.T]
+    rx_ratio = (source_link_power(realization.su_stack) / (leak + floor)).tolist()
+    receivers = sorted(ids, key=lambda q: (-rx_ratio[q - 1], q))[:config.T]
     rest = [q for q in ids if q not in set(receivers)]
-
-    def delivered(q):
-        rec = own.get(q)
-        if rec is None:
-            return 0.0
-        return sum(relayed_link_power(H, rec.snapshot)
-                   for H in realization.ru_stack[q - 1])
-
-    tx_ratio = {q: delivered(q) / (leak[q] + floor) for q in rest}
-    transmitters = sorted(rest, key=lambda q: (-tx_ratio[q], q))[:config.T]
+    tx_ratio = (delivered / (leak + floor)).tolist()
+    transmitters = sorted(rest, key=lambda q: (-tx_ratio[q - 1], q))[:config.T]
     return _baseline_step(state, realization, config, receivers, transmitters,
                           "max-ratio")
 

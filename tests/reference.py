@@ -4,6 +4,8 @@ The simulator computes each rate formula once, batched, in
 ``relaysec.rates``.  The loop forms below build the same quantities one
 matrix at a time, straight from the model's sums, so tests can check the
 batched kernels against an implementation that shares none of their code.
+:func:`max_ratio_roles` is the ``max-ratio`` policy's role choice with one
+link-power call per matrix, for the batched policy to be checked against.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+
+from relaysec.link_metrics import relayed_link_power, source_link_power
 
 
 def solve_identity_plus(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -114,3 +118,27 @@ def secrecy_rate(user_rates: Sequence[float], eav_rates: Sequence[float]) -> flo
             if diff > 0.0:
                 total += diff
     return total
+
+
+def max_ratio_roles(config, realization, own: dict) -> tuple:
+    """(receivers, transmitters) of the ``max-ratio`` policy, sorted, from
+    per-matrix link powers; ``own`` maps each relay id to the record it
+    would replay (relays with nothing to replay are absent)."""
+    ids = list(range(1, config.Q + 1))
+
+    def summed_power(channels, q):
+        rec = own.get(q)
+        if rec is None:
+            return 0.0
+        return sum(relayed_link_power(H, rec.snapshot) for H in channels[q - 1])
+
+    floor = config.N_e * config.sigma2_e
+    leak = {q: summed_power(realization.re_stack, q) for q in ids}
+    rx_ratio = {q: source_link_power(realization.su_stack[q - 1])
+                / (leak[q] + floor) for q in ids}
+    receivers = sorted(ids, key=lambda q: (-rx_ratio[q], q))[:config.T]
+    rest = [q for q in ids if q not in receivers]
+    tx_ratio = {q: summed_power(realization.ru_stack, q) / (leak[q] + floor)
+                for q in rest}
+    transmitters = sorted(rest, key=lambda q: (-tx_ratio[q], q))[:config.T]
+    return tuple(sorted(receivers)), tuple(sorted(transmitters))

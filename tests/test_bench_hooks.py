@@ -44,3 +44,19 @@ def test_rate_report_reaches_patched_logdet(monkeypatch):
                                outcome.jamming_relays,
                                outcome.transmitting_relays)
     assert calls
+
+
+def test_max_ratio_reaches_patched_link_powers(monkeypatch):
+    # the tracer's link_metrics figures read 0 if max-ratio computes its link
+    # powers without looking them up on the selection module
+    config = small_config()
+    state, real = make_instance(config, seed=3)
+    assert any(len(b) for b in state.buffers.values())
+    calls = {}
+    for name in ("source_link_power", "relayed_link_power"):
+        def counted(*args, _fn=getattr(selection, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+        monkeypatch.setattr(selection, name, counted)
+    selection.policy_max_ratio(state, real, config)
+    assert calls.get("source_link_power") and calls.get("relayed_link_power")

@@ -87,6 +87,18 @@ def test_received_power_equals_entry_magnitudes(rng):
     assert received_power(H) == pytest.approx(expected, rel=1e-12)
 
 
+def test_received_power_stack_matches_per_matrix(rng):
+    H = cn_matrix(rng, 3 * 4 * 2, 5).reshape(3, 4, 2, 5)
+    expected = [[received_power(H[a, b]) for b in range(4)] for a in range(3)]
+    np.testing.assert_array_equal(received_power(H), expected)
+    assert type(received_power(H[0, 0])) is float
+
+
+def test_received_power_rejects_vector():
+    with pytest.raises(ValueError):
+        received_power(np.ones(3))
+
+
 def test_solve_identity_plus_matches_inverse(rng):
     A = cn_matrix(rng, 3, 3)
     A = A @ A.conj().T

@@ -57,6 +57,25 @@ def test_cli_non_finite_snr(tmp_path, capsys, snr):
     assert "config error" in err and "snr" in err
 
 
+@pytest.mark.parametrize("snr", ["4000", "-4000", "-3100"])
+def test_cli_snr_with_unrepresentable_noise(tmp_path, capsys, snr):
+    code, out = run_cli(tmp_path, f"--snr={snr}")
+    assert code == 2
+    assert f"config error: SNR {float(snr)} dB" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["P = inf", "sigma2_i = inf"])
+def test_cli_infinite_power_or_noise_in_config(tmp_path, capsys, line):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(line + "\n")
+    code = main(["--config", str(bad), "--policy", "random", "--snr", "10",
+                 "--eta", "1.0", "--trials", "1", "--slots", "8",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_cli_unknown_policy(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "--policy", "bogus")
     # the later --policy wins in argparse, so this exercises the error path

@@ -50,6 +50,27 @@ def test_relayed_link_power_dimension_mismatch():
         relayed_link_power(np.eye(2), np.zeros((3, 4)))
 
 
+def test_link_powers_on_stacks_match_per_matrix(rng):
+    # a relay's channels to 3 nodes, each replaying that relay's snapshot
+    H = cn_matrix(rng, 5 * 3 * 2, 2).reshape(5, 3, 2, 2)
+    snaps = cn_matrix(rng, 5 * 2, 6).reshape(5, 2, 6)
+    relayed = [[relayed_link_power(H[q, e], snaps[q]) for e in range(3)]
+               for q in range(5)]
+    np.testing.assert_array_equal(relayed_link_power(H, snaps[:, None]), relayed)
+    direct = [[source_link_power(H[q, e]) for e in range(3)] for q in range(5)]
+    np.testing.assert_array_equal(source_link_power(H), direct)
+    assert type(relayed_link_power(H[0, 0], snaps[0])) is float
+    assert type(source_link_power(H[0, 0])) is float
+
+
+def test_relayed_link_power_stack_dimension_mismatch(rng):
+    H = cn_matrix(rng, 6, 2).reshape(3, 2, 2)
+    with pytest.raises(ValueError, match="replay dimension mismatch"):
+        relayed_link_power(H, np.zeros((3, 3, 6)))
+    with pytest.raises(ValueError):
+        relayed_link_power(H, np.zeros(2))
+
+
 def test_iri_feasible_scalar_case():
     # single-antenna nodes: the test reduces to plain arithmetic
     h_i = np.array([[1.0 + 0j]])

@@ -20,7 +20,8 @@ from relaysec.selection import (POLICIES, _jam_set_scores, bf_rjfs_step,
 
 from conftest import (cn_matrix, make_instance, realization_from_arrays,
                       rr_map, small_config)
-from reference import eav_sinr_matrix, secrecy_rate, user_sinr_matrix
+from reference import (eav_sinr_matrix, max_ratio_roles, secrecy_rate,
+                       user_sinr_matrix)
 
 
 def stock(state, relay_id, snapshot, sinr=5.0, slot=0,
@@ -552,6 +553,21 @@ def test_oracle_matches_receive_major_reference(overrides):
         assert outcome.objective == best
         report, _ = slot_rate_report(real, config, outcome.replays, jam, jam)
         assert outcome.objective == report.secrecy_rate
+    assert silent > 0
+
+
+@pytest.mark.parametrize("overrides", ORACLE_CONFIGS.values(),
+                         ids=ORACLE_CONFIGS.keys())
+def test_max_ratio_matches_per_matrix_reference(overrides):
+    config = small_config(**overrides)
+    silent = 0
+    for state, real in oracle_slots(config):
+        own = peek_all(state)
+        silent += config.Q - len(own)
+        receivers, transmitters = max_ratio_roles(config, real, own)
+        outcome, _ = policy_max_ratio(state, real, config)
+        assert outcome.receiving_relays == receivers
+        assert outcome.transmitting_relays == transmitters
     assert silent > 0
 
 

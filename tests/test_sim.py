@@ -310,3 +310,18 @@ def test_snr_sets_uniform_noise():
     assert cfg.sigma2_e == pytest.approx(0.2)
     assert cfg.sigma2_r == pytest.approx(0.2)
     assert cfg.P / cfg.sigma2_i == pytest.approx(10.0)
+
+
+@pytest.mark.parametrize("snr_db", [4000.0, -4000.0, -3100.0, 3100.0])
+def test_snr_with_unrepresentable_noise_rejected(snr_db):
+    # 10^(SNR/10) overflows, or P over it is zero or inf
+    with pytest.raises(ConfigError, match=f"SNR {snr_db} dB"):
+        SystemConfig().with_snr_db(snr_db)
+
+
+@pytest.mark.parametrize("field", ["P", "sigma2_i", "sigma2_e", "sigma2_r",
+                                   "gamma0"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_non_finite_power_noise_and_gamma0_rejected(field, value):
+    with pytest.raises(ConfigError, match=field):
+        SystemConfig(**{field: value})
