@@ -3,7 +3,8 @@
 All scenario scalars live in a single frozen dataclass so that a simulation
 cell (one policy at one SNR and one power split) is a pure function of the
 config plus the root seed.  Field names double as the keys of the flat
-key-value config file format understood by :func:`load_config`.
+key-value config file format understood by :func:`load_config`, except the
+sweep axes ``eta`` and ``sigma2``, which every sweep cell sets itself.
 """
 
 from __future__ import annotations
@@ -46,9 +47,7 @@ class SystemConfig:
     # powers and noise (linear scale)
     P: float = 1.0
     eta: float = 1.0          # transmitter gets eta*P, relays share (2-eta)*P
-    sigma2_i: float = 1.0
-    sigma2_e: float = 1.0
-    sigma2_r: float = 1.0
+    sigma2: float = 1.0       # noise variance at every receiving node
     # thresholds
     gamma0: float = 1.0               # IRI-cancellation decodability threshold
     sinr_threshold: float | None = None   # None -> auto-calibrated per cell
@@ -62,7 +61,7 @@ class SystemConfig:
     iri_cancellation: bool = True      # attempt IRI cancellation at receivers
     consume_on_jam: bool = False       # jamming replay removes the record
     worst_sinr_seeding: bool = False   # seed slot-0 jammers from ranking bottom
-    selection_noise_floor: bool = False  # add N_i*sigma2_i*I to receive metric
+    selection_noise_floor: bool = False  # add N_i*sigma2*I to receive metric
     rate_unit: str = "bits"            # "bits" (log2) or "nats" (ln)
 
     def __post_init__(self):
@@ -92,7 +91,7 @@ class SystemConfig:
             raise ConfigError(f"P must be finite and > 0, got {self.P}")
         if not (0.0 <= self.eta <= 2.0):
             raise ConfigError(f"eta must lie in [0, 2], got {self.eta}")
-        for name in ("sigma2_i", "sigma2_e", "sigma2_r", "gamma0"):
+        for name in ("sigma2", "gamma0"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ConfigError(
                     f"{name} must be finite and > 0, got {getattr(self, name)}")
@@ -121,8 +120,8 @@ class SystemConfig:
         return self.replace(N_t=1, N_r=1, N_e=1, N_i=1, N_k=1)
 
     def with_snr_db(self, snr_db: float) -> "SystemConfig":
-        """Set all node noise variances so that P/sigma^2 equals ``snr_db``;
-        raises ConfigError when that variance is not finite and positive."""
+        """Set the noise variance so that P/sigma^2 equals ``snr_db``; raises
+        ConfigError when that variance is not finite and positive."""
         try:
             s2 = self.P / 10.0 ** (snr_db / 10.0)
         except (OverflowError, ZeroDivisionError):
@@ -131,10 +130,10 @@ class SystemConfig:
             raise ConfigError(
                 f"SNR {snr_db} dB gives a noise variance P/10^(SNR/10) that is "
                 f"not finite and positive")
-        return self.replace(sigma2_i=s2, sigma2_e=s2, sigma2_r=s2)
+        return self.replace(sigma2=s2)
 
 
-def power_split(config: SystemConfig, eta: float | None = None) -> tuple[float, float]:
+def power_split(config: SystemConfig) -> tuple[float, float]:
     """Transmitter power eta*P and the per-relay share of the remaining
     (2-eta)*P, split equally over the K jamming/transmitting relays.
 
@@ -142,49 +141,40 @@ def power_split(config: SystemConfig, eta: float | None = None) -> tuple[float, 
     policy's transmitting relays radiate the same per-relay power so that
     curves are power-fair across policies.
     """
-    if eta is None:
-        eta = config.eta
-    if not (0.0 <= eta <= 2.0):
-        raise ConfigError(f"eta must lie in [0, 2], got {eta}")
-    tx = eta * config.P
-    relay_each = ((2.0 - eta) * config.P / config.K) if config.K > 0 else 0.0
+    tx = config.eta * config.P
+    relay_each = ((2.0 - config.eta) * config.P / config.K) if config.K > 0 else 0.0
     return tx, relay_each
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(SystemConfig)}
-_BOOL_FIELDS = {"iri_cancellation", "consume_on_jam", "worst_sinr_seeding",
-                "selection_noise_floor"}
-_INT_FIELDS = {"N_t", "N_r", "N_e", "N_i", "N_k", "M", "N", "Q", "T", "K",
-               "buffer_capacity", "slots", "warmup_slots", "trials", "seed"}
-_FLOAT_FIELDS = {"P", "eta", "sigma2_i", "sigma2_e", "sigma2_r", "gamma0"}
+_SWEEP_KEYS = {"eta": "--eta", "sigma2": "--snr"}
 
 
 def _parse_value(key: str, raw: str):
-    if key == "rate_unit":
-        return raw
-    if key in _BOOL_FIELDS:
+    kind = _FIELD_TYPES[key]
+    if kind == "bool":
         low = raw.lower()
         if low in ("true", "1", "yes", "on"):
             return True
         if low in ("false", "0", "no", "off"):
             return False
         raise ConfigError(f"config key {key!r}: expected a boolean, got {raw!r}")
+    if kind == "str":
+        return raw
+    if kind.endswith("| None") and raw.lower() in ("auto", "none"):
+        return None
     try:
-        if key == "sinr_threshold":
-            return None if raw.lower() in ("auto", "none") else float(raw)
-        if key in _INT_FIELDS:
-            return int(raw)
-        if key in _FLOAT_FIELDS:
-            return float(raw)
+        return int(raw) if kind == "int" else float(raw)
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: cannot parse {raw!r}") from exc
-    raise ConfigError(f"unknown config key {key!r}")
 
 
 def parse_config(text: str) -> SystemConfig:
     """Parse the flat ``key = value`` config format.
 
-    Blank lines and ``#`` comments are ignored.  Unknown keys are rejected.
+    Blank lines and ``#`` comments are ignored.  Unknown keys, and the sweep
+    axes ``eta`` and ``sigma2`` (set by ``--eta`` and ``--snr``), are
+    rejected.
     """
     overrides = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -194,6 +184,10 @@ def parse_config(text: str) -> SystemConfig:
         if "=" not in stripped:
             raise ConfigError(f"config line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
+        if key in _SWEEP_KEYS:
+            raise ConfigError(
+                f"config key {key!r} (line {lineno}) is set per sweep cell; "
+                f"use {_SWEEP_KEYS[key]}")
         if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key {key!r} (line {lineno})")
         if key in overrides:

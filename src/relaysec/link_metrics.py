@@ -71,13 +71,13 @@ def iri_feasible(H_i: np.ndarray, H_ki: np.ndarray, P_tx: float,
 
 
 def reception_sinr(gamma_S: np.ndarray, interference: np.ndarray, phi,
-                   N_i: int, sigma2_i: float) -> np.ndarray:
-    """Reception SINR gamma_S / (sum_k phi_k gamma_k + N_i sigma2_i) of R
+                   N_i: int, sigma2: float) -> np.ndarray:
+    """Reception SINR gamma_S / (sum_k phi_k gamma_k + N_i sigma2) of R
     receiving relays: ``gamma_S`` is the (R,) source power, ``interference``
     the (A, R) power of each interferer at each receiver, and ``phi``
     (broadcast to (A, R)) is 0 where that interference was cancelled, else 1.
     """
-    return gamma_S / ((phi * interference).sum(axis=0) + N_i * sigma2_i)
+    return gamma_S / ((phi * interference).sum(axis=0) + N_i * sigma2)
 
 
 def iri_cancellation_feasible(H_i: np.ndarray, H_ki: np.ndarray,
@@ -96,10 +96,10 @@ def iri_cancellation_feasible(H_i: np.ndarray, H_ki: np.ndarray,
 
 
 def sinr_relay(gamma_S_Ri: float, gamma_Rk_Ri_total: float, phi: int,
-               N_i: int, sigma2_i: float) -> SinrValue:
+               N_i: int, sigma2: float) -> SinrValue:
     """Reception SINR at one relay; ``phi = 0`` means IRI was cancelled."""
     if phi not in (0, 1):
         raise ValueError(f"phi must be 0 or 1, got {phi}")
     value = reception_sinr(np.array([gamma_S_Ri]), np.array([[gamma_Rk_Ri_total]]),
-                           phi, N_i, sigma2_i)[0]
+                           phi, N_i, sigma2)[0]
     return SinrValue(value=float(value), cancellation_applied=(phi == 0))

@@ -15,6 +15,9 @@ Role semantics shared by the whole simulator:
 A transmitting relay with an empty buffer stays silent for the slot and
 contributes nothing anywhere (counted in the diagnostics).
 
+The policies differ only in how they pick those roles; :func:`_serve` serves
+them for every policy: buffer replays, reception and storage, the slot count.
+
 This module owns the selection metrics and the slot machinery that feeds
 realizations and buffers into the formula kernels: the rate formulas live in
 :mod:`relaysec.rates`, the reception formulas in :mod:`relaysec.link_metrics`
@@ -43,7 +46,6 @@ class SelectionOutcome:
     receiving_relays: tuple       # sorted relay ids, |.| == T
     jamming_relays: tuple         # sorted relay ids, |.| <= K
     transmitting_relays: tuple    # sorted relay ids serving the users
-    policy_name: str
     replays: dict                 # relay id -> BufferedSignal actually replayed
     objective: float | None = None  # oracle: maximized slot secrecy rate
 
@@ -117,17 +119,17 @@ def _user_terms(realization, config: SystemConfig, active, snaps) -> np.ndarray:
     p_tx, p_rel = power_split(config)
     users = [t % config.M for t in range(config.T)]
     H_u = realization.ru_stack[[k - 1 for k in active]][:, users]
-    factors = rates.stored_signal_factor(snaps, p_tx / config.sigma2_r, config.N_t)
-    return rates.relay_terms(gram(H_u), factors[:, None], p_rel / config.sigma2_r,
+    factors = rates.stored_signal_factor(snaps, p_tx / config.sigma2, config.N_t)
+    return rates.relay_terms(gram(H_u), factors[:, None], p_rel / config.sigma2,
                              config.N_k)
 
 
 def _jamming_terms(realization, config: SystemConfig, active, snaps) -> np.ndarray:
     """(A, N_e, N_e) jamming terms of the replaying relays ``active``."""
     p_tx, p_rel = power_split(config)
-    factors = rates.stored_signal_factor(snaps, p_tx / config.sigma2_e, config.N_t)
+    factors = rates.stored_signal_factor(snaps, p_tx / config.sigma2, config.N_t)
     grams = gram(realization.re_stack[[k - 1 for k in active]]).sum(axis=1)
-    return rates.relay_terms(grams, factors, p_rel / config.sigma2_e, config.N_k)
+    return rates.relay_terms(grams, factors, p_rel / config.sigma2, config.N_k)
 
 
 def _eav_interference(realization, config: SystemConfig, active,
@@ -146,7 +148,7 @@ def _slot_rates(realization, config: SystemConfig, user_gammas: np.ndarray,
     matrices and interference covariances with matching leading axes."""
     p_tx, _ = power_split(config)
     eav_gammas = rates.eav_sinr(realization.se_stack, Delta,
-                                p_tx / config.sigma2_e, config.N_t)
+                                p_tx / config.sigma2, config.N_t)
     user_rates, user_clamps = rates.clamped_logdet_rate_stack(
         user_gammas, config.log_base)
     eav_rates, eav_clamps = rates.clamped_logdet_rate_stack(
@@ -159,8 +161,7 @@ def _slot_rates(realization, config: SystemConfig, user_gammas: np.ndarray,
 
 
 def select_receiving_relays(state: PolicyState, realization,
-                            config: SystemConfig, jammers: tuple,
-                            replays: dict | None = None) -> tuple:
+                            config: SystemConfig, jammers: tuple) -> tuple:
     """Pick the T receivers among relays not jamming this slot.
 
     Candidates are ranked by logdet(I + Gamma_m), where
@@ -176,9 +177,7 @@ def select_receiving_relays(state: PolicyState, realization,
     if len(pool) == config.T:
         return tuple(pool), {}
 
-    if replays is None:
-        replays = _peek_replays(state, jammers)
-    active, snaps = _replay_stack(replays, jammers)
+    active, snaps = _replay_stack(_peek_replays(state, jammers), jammers)
 
     G_m = gram(realization.su_stack[[m - 1 for m in pool]])
     if active:
@@ -187,7 +186,7 @@ def select_receiving_relays(state: PolicyState, realization,
     else:
         D_m = np.zeros_like(G_m)
     if config.selection_noise_floor:
-        D_m = D_m + (config.N_i * config.sigma2_i) * np.eye(config.N_i)
+        D_m = D_m + (config.N_i * config.sigma2) * np.eye(config.N_i)
     gammas = np.linalg.solve(np.eye(config.N_i) + D_m, G_m)
     logdets = rates.logdet_identity_plus_stack(gammas, config.log_base, "neginf")
     metrics = dict(zip(pool, logdets.tolist()))
@@ -225,7 +224,7 @@ def select_jamming_relays(state: PolicyState, realization,
         H_nr = realization.ru_stack[idx]              # (C, M, N_r, N_k)
         gamma_n = np.einsum("cuab,cbd,cued->cae", H_nr, snap_grams, H_nr.conj())
         H_ne = realization.re_stack[idx]              # (C, N, N_e, N_k)
-        leak = (p_rel / config.sigma2_e / config.N_k) * np.einsum(
+        leak = (p_rel / config.sigma2 / config.N_k) * np.einsum(
             "ceab,cbd,cefd->caf", H_ne, snap_grams, H_ne.conj())
         Delta = _eav_interference(realization, config,
                                   *_replay_stack(replays, current_jammers))
@@ -274,8 +273,8 @@ def _resolve_replays(state: PolicyState, transmitters, config: SystemConfig,
 
 def _receive_and_store(state: PolicyState, realization, config: SystemConfig,
                        receivers, replays: dict) -> None:
-    """Compute each receiver's reception SINR (with per-pair IRI cancellation
-    where feasible), classify it, and push the record."""
+    """Compute each receiver's (ascending ids) reception SINR, with per-pair
+    IRI cancellation where feasible, classify it, and push the record."""
     threshold = config.sinr_threshold
     if threshold is None:
         raise ConfigError(
@@ -283,7 +282,6 @@ def _receive_and_store(state: PolicyState, realization, config: SystemConfig,
             "monte_carlo, which calibrates it per sweep cell")
     p_tx, p_rel = power_split(config)
     active, snaps = _replay_stack(replays, replays)
-    receivers = sorted(receivers)
     H_rx = realization.su_stack[[i - 1 for i in receivers]]   # (R, N_i, N_t)
     gamma_S = (p_tx / config.N_t) * np.einsum(
         "rab,rab->r", H_rx, H_rx.conj()).real
@@ -295,13 +293,13 @@ def _receive_and_store(state: PolicyState, realization, config: SystemConfig,
         powers = (p_rel / config.N_k) * np.einsum(
             "krab,krab->kr", prod, prod.conj()).real
         if config.iri_cancellation:
-            feasible = iri_feasible(H_rx, H_ki, p_tx / config.sigma2_i,
-                                    p_rel / config.sigma2_i, config.N_t,
+            feasible = iri_feasible(H_rx, H_ki, p_tx / config.sigma2,
+                                    p_rel / config.sigma2, config.N_t,
                                     config.N_k, config.gamma0)
             state.diag.phi_tests += feasible.size
             state.diag.phi_feasible += int(np.count_nonzero(feasible))
             phi = ~feasible
-    sinrs = reception_sinr(gamma_S, powers, phi, config.N_i, config.sigma2_i)
+    sinrs = reception_sinr(gamma_S, powers, phi, config.N_i, config.sigma2)
     for i, sinr in zip(receivers, sinrs.tolist()):
         if state.diag.collect_sinrs:
             state.diag.sinrs.append(sinr)
@@ -309,6 +307,23 @@ def _receive_and_store(state: PolicyState, realization, config: SystemConfig,
             snapshot=realization.su_stack[i - 1], sinr_at_reception=sinr,
             slot=realization.slot,
             signal_class=classify_signal(sinr, threshold)))
+
+
+def _serve(state: PolicyState, realization, config: SystemConfig, receivers,
+           transmitters, jamming: bool, objective: float | None = None) -> tuple:
+    """Serve one slot's roles and advance the slot: the transmitting relays
+    replay from their buffers (``jamming``: a peeked record that also jams
+    the eavesdroppers; otherwise a consumed forward-class record), then the
+    receivers classify and store what they hear.  Returns (outcome, state).
+    """
+    receivers, transmitters = tuple(sorted(receivers)), tuple(sorted(transmitters))
+    replays = _resolve_replays(state, transmitters, config, forward_only=not jamming)
+    outcome = SelectionOutcome(
+        receiving_relays=receivers, jamming_relays=transmitters if jamming else (),
+        transmitting_relays=transmitters, replays=replays, objective=objective)
+    _receive_and_store(state, realization, config, receivers, replays)
+    state.slot += 1
+    return outcome, state
 
 
 def slot_rate_report(realization, config: SystemConfig, replays: dict,
@@ -360,28 +375,12 @@ def bf_rjfs_step(state: PolicyState, realization, config: SystemConfig,
     else:
         jammers, _ = select_jamming_relays(state, realization, config)
 
-    replays = _resolve_replays(state, jammers, config, forward_only=False)
-    receivers, _ = select_receiving_relays(
-        state, realization, config, jammers, replays)
-    outcome = SelectionOutcome(
-        receiving_relays=receivers, jamming_relays=jammers,
-        transmitting_relays=jammers, policy_name="bf-rjfs", replays=replays)
-    _receive_and_store(state, realization, config, receivers, replays)
+    receivers, _ = select_receiving_relays(state, realization, config, jammers)
+    outcome, state = _serve(state, realization, config, receivers, jammers,
+                            jamming=True)
     state.pending_jammers, _ = select_jamming_relays(
-        state, realization, config, current_jammers=jammers, replays=replays)
-    state.slot += 1
-    return outcome, state
-
-
-def _baseline_step(state: PolicyState, realization, config: SystemConfig,
-                   receivers, transmitters, name: str) -> tuple:
-    replays = _resolve_replays(state, transmitters, config, forward_only=True)
-    outcome = SelectionOutcome(
-        receiving_relays=tuple(sorted(receivers)), jamming_relays=(),
-        transmitting_relays=tuple(sorted(transmitters)), policy_name=name,
-        replays=replays)
-    _receive_and_store(state, realization, config, receivers, replays)
-    state.slot += 1
+        state, realization, config, current_jammers=jammers,
+        replays=outcome.replays)
     return outcome, state
 
 
@@ -396,8 +395,8 @@ def policy_conventional_bf(state: PolicyState, realization,
     rest = [q for q in ids if q not in set(receivers)]
     tx_vals = source_link_power(realization.ru_stack).sum(axis=1).tolist()
     transmitters = sorted(rest, key=lambda q: (-tx_vals[q - 1], q))[:config.T]
-    return _baseline_step(state, realization, config, receivers, transmitters,
-                          "conventional-bf")
+    return _serve(state, realization, config, receivers, transmitters,
+                  jamming=False)
 
 
 def policy_max_link(state: PolicyState, realization, config: SystemConfig,
@@ -426,8 +425,8 @@ def policy_max_link(state: PolicyState, realization, config: SystemConfig,
         elif kind == "tx" and len(transmitters) < config.T:
             transmitters.append(q)
             assigned.add(q)
-    return _baseline_step(state, realization, config, receivers, transmitters,
-                          "max-link")
+    return _serve(state, realization, config, receivers, transmitters,
+                  jamming=False)
 
 
 def policy_max_ratio(state: PolicyState, realization, config: SystemConfig,
@@ -446,14 +445,14 @@ def policy_max_ratio(state: PolicyState, realization, config: SystemConfig,
                                        snaps[:, None]).sum(axis=1)
         delivered[idx] = relayed_link_power(realization.ru_stack[idx],
                                             snaps[:, None]).sum(axis=1)
-    floor = config.N_e * config.sigma2_e
+    floor = config.N_e * config.sigma2
     rx_ratio = (source_link_power(realization.su_stack) / (leak + floor)).tolist()
     receivers = sorted(ids, key=lambda q: (-rx_ratio[q - 1], q))[:config.T]
     rest = [q for q in ids if q not in set(receivers)]
     tx_ratio = (delivered / (leak + floor)).tolist()
     transmitters = sorted(rest, key=lambda q: (-tx_ratio[q - 1], q))[:config.T]
-    return _baseline_step(state, realization, config, receivers, transmitters,
-                          "max-ratio")
+    return _serve(state, realization, config, receivers, transmitters,
+                  jamming=False)
 
 
 def policy_random(state: PolicyState, realization, config: SystemConfig,
@@ -466,13 +465,7 @@ def policy_random(state: PolicyState, realization, config: SystemConfig,
     receivers = tuple(sorted(int(ids[j]) for j in perm[:config.T]))
     jammers = tuple(sorted(int(ids[j])
                            for j in perm[config.T:config.T + config.K]))
-    replays = _resolve_replays(state, jammers, config, forward_only=False)
-    outcome = SelectionOutcome(
-        receiving_relays=receivers, jamming_relays=jammers,
-        transmitting_relays=jammers, policy_name="random", replays=replays)
-    _receive_and_store(state, realization, config, receivers, replays)
-    state.slot += 1
-    return outcome, state
+    return _serve(state, realization, config, receivers, jammers, jamming=True)
 
 
 _ORACLE_GUARD = 100_000
@@ -517,7 +510,8 @@ def exhaustive_oracle(state: PolicyState, realization, config: SystemConfig,
     set in ``itertools.combinations`` order that is disjoint from a
     max-scoring jam set, then to the first such jam set in the same order:
     the first best assignment of a receive-major enumeration.  The objective
-    is ``slot_rate_report`` of the chosen assignment.
+    is that set's batch score, which equals ``slot_rate_report`` of the
+    chosen assignment bit for bit.
 
     Refuses to run when C(Q, K) exceeds 100000.
     """
@@ -529,20 +523,14 @@ def exhaustive_oracle(state: PolicyState, realization, config: SystemConfig,
     jam_sets = list(itertools.combinations(ids, config.K))
     scores = _jam_set_scores(realization, config, _peek_replays(state, ids),
                              np.array(jam_sets, dtype=int))
-    best = [jam_sets[s] for s in np.flatnonzero(scores == scores.max())]
+    top = scores.max()
+    best = [jam_sets[s] for s in np.flatnonzero(scores == top)]
     for rx in itertools.combinations(ids, config.T):
         jam = next((j for j in best if set(j).isdisjoint(rx)), None)
         if jam is not None:
             break
-    replays = _resolve_replays(state, jam, config, forward_only=False)
-    report, _ = slot_rate_report(realization, config, replays, jam, jam)
-    outcome = SelectionOutcome(
-        receiving_relays=rx, jamming_relays=jam,
-        transmitting_relays=jam, policy_name="oracle", replays=replays,
-        objective=report.secrecy_rate)
-    _receive_and_store(state, realization, config, rx, replays)
-    state.slot += 1
-    return outcome, state
+    return _serve(state, realization, config, rx, jam, jamming=True,
+                  objective=float(top))
 
 
 POLICIES = {

@@ -6,9 +6,9 @@ trial-index order, and no timestamps enter the outputs, so a sweep produces
 byte-identical files across reruns and across worker counts.
 
 The printed rate formulas carry an implicit unit noise floor, so all powers
-passed into the matrix-rate builders are divided by the destination node's
-noise variance; the sweep driver keeps all node noise variances equal
-(sigma^2 = P / 10^(SNR/10)), for which this normalization is exact.
+passed into the matrix-rate builders are divided by the one noise variance
+sigma^2 that every receiving node (relay, user, eavesdropper) sees; each
+sweep cell sets it from its SNR as sigma^2 = P / 10^(SNR/10).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import math
 import statistics
 import struct
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -130,10 +131,6 @@ def _trial_summary(config: SystemConfig, policy: str, trial_index: int):
             diag.silent_transmitters, diag.clamp_events)
 
 
-def _trial_worker(args):
-    return _trial_summary(*args)
-
-
 def _float_key(x: float) -> int:
     """Stable 64-bit key for a float, for content-addressed RNG substreams."""
     return int.from_bytes(struct.pack("<d", float(x)), "little")
@@ -149,7 +146,7 @@ def calibrate_threshold(config: SystemConfig, policy: str) -> float:
     """
     cal_cfg = config.replace(sinr_threshold=0.0, slots=_CALIBRATION_SLOTS,
                              warmup_slots=0)
-    key = (POLICY_ORDER.index(policy), _float_key(config.sigma2_i),
+    key = (POLICY_ORDER.index(policy), _float_key(config.sigma2),
            _float_key(config.eta))
     state = fresh_state(cal_cfg)
     state.diag.collect_sinrs = True
@@ -165,6 +162,9 @@ def calibrate_threshold(config: SystemConfig, policy: str) -> float:
     return float(statistics.median(state.diag.sinrs))
 
 
+# Pool tasks are pickled by qualified name, so a wrapper installed over
+# calibrate_threshold (a timing harness's local closure, say) cannot be
+# submitted itself; this shim can, and looks the name up when it runs.
 def _calibration_worker(args):
     return calibrate_threshold(*args)
 
@@ -205,9 +205,8 @@ def _pooled_cells(pool, cells: list, sweep: SweepSpec) -> list:
     for (policy, snr_db, eta, cfg), threshold in zip(cells, thresholds):
         if threshold is not None:
             cfg = cfg.replace(sinr_threshold=threshold.result())
-        rows = pool.map(_trial_worker,
-                        [(cfg, policy, t) for t in range(sweep.trials)],
-                        chunksize=chunksize)
+        rows = pool.map(_trial_summary, repeat(cfg), repeat(policy),
+                        range(sweep.trials), chunksize=chunksize)
         queued.append((rows, cfg, policy, snr_db, eta))
     return [_run_cell(list(rows), *cell) for rows, *cell in queued]
 

@@ -132,7 +132,7 @@ def max_ratio_roles(config, realization, own: dict) -> tuple:
             return 0.0
         return sum(relayed_link_power(H, rec.snapshot) for H in channels[q - 1])
 
-    floor = config.N_e * config.sigma2_e
+    floor = config.N_e * config.sigma2
     leak = {q: summed_power(realization.re_stack, q) for q in ids}
     rx_ratio = {q: source_link_power(realization.su_stack[q - 1])
                 / (leak[q] + floor) for q in ids}

@@ -65,7 +65,7 @@ def test_cli_snr_with_unrepresentable_noise(tmp_path, capsys, snr):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("line", ["P = inf", "sigma2_i = inf"])
+@pytest.mark.parametrize("line", ["P = inf"])
 def test_cli_infinite_power_or_noise_in_config(tmp_path, capsys, line):
     bad = tmp_path / "bad.cfg"
     bad.write_text(line + "\n")
@@ -74,6 +74,22 @@ def test_cli_infinite_power_or_noise_in_config(tmp_path, capsys, line):
                  "--out", str(tmp_path / "x.csv")])
     assert code == 2
     assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line,flag", [("eta = 0.2", "--eta"),
+                                       ("sigma2 = 100", "--snr")],
+                         ids=["eta", "sigma2"])
+def test_cli_sweep_axis_in_config_rejected(tmp_path, capsys, line, flag):
+    # --eta and --snr set these per sweep cell; a file value would be ignored
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(line + "\n")
+    out = tmp_path / "x.csv"
+    code = main(["--config", str(bad), "--policy", "random", "--snr", "10",
+                 "--eta", "1.0", "--trials", "1", "--slots", "8",
+                 "--out", str(out)])
+    assert code == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_unknown_policy(tmp_path, capsys):

@@ -181,7 +181,7 @@ def test_jamming_metrics_match_literal_formulas():
     chosen, metrics = select_jamming_relays(state, real, config,
                                             current_jammers=current)
     p_tx, p_rel = power_split(config)
-    p_tx_e, p_rel_e = p_tx / config.sigma2_e, p_rel / config.sigma2_e
+    p_tx_e, p_rel_e = p_tx / config.sigma2, p_rel / config.sigma2
 
     delta = np.zeros((2, 2), dtype=complex)
     for k in current:
@@ -494,14 +494,14 @@ def scalar_jam_set_score(state, real, config, jam):
     for t in range(config.T):
         if active:
             G = user_sinr_matrix([real.ru_stack[k - 1][t % config.M] for k in active],
-                                 snaps, p_rel / config.sigma2_r,
-                                 p_tx / config.sigma2_r, config.N_k, config.N_t)
+                                 snaps, p_rel / config.sigma2,
+                                 p_tx / config.sigma2, config.N_k, config.N_t)
             user_rates.append(user_rate(G, config.log_base))
         else:
             user_rates.append(0.0)
     eav_rates = [eav_rate(eav_sinr_matrix(
         real.se_stack[e], [real.re_stack[k - 1] for k in active], snaps,
-        p_tx / config.sigma2_e, p_rel / config.sigma2_e,
+        p_tx / config.sigma2, p_rel / config.sigma2,
         config.N_t, config.N_k, config.N), config.log_base)
         for e in range(config.N)]
     return secrecy_rate(user_rates, eav_rates)
@@ -514,8 +514,7 @@ ORACLE_CONFIGS = {
     "capacity 1": dict(Q=5, buffer_capacity=1),
     "single antenna": dict(Q=5, N_t=1, N_r=1, N_e=1, N_i=1, N_k=1),
     "consume_on_jam": dict(Q=5, T=1, consume_on_jam=True),
-    "nats, high snr": dict(Q=6, T=2, K=3, rate_unit="nats", sigma2_i=0.01,
-                           sigma2_e=0.01, sigma2_r=0.01),
+    "nats, high snr": dict(Q=6, T=2, K=3, rate_unit="nats", sigma2=0.01),
 }
 
 
@@ -639,6 +638,11 @@ def test_outcome_cardinality_and_disjointness(policy):
         assert set(outcome.receiving_relays) <= set(range(1, config.Q + 1))
         assert set(outcome.transmitting_relays) <= set(range(1, config.Q + 1))
         assert set(outcome.replays) <= set(outcome.transmitting_relays)
+        # every policy's roles are served by the one _serve path
+        assert outcome.jamming_relays in ((), outcome.transmitting_relays)
+        for roles in (outcome.receiving_relays, outcome.jamming_relays,
+                      outcome.transmitting_relays):
+            assert isinstance(roles, tuple) and roles == tuple(sorted(roles))
 
 
 def _permute_realization(real, config, perm):
@@ -704,13 +708,13 @@ def test_reception_matches_scalar_link_ops():
         for k in sorted(replays):
             H_ki = real.rr_stack[real.rr_row(k, i)]
             feasible = iri_cancellation_feasible(
-                H_i, H_ki, p_tx / config.sigma2_i, p_rel / config.sigma2_i,
+                H_i, H_ki, p_tx / config.sigma2, p_rel / config.sigma2,
                 config.N_t, config.N_k, config.gamma0)
             if not feasible:
                 residual += (p_rel / config.N_k) * relayed_link_power(
                     H_ki, replays[k].snapshot)
         expected = sinr_relay(gamma_S, residual, 1, config.N_i,
-                              config.sigma2_i).value
+                              config.sigma2).value
         stored = state2.buffers[i].records[-1]
         assert stored.sinr_at_reception == pytest.approx(expected, rel=1e-10)
         np.testing.assert_array_equal(stored.snapshot, H_i)
@@ -730,8 +734,8 @@ def test_slot_rate_report_matches_rates_module_composition():
         u = t % config.M
         if active:
             G = user_sinr_matrix([real.ru_stack[k - 1][u] for k in active],
-                                 snaps, p_rel / config.sigma2_r,
-                                 p_tx / config.sigma2_r, config.N_k, config.N_t)
+                                 snaps, p_rel / config.sigma2,
+                                 p_tx / config.sigma2, config.N_k, config.N_t)
             expected = user_rate(G)
         else:
             expected = 0.0
@@ -741,7 +745,7 @@ def test_slot_rate_report_matches_rates_module_composition():
         G = eav_sinr_matrix(real.se_stack[e],
                             [real.re_stack[k - 1] for k in jam_active],
                             [out.replays[k].snapshot for k in jam_active],
-                            p_tx / config.sigma2_e, p_rel / config.sigma2_e,
+                            p_tx / config.sigma2, p_rel / config.sigma2,
                             config.N_t, config.N_k, config.N)
         assert report.eav_rates[e] == pytest.approx(eav_rate(G), abs=1e-10)
     assert report.secrecy_rate == pytest.approx(

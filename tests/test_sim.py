@@ -20,16 +20,15 @@ from conftest import inject_trial_error, needs_fork, small_config
     (0.5, 2.0, 3, (1.0, 1.0)),
 ])
 def test_apply_power_split(eta, P, K, expected):
-    config = SystemConfig(P=P, K=K, T=1, Q=K + 1, sinr_threshold=1.0)
-    tx, each = power_split(config, eta)
+    config = SystemConfig(P=P, eta=eta, K=K, T=1, Q=K + 1, sinr_threshold=1.0)
+    tx, each = power_split(config)
     assert tx == pytest.approx(expected[0])
     assert each == pytest.approx(expected[1])
 
 
 def test_apply_power_split_rejects_bad_eta():
-    config = SystemConfig(sinr_threshold=1.0)
-    with pytest.raises(ConfigError):
-        power_split(config, 2.5)
+    with pytest.raises(ConfigError, match="eta"):
+        SystemConfig(eta=2.5, sinr_threshold=1.0)
 
 
 def test_zero_slot_config_rejected():
@@ -179,18 +178,37 @@ def test_one_pool_per_sweep_runs_calibration(monkeypatch):
     assert pooled.cells == serial.cells
 
 
+def test_pooled_calibration_through_a_wrapped_calibrate_threshold(monkeypatch):
+    # a timing harness wraps calibrate_threshold in a local closure, which a
+    # pool cannot pickle; the pool must be handed a module-level task instead
+    calibrate = relaysec.sim.calibrate_threshold
+
+    def timed(*args, **kwargs):
+        return calibrate(*args, **kwargs)
+
+    monkeypatch.setattr(relaysec.sim, "calibrate_threshold", timed)
+    cfg = small_config(sinr_threshold=None, seed=23, warmup_slots=1)
+    sweep = _tiny_sweep(policies=("bf-rjfs",), trials=2)
+    serial = monte_carlo(cfg, sweep)
+    pooled = monte_carlo(cfg, dataclasses.replace(sweep, workers=2))
+    assert all(cell.sinr_threshold > 0.0 for cell in serial.cells)
+    assert pooled.cells == serial.cells
+
+
 @needs_fork
 def test_pool_error_reaches_caller_and_cancels_queued_cells(monkeypatch, tmp_path):
     inject_trial_error(monkeypatch)
-    real_summary = relaysec.sim._trial_summary
+    real_trial = relaysec.sim._run_trial_full
 
     def summary(config, policy, trial_index):   # leaves a file per started trial
         (tmp_path / f"{config.eta}-{trial_index}").touch()
         if trial_index:
             time.sleep(0.2)
-        return real_summary(config, policy, trial_index)
+        return real_trial(config, policy, trial_index)
 
-    monkeypatch.setattr(relaysec.sim, "_trial_summary", summary)
+    # _run_trial_full, not the _trial_summary the pool is handed: a local
+    # function cannot be pickled into a task
+    monkeypatch.setattr(relaysec.sim, "_run_trial_full", summary)
     sweep = SweepSpec(policies=("bf-rjfs",), snr_db_grid=(10.0,),
                       eta_grid=(0.5, 1.0, 1.5), trials=8, slots_per_trial=4,
                       workers=2)
@@ -296,6 +314,18 @@ def test_parse_config_rejects_bad_value():
         parse_config("sinr_threshold = abc\n")
 
 
+def test_parse_config_round_trips_every_file_field():
+    # values are parsed from the SystemConfig annotations, so a new field is
+    # settable without a parser change
+    default = SystemConfig()
+    for field in dataclasses.fields(SystemConfig):
+        if field.name in ("eta", "sigma2"):
+            continue
+        value = getattr(default, field.name)
+        assert getattr(parse_config(f"{field.name} = {value}\n"),
+                       field.name) == value, field.name
+
+
 def test_load_config(tmp_path):
     path = tmp_path / "scenario.cfg"
     path.write_text("Q = 5\nT = 2\nK = 2\nsinr_threshold = 0.7\n")
@@ -306,10 +336,8 @@ def test_load_config(tmp_path):
 
 def test_snr_sets_uniform_noise():
     cfg = SystemConfig(P=2.0, sinr_threshold=1.0).with_snr_db(10.0)
-    assert cfg.sigma2_i == pytest.approx(0.2)
-    assert cfg.sigma2_e == pytest.approx(0.2)
-    assert cfg.sigma2_r == pytest.approx(0.2)
-    assert cfg.P / cfg.sigma2_i == pytest.approx(10.0)
+    assert cfg.sigma2 == pytest.approx(0.2)
+    assert cfg.P / cfg.sigma2 == pytest.approx(10.0)
 
 
 @pytest.mark.parametrize("snr_db", [4000.0, -4000.0, -3100.0, 3100.0])
@@ -319,8 +347,7 @@ def test_snr_with_unrepresentable_noise_rejected(snr_db):
         SystemConfig().with_snr_db(snr_db)
 
 
-@pytest.mark.parametrize("field", ["P", "sigma2_i", "sigma2_e", "sigma2_r",
-                                   "gamma0"])
+@pytest.mark.parametrize("field", ["P", "sigma2", "gamma0"])
 @pytest.mark.parametrize("value", [float("inf"), float("nan")])
 def test_non_finite_power_noise_and_gamma0_rejected(field, value):
     with pytest.raises(ConfigError, match=field):
