@@ -347,8 +347,15 @@ def test_snr_with_unrepresentable_noise_rejected(snr_db):
         SystemConfig().with_snr_db(snr_db)
 
 
-@pytest.mark.parametrize("field", ["P", "sigma2", "gamma0"])
+# The relays (i), eavesdroppers (e) and users (r) all see the one noise
+# variance sigma2; each receiver's case sets its noise through that field.
+_NOISE_FIELD = {"sigma2_i": "sigma2", "sigma2_e": "sigma2", "sigma2_r": "sigma2"}
+
+
+@pytest.mark.parametrize("field", ["P", "sigma2_i", "sigma2_e", "sigma2_r",
+                                   "gamma0"])
 @pytest.mark.parametrize("value", [float("inf"), float("nan")])
 def test_non_finite_power_noise_and_gamma0_rejected(field, value):
-    with pytest.raises(ConfigError, match=field):
-        SystemConfig(**{field: value})
+    name = _NOISE_FIELD.get(field, field)
+    with pytest.raises(ConfigError, match=name):
+        SystemConfig(**{name: value})
