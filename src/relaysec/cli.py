@@ -47,8 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="SNR grid in dB: 'a:b:step' or comma list")
     parser.add_argument("--eta", default="0.5,0.75,1.0,1.25,1.5,1.75",
                         help="power-split grid: comma list in [0, 2]")
-    parser.add_argument("--trials", type=int, default=None,
-                        help="Monte Carlo trials per cell (default: config)")
+    parser.add_argument("--trials", type=int, default=2000,
+                        help="Monte Carlo trials per cell (default: 2000)")
     parser.add_argument("--slots", type=int, default=None,
                         help="time slots per trial (default: config)")
     parser.add_argument("--seed", type=int, default=None,
@@ -70,8 +70,6 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config) if args.config else SystemConfig()
         overrides = {}
-        if args.trials is not None:
-            overrides["trials"] = args.trials
         if args.slots is not None:
             overrides["slots"] = args.slots
         if args.seed is not None:
@@ -98,7 +96,7 @@ def main(argv=None) -> int:
             policies=policies,
             snr_db_grid=_parse_grid(args.snr, "snr"),
             eta_grid=_parse_grid(args.eta, "eta"),
-            trials=config.trials,
+            trials=args.trials,
             slots_per_trial=config.slots,
             workers=args.workers)
         report = monte_carlo(config, sweep)

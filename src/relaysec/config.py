@@ -55,7 +55,6 @@ class SystemConfig:
     buffer_capacity: int = 8
     slots: int = 50
     warmup_slots: int = 5     # leading slots dropped from rate averages
-    trials: int = 2000
     seed: int = 1
     # behaviour switches
     iri_cancellation: bool = True      # attempt IRI cancellation at receivers
@@ -66,7 +65,7 @@ class SystemConfig:
 
     def __post_init__(self):
         for name in ("N_t", "N_r", "N_e", "N_i", "N_k", "M", "N", "Q", "T",
-                     "buffer_capacity", "slots", "trials"):
+                     "buffer_capacity", "slots"):
             if int(getattr(self, name)) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.K < 0:
@@ -147,7 +146,7 @@ def power_split(config: SystemConfig) -> tuple[float, float]:
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(SystemConfig)}
-_SWEEP_KEYS = {"eta": "--eta", "sigma2": "--snr"}
+_SWEEP_KEYS = {"eta": "--eta", "sigma2": "--snr", "trials": "--trials"}
 
 
 def _parse_value(key: str, raw: str):
@@ -173,8 +172,8 @@ def parse_config(text: str) -> SystemConfig:
     """Parse the flat ``key = value`` config format.
 
     Blank lines and ``#`` comments are ignored.  Unknown keys, and the sweep
-    axes ``eta`` and ``sigma2`` (set by ``--eta`` and ``--snr``), are
-    rejected.
+    settings ``eta``, ``sigma2`` and ``trials`` (set by ``--eta``, ``--snr``
+    and ``--trials``), are rejected.
     """
     overrides = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -186,7 +185,7 @@ def parse_config(text: str) -> SystemConfig:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key in _SWEEP_KEYS:
             raise ConfigError(
-                f"config key {key!r} (line {lineno}) is set per sweep cell; "
+                f"config key {key!r} (line {lineno}) is a sweep setting; "
                 f"use {_SWEEP_KEYS[key]}")
         if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key {key!r} (line {lineno})")

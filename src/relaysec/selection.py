@@ -16,7 +16,7 @@ A transmitting relay with an empty buffer stays silent for the slot and
 contributes nothing anywhere (counted in the diagnostics).
 
 The policies differ only in how they pick those roles; :func:`_serve` serves
-them for every policy: buffer replays, reception and storage, the slot count.
+them for every policy: buffer replays, reception and storage.
 
 This module owns the selection metrics and the slot machinery that feeds
 realizations and buffers into the formula kernels: the rate formulas live in
@@ -56,26 +56,23 @@ class DiagCounters:
     phi_feasible: int = 0
     silent_transmitters: int = 0
     clamp_events: int = 0
-    collect_sinrs: bool = False
-    sinrs: list = field(default_factory=list)
 
 
 @dataclass
 class PolicyState:
-    """Single-owner per-trial state: buffers, the index of the next slot, and
-    the jammer set picked at the end of the previous slot.  Every policy step
-    advances it in place."""
+    """Single-owner per-trial state: buffers, the previous ``bf-rjfs`` slot's
+    (realization, jammers, replays), and the trial's counters.  Every policy
+    step advances it in place."""
 
     buffers: dict                 # relay id -> RelayBuffer
-    slot: int
-    pending_jammers: tuple | None = None
+    last_slot: tuple | None = None
     diag: DiagCounters = field(default_factory=DiagCounters)
 
 
 def fresh_state(config: SystemConfig) -> PolicyState:
     buffers = {q: RelayBuffer(q, config.buffer_capacity)
                for q in range(1, config.Q + 1)}
-    return PolicyState(buffers=buffers, slot=0)
+    return PolicyState(buffers=buffers)
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +298,6 @@ def _receive_and_store(state: PolicyState, realization, config: SystemConfig,
             phi = ~feasible
     sinrs = reception_sinr(gamma_S, powers, phi, config.N_i, config.sigma2)
     for i, sinr in zip(receivers, sinrs.tolist()):
-        if state.diag.collect_sinrs:
-            state.diag.sinrs.append(sinr)
         state.buffers[i].push(BufferedSignal(
             snapshot=realization.su_stack[i - 1], sinr_at_reception=sinr,
             slot=realization.slot,
@@ -311,10 +306,10 @@ def _receive_and_store(state: PolicyState, realization, config: SystemConfig,
 
 def _serve(state: PolicyState, realization, config: SystemConfig, receivers,
            transmitters, jamming: bool, objective: float | None = None) -> tuple:
-    """Serve one slot's roles and advance the slot: the transmitting relays
-    replay from their buffers (``jamming``: a peeked record that also jams
-    the eavesdroppers; otherwise a consumed forward-class record), then the
-    receivers classify and store what they hear.  Returns (outcome, state).
+    """Serve one slot's roles: the transmitting relays replay from their
+    buffers (``jamming``: a peeked record that also jams the eavesdroppers;
+    otherwise a consumed forward-class record), then the receivers classify
+    and store what they hear.  Returns (outcome, state).
     """
     receivers, transmitters = tuple(sorted(receivers)), tuple(sorted(transmitters))
     replays = _resolve_replays(state, transmitters, config, forward_only=not jamming)
@@ -322,7 +317,6 @@ def _serve(state: PolicyState, realization, config: SystemConfig, receivers,
         receiving_relays=receivers, jamming_relays=transmitters if jamming else (),
         transmitting_relays=transmitters, replays=replays, objective=objective)
     _receive_and_store(state, realization, config, receivers, replays)
-    state.slot += 1
     return outcome, state
 
 
@@ -360,14 +354,16 @@ def bf_rjfs_step(state: PolicyState, realization, config: SystemConfig,
     """One slot of the joint receive/jam function selection.
 
     Slot 0 seeds the jammer set from the source-channel determinant ranking
-    (best first unless ``worst_sinr_seeding``); afterwards the jammers are the
-    set picked at the end of the previous slot.  Receivers are selected from
-    the remaining pool, reception records are classified and buffered, and
-    the next slot's jammers are then chosen with the jam-side metric.
+    (best first unless ``worst_sinr_seeding``); afterwards the jammers are
+    chosen with the jam-side metric on the previous slot's channels, jammers
+    and replays, against the buffers as that slot left them.  Receivers are
+    selected from the remaining pool, and reception records are classified
+    and buffered.
     """
-    if state.pending_jammers is not None:
-        jammers = state.pending_jammers
-    elif state.slot == 0:
+    if state.last_slot is not None:
+        last, current, replays = state.last_slot
+        jammers, _ = select_jamming_relays(state, last, config, current, replays)
+    elif realization.slot == 0:
         ranking = list(initial_ranking(realization))
         picked = (ranking[-config.K:] if config.worst_sinr_seeding
                   else ranking[:config.K]) if config.K else []
@@ -378,9 +374,7 @@ def bf_rjfs_step(state: PolicyState, realization, config: SystemConfig,
     receivers, _ = select_receiving_relays(state, realization, config, jammers)
     outcome, state = _serve(state, realization, config, receivers, jammers,
                             jamming=True)
-    state.pending_jammers, _ = select_jamming_relays(
-        state, realization, config, current_jammers=jammers,
-        replays=outcome.replays)
+    state.last_slot = (realization, jammers, outcome.replays)
     return outcome, state
 
 

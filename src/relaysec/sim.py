@@ -3,7 +3,9 @@
 Determinism contract: every random draw is keyed by (seed, stream, trial,
 slot) through :func:`relaysec.channel.substream`, trials are aggregated in
 trial-index order, and no timestamps enter the outputs, so a sweep produces
-byte-identical files across reruns and across worker counts.
+byte-identical files across reruns and across worker counts.  One routine,
+:func:`_run_cells`, runs a sweep's calibration pre-runs and trials at every
+worker count; only the ``map`` it is handed differs.
 
 The printed rate formulas carry an implicit unit noise floor, so all powers
 passed into the matrix-rate builders are divided by the one noise variance
@@ -14,6 +16,7 @@ sweep cell sets it from its SNR as sigma^2 = P / 10^(SNR/10).
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 import math
 import statistics
 import struct
@@ -27,7 +30,7 @@ from .channel import (STREAM_CALIBRATION, STREAM_CHANNEL, STREAM_POLICY,
                       gen_network_realization, substream)
 from .config import SystemConfig
 from .errors import ConfigError, NumericError
-from .selection import POLICIES, fresh_state, slot_rate_report
+from .selection import POLICIES, DiagCounters, fresh_state, slot_rate_report
 
 POLICY_ORDER = tuple(POLICIES)
 
@@ -124,11 +127,10 @@ def run_trial(config: SystemConfig, policy: str, trial_index: int) -> list:
 
 
 def _trial_summary(config: SystemConfig, policy: str, trial_index: int):
+    """(mean secrecy rate over the retained slots, DiagCounters) of a trial."""
     reports, diag = _run_trial_full(config, policy, trial_index)
     retained = reports[config.warmup_slots:]
-    mean = sum(r.secrecy_rate for r in retained) / len(retained)
-    return (trial_index, mean, diag.phi_tests, diag.phi_feasible,
-            diag.silent_transmitters, diag.clamp_events)
+    return sum(r.secrecy_rate for r in retained) / len(retained), diag
 
 
 def _float_key(x: float) -> int:
@@ -149,17 +151,19 @@ def calibrate_threshold(config: SystemConfig, policy: str) -> float:
     key = (POLICY_ORDER.index(policy), _float_key(config.sigma2),
            _float_key(config.eta))
     state = fresh_state(cal_cfg)
-    state.diag.collect_sinrs = True
     step = POLICIES[policy]
+    sinrs = []
     for slot in range(cal_cfg.slots):
         rng = substream(cal_cfg.seed, STREAM_CALIBRATION, *key, slot, 0)
         realization = gen_network_realization(cal_cfg, slot, rng)
         prng = (substream(cal_cfg.seed, STREAM_CALIBRATION, *key, slot, 1)
                 if policy == "random" else None)
-        _, state = step(state, realization, cal_cfg, prng)
-    if not state.diag.sinrs:
+        outcome, state = step(state, realization, cal_cfg, prng)
+        sinrs += [state.buffers[i].records[-1].sinr_at_reception
+                  for i in outcome.receiving_relays]
+    if not sinrs:
         return 0.0
-    return float(statistics.median(state.diag.sinrs))
+    return float(statistics.median(sinrs))
 
 
 # Pool tasks are pickled by qualified name, so a wrapper installed over
@@ -169,16 +173,18 @@ def _calibration_worker(args):
     return calibrate_threshold(*args)
 
 
+def _in_process_map(fn, *iterables, chunksize=1):   # chunksize batches pool tasks
+    return map(fn, *iterables)
+
+
 def _run_cell(rows, cell_cfg: SystemConfig, policy: str, snr_db: float,
               eta: float) -> CellResult:
     """Aggregate a cell's ``_trial_summary`` rows, in trial-index order,
-    into its CellResult."""
+    into its CellResult; the DiagCounters fields are summed by name."""
     trials = len(rows)
-    means = np.array([row[1] for row in rows])
-    phi_tests = sum(row[2] for row in rows)
-    phi_feasible = sum(row[3] for row in rows)
-    silent = sum(row[4] for row in rows)
-    clamps = sum(row[5] for row in rows)
+    means = np.array([mean for mean, _ in rows])
+    diag = DiagCounters(**{f.name: sum(getattr(d, f.name) for _, d in rows)
+                           for f in dataclasses.fields(DiagCounters)})
     mean = float(np.mean(means))
     if trials > 1:
         std = float(np.std(means, ddof=1))
@@ -187,28 +193,29 @@ def _run_cell(rows, cell_cfg: SystemConfig, policy: str, snr_db: float,
         std, ci95 = 0.0, None
     return CellResult(
         policy=policy, snr_db=snr_db, eta=eta, mean_secrecy_rate=mean,
-        std=std, ci95=ci95, trials=trials, clamp_events=clamps,
-        iri_feasible_frac=(phi_feasible / phi_tests if phi_tests else 0.0),
-        silent_transmitter_events=silent,
+        std=std, ci95=ci95, trials=trials, clamp_events=diag.clamp_events,
+        iri_feasible_frac=(diag.phi_feasible / diag.phi_tests
+                           if diag.phi_tests else 0.0),
+        silent_transmitter_events=diag.silent_transmitters,
         sinr_threshold=cell_cfg.sinr_threshold)
 
 
-def _pooled_cells(pool, cells: list, sweep: SweepSpec) -> list:
-    """Run every cell on one pool: all calibration pre-runs are queued first,
-    in cell order, then each cell's trials as soon as its threshold is known;
-    rows are read back once every cell is queued."""
-    thresholds = [pool.submit(_calibration_worker, (cfg, policy))
-                  if cfg.sinr_threshold is None else None
-                  for policy, _, _, cfg in cells]
+def _run_cells(map_, cells: list, sweep: SweepSpec) -> list:
+    """Run every cell through ``map_`` (``pool.map``, or the builtin ``map``
+    in process): the calibration pre-runs of all auto-threshold cells are
+    mapped first, in cell order, then each cell's trials once its threshold
+    is known; rows are read back once every cell is mapped."""
+    auto = [(cfg, policy) for policy, _, _, cfg in cells if cfg.sinr_threshold is None]
+    thresholds = map_(_calibration_worker, auto)
     chunksize = max(1, sweep.trials // (sweep.workers * 8))
-    queued = []
-    for (policy, snr_db, eta, cfg), threshold in zip(cells, thresholds):
-        if threshold is not None:
-            cfg = cfg.replace(sinr_threshold=threshold.result())
-        rows = pool.map(_trial_summary, repeat(cfg), repeat(policy),
-                        range(sweep.trials), chunksize=chunksize)
-        queued.append((rows, cfg, policy, snr_db, eta))
-    return [_run_cell(list(rows), *cell) for rows, *cell in queued]
+    mapped = []
+    for policy, snr_db, eta, cfg in cells:
+        if cfg.sinr_threshold is None:
+            cfg = cfg.replace(sinr_threshold=next(thresholds))
+        rows = map_(_trial_summary, repeat(cfg), repeat(policy),
+                    range(sweep.trials), chunksize=chunksize)
+        mapped.append((rows, cfg, policy, snr_db, eta))
+    return [_run_cell(list(rows), *cell) for rows, *cell in mapped]
 
 
 def monte_carlo(config: SystemConfig, sweep: SweepSpec) -> SecrecyReport:
@@ -216,11 +223,11 @@ def monte_carlo(config: SystemConfig, sweep: SweepSpec) -> SecrecyReport:
 
     Cells are independent: each derives its RNG streams and its calibrated
     threshold from (seed, policy, SNR, eta) alone, so adding or removing grid
-    points does not change the numbers of the remaining cells.  At
-    ``sweep.workers == 1`` everything runs in this process, cell by cell; at
-    N > 1 one pool of N processes runs the calibration pre-runs and the
-    trials of every cell, and the outputs are bit-identical for any N.  An
-    error in a pooled task is raised here when its cell is read back, and
+    points does not change the numbers of the remaining cells.  Every sweep
+    runs through :func:`_run_cells`, which maps all calibration pre-runs
+    before any trial: in this process at ``sweep.workers == 1``, on one pool
+    of N processes at N > 1.  The outputs are bit-identical for any N.  An
+    error in a pooled task is raised here when its result is read back, and
     the work still queued in the pool is cancelled, not run.
     """
     cells = [(policy, snr_db, eta,
@@ -228,19 +235,14 @@ def monte_carlo(config: SystemConfig, sweep: SweepSpec) -> SecrecyReport:
              for policy in sweep.policies
              for snr_db in sweep.snr_db_grid
              for eta in sweep.eta_grid]
-    if sweep.workers > 1:
+    if sweep.workers == 1:
+        results = _run_cells(_in_process_map, cells, sweep)
+    else:
         pool = concurrent.futures.ProcessPoolExecutor(max_workers=sweep.workers)
         try:
-            results = _pooled_cells(pool, cells, sweep)
+            results = _run_cells(pool.map, cells, sweep)
         finally:
             pool.shutdown(cancel_futures=True)
-    else:
-        results = []
-        for policy, snr_db, eta, cfg in cells:
-            if cfg.sinr_threshold is None:
-                cfg = cfg.replace(sinr_threshold=calibrate_threshold(cfg, policy))
-            rows = [_trial_summary(cfg, policy, t) for t in range(sweep.trials)]
-            results.append(_run_cell(rows, cfg, policy, snr_db, eta))
     return SecrecyReport(cells=tuple(results), config=config, sweep=sweep)
 
 

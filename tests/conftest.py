@@ -31,7 +31,7 @@ def small_config(**overrides):
     """Q=4 scenario small enough for exhaustive enumeration in tests."""
     defaults = dict(N_t=2, N_r=2, N_e=2, N_i=2, N_k=2, M=2, N=2,
                     Q=4, T=2, K=2, sinr_threshold=1.0,
-                    slots=5, warmup_slots=0, trials=4, buffer_capacity=4)
+                    slots=5, warmup_slots=0, buffer_capacity=4)
     defaults.update(overrides)
     return SystemConfig(**defaults)
 
@@ -83,7 +83,6 @@ def make_instance(config, seed, start_slot=10):
                 sinr_at_reception=sinr,
                 slot=j,
                 signal_class=classify_signal(sinr, threshold)))
-    state.slot = start_slot
     realization = gen_network_realization(
         config, start_slot, substream(config.seed, STREAM_INSTANCE, seed, 1))
     return state, realization

@@ -77,10 +77,12 @@ def test_cli_infinite_power_or_noise_in_config(tmp_path, capsys, line):
 
 
 @pytest.mark.parametrize("line,flag", [("eta = 0.2", "--eta"),
-                                       ("sigma2 = 100", "--snr")],
-                         ids=["eta", "sigma2"])
+                                       ("sigma2 = 100", "--snr"),
+                                       ("trials = 10", "--trials")],
+                         ids=["eta", "sigma2", "trials"])
 def test_cli_sweep_axis_in_config_rejected(tmp_path, capsys, line, flag):
-    # --eta and --snr set these per sweep cell; a file value would be ignored
+    # --eta, --snr and --trials set these for the sweep; a file value would be
+    # ignored
     bad = tmp_path / "bad.cfg"
     bad.write_text(line + "\n")
     out = tmp_path / "x.csv"

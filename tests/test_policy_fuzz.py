@@ -33,7 +33,7 @@ def small_scenarios(draw):
         selection_noise_floor=draw(st.booleans()),
         rate_unit=draw(st.sampled_from(["bits", "nats"])),
         seed=draw(st.integers(0, 2**32)),
-        slots=3, warmup_slots=0, trials=1)
+        slots=3, warmup_slots=0)
     return kwargs, draw(st.sampled_from([-10.0, 10.0, 30.0]))
 
 

@@ -222,8 +222,9 @@ def test_bf_rjfs_slot0_seeds_best_ranking():
     assert outcome.jamming_relays == tuple(sorted(ranking[:2]))
     assert outcome.transmitting_relays == outcome.jamming_relays
     assert outcome.receiving_relays == tuple(sorted(ranking[2:]))
-    assert new_state.slot == 1
-    assert new_state.pending_jammers is not None
+    last, jammers, replays = new_state.last_slot
+    assert last is real and jammers == outcome.jamming_relays
+    assert replays is outcome.replays
 
 
 def test_bf_rjfs_slot0_worst_seeding_flag():
@@ -662,7 +663,6 @@ def _permute_state(state, config, perm):
     for q, buf in state.buffers.items():
         for rec in buf.records:
             new.buffers[perm[q]].push(rec)
-    new.slot = state.slot
     return new
 
 

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+import relaysec.selection
 import relaysec.sim
 from relaysec.config import SystemConfig, load_config, parse_config, power_split
 from relaysec.errors import ConfigError, NumericError
@@ -67,6 +68,23 @@ def test_run_trial_distinct_across_trials():
     a = run_trial(cfg, "bf-rjfs", trial_index=0)
     b = run_trial(cfg, "bf-rjfs", trial_index=1)
     assert [r.secrecy_rate for r in a] != [r.secrecy_rate for r in b]
+
+
+def test_bf_rjfs_picks_no_jammers_after_the_last_slot(monkeypatch):
+    # slot 0 seeds the jammers from the ranking; each later slot picks its
+    # own at its start, so a trial of S slots runs the jam-side metric S - 1
+    # times and never for a slot that does not exist
+    select = relaysec.selection.select_jamming_relays
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return select(*args, **kwargs)
+
+    monkeypatch.setattr(relaysec.selection, "select_jamming_relays", counted)
+    cfg = small_config(seed=77, slots=6)
+    run_trial(cfg, "bf-rjfs", 0)
+    assert len(calls) == cfg.slots - 1
 
 
 def test_report_structure():
@@ -180,16 +198,20 @@ def test_one_pool_per_sweep_runs_calibration(monkeypatch):
 
 def test_pooled_calibration_through_a_wrapped_calibrate_threshold(monkeypatch):
     # a timing harness wraps calibrate_threshold in a local closure, which a
-    # pool cannot pickle; the pool must be handed a module-level task instead
+    # pool cannot pickle; the pool must be handed a module-level task instead,
+    # and in process every calibration must still go through the wrapper
     calibrate = relaysec.sim.calibrate_threshold
+    calls = []
 
     def timed(*args, **kwargs):
+        calls.append(args)
         return calibrate(*args, **kwargs)
 
     monkeypatch.setattr(relaysec.sim, "calibrate_threshold", timed)
     cfg = small_config(sinr_threshold=None, seed=23, warmup_slots=1)
     sweep = _tiny_sweep(policies=("bf-rjfs",), trials=2)
     serial = monte_carlo(cfg, sweep)
+    assert len(calls) == len(serial.cells) == 2   # one per auto-threshold cell
     pooled = monte_carlo(cfg, dataclasses.replace(sweep, workers=2))
     assert all(cell.sinr_threshold > 0.0 for cell in serial.cells)
     assert pooled.cells == serial.cells
