@@ -51,7 +51,7 @@ def gram(H: np.ndarray) -> np.ndarray:
     H = np.asarray(H)
     if H.ndim < 2:
         raise ValueError(f"expected a matrix or a matrix stack, got ndim={H.ndim}")
-    return H @ np.swapaxes(H.conj(), -1, -2)
+    return H @ H.conj().swapaxes(-1, -2)
 
 
 def received_power(H: np.ndarray):
@@ -69,7 +69,9 @@ class NetworkRealization:
     """One slot's complete set of channel matrices, as read-only stacks.
 
     Relay id q is row ``q - 1`` of the relay-indexed stacks (``rr_row`` gives
-    the row of a relay pair); eavesdroppers and users are positional.
+    the row of a relay pair); eavesdroppers and users are positional.  A lane
+    realization holds B slots of independent lanes: every stack gains a
+    leading lane axis.
     """
 
     slot: int
@@ -87,8 +89,7 @@ class NetworkRealization:
         return (k - 1) * (self.Q - 1) + (i - 1) - (1 if i > k else 0)
 
 
-def gen_network_realization(config, slot: int,
-                            rng: np.random.Generator) -> NetworkRealization:
+def gen_network_realization(config, slot: int, rng) -> NetworkRealization:
     """Draw all channels for one slot (independent across slots: block fading).
 
     All entries come from a single batched i.i.d. CN(0, 1) draw, carved in a
@@ -96,8 +97,12 @@ def gen_network_realization(config, slot: int,
     relay->relay in ascending (k, i) with k != i, relay->eavesdropper
     (relay-major), then relay->user (relay-major).  Entries fill each matrix
     in row-major order, so the realization is a pure function of the rng
-    state, hence of (seed, trial, slot).
+    state, hence of (seed, trial, slot).  ``rng`` is one generator, or a list
+    of B generators for a lane realization whose lane b is what generator b
+    alone would give.
     """
+    lanes = isinstance(rng, list)
+    rngs = rng if lanes else [rng]
     Q, M, N = config.Q, config.M, config.N
     N_t, N_r, N_e, N_i, N_k = (config.N_t, config.N_r, config.N_e,
                                config.N_i, config.N_k)
@@ -109,13 +114,14 @@ def gen_network_realization(config, slot: int,
         (Q, M, N_r, N_k),
     )
     sizes = [math.prod(s) for s in shapes]
-    parts = rng.standard_normal((sum(sizes), 2))
-    flat = _SQRT_HALF * (parts[:, 0] + 1j * parts[:, 1])
+    parts = np.stack([g.standard_normal((sum(sizes), 2)) for g in rngs])
+    flat = _SQRT_HALF * parts.view(complex)[..., 0]    # real, imaginary pairs
     flat.flags.writeable = False
     blocks = []
     offset = 0
     for shape, size in zip(shapes, sizes):
-        blocks.append(flat[offset:offset + size].reshape(shape))
+        block = flat[:, offset:offset + size].reshape((len(rngs),) + shape)
+        blocks.append(block if lanes else block[0])
         offset += size
     su, se, rr, re, ru = blocks
     return NetworkRealization(

@@ -49,8 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="power-split grid: comma list in [0, 2]")
     parser.add_argument("--trials", type=int, default=2000,
                         help="Monte Carlo trials per cell (default: 2000)")
-    parser.add_argument("--slots", type=int, default=None,
-                        help="time slots per trial (default: config)")
+    parser.add_argument("--slots", type=int, default=50,
+                        help="time slots per trial (default: 50)")
     parser.add_argument("--seed", type=int, default=None,
                         help="root seed, unsigned 64-bit (default: config)")
     parser.add_argument("--out", required=True, help="output CSV path")
@@ -70,8 +70,6 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config) if args.config else SystemConfig()
         overrides = {}
-        if args.slots is not None:
-            overrides["slots"] = args.slots
         if args.seed is not None:
             overrides["seed"] = args.seed
         if args.no_iri_cancel:
@@ -97,7 +95,7 @@ def main(argv=None) -> int:
             snr_db_grid=_parse_grid(args.snr, "snr"),
             eta_grid=_parse_grid(args.eta, "eta"),
             trials=args.trials,
-            slots_per_trial=config.slots,
+            slots_per_trial=args.slots,
             workers=args.workers)
         report = monte_carlo(config, sweep)
         emit_results(report, args.out)

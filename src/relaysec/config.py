@@ -4,7 +4,8 @@ All scenario scalars live in a single frozen dataclass so that a simulation
 cell (one policy at one SNR and one power split) is a pure function of the
 config plus the root seed.  Field names double as the keys of the flat
 key-value config file format understood by :func:`load_config`, except the
-sweep axes ``eta`` and ``sigma2``, which every sweep cell sets itself.
+sweep axes ``eta`` and ``sigma2``, which every sweep cell sets itself.  The
+trial and slot counts are sweep settings too (:class:`relaysec.sim.SweepSpec`).
 """
 
 from __future__ import annotations
@@ -51,10 +52,9 @@ class SystemConfig:
     # thresholds
     gamma0: float = 1.0               # IRI-cancellation decodability threshold
     sinr_threshold: float | None = None   # None -> auto-calibrated per cell
-    # buffering and run sizes
+    # buffering and rate averaging
     buffer_capacity: int = 8
-    slots: int = 50
-    warmup_slots: int = 5     # leading slots dropped from rate averages
+    warmup_slots: int = 5     # leading slots of a trial dropped from rate averages
     seed: int = 1
     # behaviour switches
     iri_cancellation: bool = True      # attempt IRI cancellation at receivers
@@ -65,7 +65,7 @@ class SystemConfig:
 
     def __post_init__(self):
         for name in ("N_t", "N_r", "N_e", "N_i", "N_k", "M", "N", "Q", "T",
-                     "buffer_capacity", "slots"):
+                     "buffer_capacity"):
             if int(getattr(self, name)) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.K < 0:
@@ -98,10 +98,8 @@ class SystemConfig:
             if math.isnan(self.sinr_threshold) or self.sinr_threshold < 0:
                 raise ConfigError(
                     f"sinr_threshold must be >= 0 or None, got {self.sinr_threshold}")
-        if not (0 <= self.warmup_slots < self.slots):
-            raise ConfigError(
-                f"warmup_slots must lie in [0, slots), got "
-                f"warmup_slots={self.warmup_slots}, slots={self.slots}")
+        if self.warmup_slots < 0:
+            raise ConfigError(f"warmup_slots must be >= 0, got {self.warmup_slots}")
         if not (0 <= self.seed < _MAX_SEED):
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         if self.rate_unit not in ("bits", "nats"):
@@ -146,7 +144,8 @@ def power_split(config: SystemConfig) -> tuple[float, float]:
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(SystemConfig)}
-_SWEEP_KEYS = {"eta": "--eta", "sigma2": "--snr", "trials": "--trials"}
+_SWEEP_KEYS = {"eta": "--eta", "sigma2": "--snr", "trials": "--trials",
+               "slots": "--slots"}
 
 
 def _parse_value(key: str, raw: str):
@@ -172,8 +171,8 @@ def parse_config(text: str) -> SystemConfig:
     """Parse the flat ``key = value`` config format.
 
     Blank lines and ``#`` comments are ignored.  Unknown keys, and the sweep
-    settings ``eta``, ``sigma2`` and ``trials`` (set by ``--eta``, ``--snr``
-    and ``--trials``), are rejected.
+    settings ``eta``, ``sigma2``, ``trials`` and ``slots`` (set by ``--eta``,
+    ``--snr``, ``--trials`` and ``--slots``), are rejected.
     """
     overrides = {}
     for lineno, line in enumerate(text.splitlines(), start=1):

@@ -56,7 +56,8 @@ def relayed_link_power(H_ab: np.ndarray, H_stored: np.ndarray):
 def iri_feasible(H_i: np.ndarray, H_ki: np.ndarray, P_tx: float,
                  P_relay: float, N_t: int, N_k: int, gamma0: float) -> np.ndarray:
     """Batched IRI-cancellation test over broadcast (..., N_i, N_t) source
-    channels ``H_i`` and (..., N_i, N_k) interferer channels ``H_ki``.
+    channels ``H_i`` and (..., N_i, N_k) interferer channels ``H_ki``; the
+    powers are numbers or arrays that broadcast against the Gram stacks.
 
     Relay i can decode-and-subtract relay k's interference iff
     det((P_tx/N_t * H_i H_i^H + I)^{-1} (P_relay/N_k * H_ki H_ki^H)) >= gamma0,
@@ -73,11 +74,12 @@ def iri_feasible(H_i: np.ndarray, H_ki: np.ndarray, P_tx: float,
 def reception_sinr(gamma_S: np.ndarray, interference: np.ndarray, phi,
                    N_i: int, sigma2: float) -> np.ndarray:
     """Reception SINR gamma_S / (sum_k phi_k gamma_k + N_i sigma2) of R
-    receiving relays: ``gamma_S`` is the (R,) source power, ``interference``
-    the (A, R) power of each interferer at each receiver, and ``phi``
-    (broadcast to (A, R)) is 0 where that interference was cancelled, else 1.
+    receiving relays: ``gamma_S`` is the (..., R) source power,
+    ``interference`` the (..., A, R) power of each interferer at each
+    receiver, and ``phi`` (broadcast to it) is 0 where that interference was
+    cancelled, else 1; ``sigma2`` broadcasts against (..., R).
     """
-    return gamma_S / ((phi * interference).sum(axis=0) + N_i * sigma2)
+    return gamma_S / ((phi * interference).sum(axis=-2) + N_i * sigma2)
 
 
 def iri_cancellation_feasible(H_i: np.ndarray, H_ki: np.ndarray,

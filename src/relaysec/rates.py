@@ -94,16 +94,16 @@ def clamped_logdet_rate(Gamma: np.ndarray, base: float = 2.0) -> tuple[float, bo
     A negative log-determinant or a nonpositive determinant real part (both
     artifacts of the non-Hermitian sums) clamps to 0 and flags the event.
     """
-    rates, clamps = clamped_logdet_rate_stack(np.asarray(Gamma)[None], base)
-    return float(rates[0]), clamps == 1
+    rates, clamped = clamped_logdet_rate_stack(np.asarray(Gamma)[None], base)
+    return float(rates[0]), bool(clamped[0])
 
 
 def clamped_logdet_rate_stack(Gammas: np.ndarray,
-                              base: float = 2.0) -> tuple[np.ndarray, int]:
-    """Vectorized :func:`clamped_logdet_rate`: (rates, clamp event count)."""
+                              base: float = 2.0) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized :func:`clamped_logdet_rate`: (rates, clamp flags), both
+    over the leading axes of the stack."""
     real = _dets_identity_plus(Gammas).real
-    clamps = int(np.count_nonzero(real < 1.0))
-    return np.log(np.maximum(real, 1.0)) / math.log(base), clamps
+    return np.log(np.maximum(real, 1.0)) / math.log(base), real < 1.0
 
 
 def user_rate(Gamma_r: np.ndarray, base: float = 2.0) -> float:
@@ -138,8 +138,9 @@ def relay_terms(channel_grams: np.ndarray, factors: np.ndarray,
 
 def eav_sinr(H_e: np.ndarray, Delta: np.ndarray, P_tx: float, N_t: int) -> np.ndarray:
     """Per-eavesdropper SINR matrices (I + Delta)^{-1} (P_tx/N_t) H_e H_e^H
-    of the (N, N_e, N_t) stack ``H_e``, for one (N_e, N_e) interference
-    covariance or a (..., N_e, N_e) batch: shape (..., N, N_e, N_e)."""
+    of the (..., N, N_e, N_t) stack ``H_e`` against (..., N_e, N_e)
+    interference covariances, the leading axes broadcast against each other:
+    shape (..., N, N_e, N_e)."""
     signals = (P_tx / N_t) * gram(H_e)
     return np.linalg.solve(_eye(Delta.shape[-1]) + Delta[..., None, :, :], signals)
 
@@ -151,5 +152,6 @@ def secrecy_rate(user_rates, eav_rates):
     eav_rates = np.asarray(eav_rates, dtype=float)
     if user_rates.shape[-1] == 0 or eav_rates.shape[-1] == 0:
         raise ValueError("rate lists must be nonempty")
-    diffs = user_rates[..., :, None] - eav_rates[..., None, :]
-    return np.maximum(diffs, 0.0).sum(axis=(-2, -1))
+    gains = np.maximum(user_rates[..., :, None] - eav_rates[..., None, :], 0.0)
+    # a row-major copy, so that every pair list sums in the same order
+    return gains.reshape(gains.shape[:-2] + (-1,)).sum(axis=-1)

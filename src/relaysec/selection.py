@@ -1,22 +1,35 @@
-"""Per-slot relay/jammer role assignment: the joint receive/jam policy, the
-conventional baselines, and the exhaustive assignment oracle.
+"""Per-slot relay/jammer role assignment on lanes: the joint receive/jam
+policy, the conventional baselines, and the exhaustive assignment oracle.
+
+The engine advances B independent slot sequences of one policy, its lanes, in
+lockstep.  Every array carries the lane axis first.  Lane b has its own noise
+variance, power split and threshold (:class:`Lanes`) and its own buffers (a
+:class:`~relaysec.buffers.BufferBank`); the other config fields are shared.
+Relays are indexed 0..Q-1 here (relay id q is index q - 1), and a role set
+is a (B, Q) boolean mask, so ascending ids are index order.  Every tie-break
+is taken per lane.
 
 Role semantics shared by the whole simulator:
 
-* ``receiving_relays`` listen to the source this slot and push a classified
+* the receivers listen to the source this slot and push a classified
   reception record into their buffer.
-* ``transmitting_relays`` replay a buffered signal; their replays are the
-  users' signal source.
-* ``jamming_relays`` are the transmitting relays whose replays also degrade
-  the eavesdroppers.  The joint policies use one set for both roles; the
+* the transmitters replay a buffered signal; their replays are the users'
+  signal source.
+* the jammers are the transmitters whose replays also degrade the
+  eavesdroppers.  The joint policies use one set for both roles; the
   conventional baselines forward without bothering the eavesdroppers, so
   their jamming set is empty.
 
-A transmitting relay with an empty buffer stays silent for the slot and
-contributes nothing anywhere (counted in the diagnostics).
+A transmitter with an empty buffer stays silent for the slot and contributes
+nothing anywhere (counted in the diagnostics).
 
 The policies differ only in how they pick those roles; :func:`_serve` serves
 them for every policy: buffer replays, reception and storage.
+
+The one-lane views (:func:`fresh_state`, the ``POLICIES`` steps and
+:func:`slot_rate_report`) take one realization without lane axis and one
+config, give roles as tuples of relay ids and records as
+:class:`~relaysec.buffers.BufferedSignal`, and run the lane code on one lane.
 
 This module owns the selection metrics and the slot machinery that feeds
 realizations and buffers into the formula kernels: the rate formulas live in
@@ -26,14 +39,16 @@ and the Gram in :mod:`relaysec.channel`.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import rates
-from .buffers import BufferedSignal, RelayBuffer, classify_signal
+from .buffers import BufferBank, Records, SignalClass, classify_signal
 from .channel import gram
 from .config import SystemConfig, power_split
 from .errors import ConfigError
@@ -43,15 +58,51 @@ from .link_metrics import (iri_feasible, reception_sinr, relayed_link_power,
 
 @dataclass(frozen=True)
 class SelectionOutcome:
-    receiving_relays: tuple       # sorted relay ids, |.| == T
+    """One lane's slot roles, as relay ids."""
+
+    receiving_relays: tuple       # sorted relay ids, |.| <= T
     jamming_relays: tuple         # sorted relay ids, |.| <= K
     transmitting_relays: tuple    # sorted relay ids serving the users
     replays: dict                 # relay id -> BufferedSignal actually replayed
     objective: float | None = None  # oracle: maximized slot secrecy rate
 
 
+@dataclass(frozen=True)
+class LaneOutcome:
+    """One slot's roles in every lane, as (B, Q) masks.  ``replays`` holds
+    the record each transmitter replayed, ``sinr`` the reception SINR each
+    receiver stored (0 elsewhere), ``objective`` the oracle's slot secrecy
+    rate per lane."""
+
+    receivers: np.ndarray
+    transmitters: np.ndarray
+    jamming: bool                 # the transmitters also jam
+    replays: Records
+    sinr: np.ndarray
+    objective: np.ndarray | None = None
+
+    @property
+    def jammers(self) -> np.ndarray:
+        return self.transmitters if self.jamming else np.zeros_like(self.transmitters)
+
+    def view(self, lane: int) -> SelectionOutcome:
+        def ids(mask):
+            return tuple((np.flatnonzero(mask[lane]) + 1).tolist())
+
+        transmitters = ids(self.transmitters)
+        return SelectionOutcome(
+            receiving_relays=ids(self.receivers),
+            jamming_relays=transmitters if self.jamming else (),
+            transmitting_relays=transmitters,
+            replays={q: self.replays.record(lane, q - 1) for q in transmitters
+                     if self.replays.found[lane, q - 1]},
+            objective=None if self.objective is None else float(self.objective[lane]))
+
+
 @dataclass
 class DiagCounters:
+    """Event counts: integers for one trial, (B,) arrays in a lane state."""
+
     phi_tests: int = 0
     phi_feasible: int = 0
     silent_transmitters: int = 0
@@ -60,297 +111,410 @@ class DiagCounters:
 
 @dataclass
 class PolicyState:
-    """Single-owner per-trial state: buffers, the previous ``bf-rjfs`` slot's
-    (realization, jammers, replays), and the trial's counters.  Every policy
-    step advances it in place."""
+    """Single-owner state of a batch of lanes: buffers, the previous
+    ``bf-rjfs`` slot's (realization, jammers, replays), and the per-lane
+    counters.  Every policy step advances it in place."""
 
-    buffers: dict                 # relay id -> RelayBuffer
+    buffers: BufferBank
+    diag: DiagCounters
     last_slot: tuple | None = None
-    diag: DiagCounters = field(default_factory=DiagCounters)
 
 
-def fresh_state(config: SystemConfig) -> PolicyState:
-    buffers = {q: RelayBuffer(q, config.buffer_capacity)
-               for q in range(1, config.Q + 1)}
-    return PolicyState(buffers=buffers)
+def fresh_state(config: SystemConfig, lanes: int = 1) -> PolicyState:
+    return PolicyState(
+        buffers=BufferBank(lanes, config.Q, config.buffer_capacity,
+                           (config.N_i, config.N_t)),
+        diag=DiagCounters(**{f.name: np.zeros(lanes, dtype=np.int64)
+                             for f in dataclasses.fields(DiagCounters)}))
+
+
+@dataclass(frozen=True)
+class Lanes:
+    """Per-lane parameters of a batch.  ``config`` holds every shared field;
+    a lane's own configuration may differ from it only in eta, sigma2 and
+    sinr_threshold."""
+
+    config: SystemConfig
+    p_tx: np.ndarray          # (B,) transmitter power
+    p_rel: np.ndarray         # (B,) power of each transmitting relay
+    sigma2: np.ndarray        # (B,) noise variance
+    threshold: np.ndarray     # (B,) classification threshold, NaN if unresolved
+    snr_tx: np.ndarray        # (B,) p_tx / sigma2
+    snr_rel: np.ndarray       # (B,) p_rel / sigma2
+
+    @classmethod
+    def of(cls, configs) -> "Lanes":
+        """Lane b runs ``configs[b]``; raises ConfigError if two of them
+        differ in a shared field."""
+        base = configs[0]
+        for cfg in configs:
+            if cfg is not base and cfg.replace(
+                    eta=base.eta, sigma2=base.sigma2,
+                    sinr_threshold=base.sinr_threshold) != base:
+                raise ConfigError("the lanes of a batch may differ only in "
+                                  "eta, sigma2 and sinr_threshold")
+        p_tx, p_rel = np.array([power_split(cfg) for cfg in configs]).T
+        sigma2 = np.array([cfg.sigma2 for cfg in configs])
+        return cls(config=base, p_tx=p_tx, p_rel=p_rel, sigma2=sigma2,
+                   threshold=np.array([np.nan if cfg.sinr_threshold is None
+                                       else cfg.sinr_threshold for cfg in configs]),
+                   snr_tx=p_tx / sigma2, snr_rel=p_rel / sigma2)
+
+
+# ---------------------------------------------------------------------------
+# lane helpers
+
+
+def _col(values: np.ndarray, ndim: int) -> np.ndarray:
+    """Per-lane values (B,) shaped to broadcast against a rank-``ndim``
+    array whose first axis is the lane axis."""
+    return values.reshape((-1,) + (1,) * (ndim - 1))
+
+
+def _mask(relays: np.ndarray, Q: int) -> np.ndarray:
+    """(B, Q) mask of the relay indices in each row of ``relays``."""
+    mask = np.zeros((len(relays), Q), dtype=bool)
+    mask[np.arange(len(relays))[:, None], relays] = True
+    return mask
+
+
+def _members(mask: np.ndarray) -> tuple:
+    """Each lane's relay indices in ``mask``, ascending, as a (B, X) array
+    padded with indices outside the mask (X is the largest count), and the
+    (B, X) mask of the real entries."""
+    counts = mask.sum(axis=1)
+    relays = np.argsort(~mask, axis=1, kind="stable")[:, :counts.max(initial=0)]
+    return relays, np.arange(relays.shape[1]) < counts[:, None]
+
+
+def _top(values: np.ndarray, n: int, allowed: np.ndarray | None = None) -> np.ndarray:
+    """(B, Q) mask of each lane's n largest ``values`` among the ``allowed``
+    relays (all by default), ties to the lower index."""
+    if allowed is None:
+        return _mask(np.argsort(-values, axis=1, kind="stable")[:, :n], values.shape[1])
+    order = np.lexsort((-values, ~allowed), axis=1)
+    return _mask(order[:, :n], values.shape[1]) & allowed
+
+
+def _relay_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum of (B, Q, ...) per-relay terms over the relays, in ascending
+    order (``sum`` may regroup a long run of small terms pairwise)."""
+    return np.cumsum(terms, axis=1)[:, -1]
+
+
+def _lane_axis(realization):
+    """The one-lane realization of a realization without lane axis."""
+    return dataclasses.replace(
+        realization, su_stack=realization.su_stack[None],
+        se_stack=realization.se_stack[None], rr_stack=realization.rr_stack[None],
+        re_stack=realization.re_stack[None], ru_stack=realization.ru_stack[None])
+
+
+@functools.lru_cache(maxsize=8)
+def _rr_rows(Q: int) -> np.ndarray:
+    """(Q, Q) row of ``rr_stack`` of each (sender, receiver) relay index
+    pair; a relay paired with itself gets row 0."""
+    k, i = np.indices((Q, Q))
+    rows = np.where(k == i, 0, k * (Q - 1) + i - (i > k))
+    rows.flags.writeable = False     # shared by every caller
+    return rows
+
+
+def _rr_block(realization, senders: np.ndarray, receivers: np.ndarray) -> np.ndarray:
+    """Relay->relay channels from ``senders`` to ``receivers``, relay index
+    arrays that broadcast to (B, X, Y): shape (B, X, Y, N_i, N_k).  A relay
+    paired with itself gets an arbitrary channel."""
+    rows = _rr_rows(realization.Q)[senders, receivers]
+    return realization.rr_stack[np.arange(len(rows))[:, None, None], rows]
+
+
+def _peek(state: PolicyState) -> Records:
+    """The record each relay would replay as jamming now."""
+    return state.buffers.take(*state.buffers.peek_jamming())
 
 
 # ---------------------------------------------------------------------------
 # metric primitives
 
 
-def initial_ranking(realization) -> dict:
-    """Real det(H_q H_q^H) per relay id, in rank order: descending
-    determinant, ties by ascending id."""
-    dets = {q + 1: float(d) for q, d in
-            enumerate(np.linalg.det(gram(realization.su_stack)).real)}
-    return {q: dets[q] for q in sorted(dets, key=lambda q: (-dets[q], q))}
+def initial_ranking(realization) -> np.ndarray:
+    """Relay ids of each lane in rank order, (B, Q): descending real
+    det(H_q H_q^H) of the source links, ties by ascending id."""
+    dets = np.linalg.det(gram(realization.su_stack)).real
+    return np.argsort(-dets, axis=1, kind="stable") + 1
 
 
-def _peek_replays(state: PolicyState, relay_ids) -> dict:
-    """Record each relay would replay as jamming now; silent relays are
-    absent."""
-    return {k: rec for k in relay_ids
-            if (rec := state.buffers[k].peek_jamming()) is not None}
+def _factors(lanes: Lanes, replays: Records) -> np.ndarray:
+    """(B, Q, N_i, N_i) stored-signal factors of every relay's replay (of a
+    zero snapshot where it has none)."""
+    return rates.stored_signal_factor(
+        replays.snapshot, _col(lanes.snr_tx, 4), lanes.config.N_t)
 
 
-def _replay_stack(replays: dict, relay_ids) -> tuple:
-    """Ascending ids of the relays in ``relay_ids`` that have a replay, and
-    their (A, N_i, N_t) snapshot stack (None when there are none)."""
-    active = [k for k in sorted(relay_ids) if k in replays]
-    if not active:
-        return active, None
-    return active, np.stack([np.asarray(replays[k].snapshot) for k in active])
-
-
-def _rr_block(realization, senders, receivers) -> np.ndarray:
-    """(len(senders), len(receivers), N_i, N_k) relay->relay channels."""
-    rows = [[realization.rr_row(k, i) for i in receivers] for k in senders]
-    return realization.rr_stack[rows]
-
-
-def _user_terms(realization, config: SystemConfig, active, snaps) -> np.ndarray:
-    """(A, T, N_r, N_r) user-side terms of the replaying relays ``active``
-    (ascending ids, snapshot stack ``snaps``); user-side entry t is user
-    t mod M."""
-    p_tx, p_rel = power_split(config)
+def _user_terms(realization, lanes: Lanes, factors: np.ndarray) -> np.ndarray:
+    """(B, Q, T, N_r, N_r) user-side terms of every relay replaying a record
+    with stored-signal ``factors``; user-side entry t is user t mod M."""
+    config = lanes.config
     users = [t % config.M for t in range(config.T)]
-    H_u = realization.ru_stack[[k - 1 for k in active]][:, users]
-    factors = rates.stored_signal_factor(snaps, p_tx / config.sigma2, config.N_t)
-    return rates.relay_terms(gram(H_u), factors[:, None], p_rel / config.sigma2,
-                             config.N_k)
+    return rates.relay_terms(gram(realization.ru_stack[:, :, users]),
+                             factors[:, :, None],
+                             _col(lanes.snr_rel, 5), config.N_k)
 
 
-def _jamming_terms(realization, config: SystemConfig, active, snaps) -> np.ndarray:
-    """(A, N_e, N_e) jamming terms of the replaying relays ``active``."""
-    p_tx, p_rel = power_split(config)
-    factors = rates.stored_signal_factor(snaps, p_tx / config.sigma2, config.N_t)
-    grams = gram(realization.re_stack[[k - 1 for k in active]]).sum(axis=1)
-    return rates.relay_terms(grams, factors, p_rel / config.sigma2, config.N_k)
+def _jamming_terms(realization, lanes: Lanes, factors: np.ndarray) -> np.ndarray:
+    """(B, Q, N_e, N_e) jamming terms of every relay replaying a record with
+    stored-signal ``factors``."""
+    return rates.relay_terms(gram(realization.re_stack).sum(axis=2), factors,
+                             _col(lanes.snr_rel, 4), lanes.config.N_k)
 
 
-def _eav_interference(realization, config: SystemConfig, active,
-                      snaps) -> np.ndarray:
-    """Aggregate jamming covariance at the eavesdroppers: the terms of the
-    replaying jammers ``active`` (a :func:`_replay_stack`) summed in
-    ascending relay order."""
-    if not active:
-        return np.zeros((config.N_e, config.N_e))
-    return _jamming_terms(realization, config, active, snaps).sum(axis=0)
+def _eav_interference(realization, lanes: Lanes, active: np.ndarray,
+                      factors: np.ndarray) -> np.ndarray:
+    """(B, N_e, N_e) aggregate jamming covariance at the eavesdroppers: the
+    terms of the ``active`` (B, Q) relays, jammers that replay a record with
+    stored-signal ``factors``, in ascending relay order."""
+    if not active.any():
+        N_e = lanes.config.N_e
+        return np.zeros((len(active), N_e, N_e), dtype=complex)
+    terms = _jamming_terms(realization, lanes, factors)
+    return _relay_sum(np.where(active[..., None, None], terms, 0))
 
 
-def _slot_rates(realization, config: SystemConfig, user_gammas: np.ndarray,
+def _slot_rates(realization, lanes: Lanes, user_gammas: np.ndarray,
                 Delta: np.ndarray) -> tuple:
-    """User rates, eavesdropper rates and the clamp count for user signal
-    matrices and interference covariances with matching leading axes."""
-    p_tx, _ = power_split(config)
-    eav_gammas = rates.eav_sinr(realization.se_stack, Delta,
-                                p_tx / config.sigma2, config.N_t)
-    user_rates, user_clamps = rates.clamped_logdet_rate_stack(
+    """User rates, eavesdropper rates and per-lane clamp counts for user
+    signal matrices (B, ..., T, N_r, N_r) and interference covariances
+    (B, ..., N_e, N_e) with matching leading axes."""
+    config = lanes.config
+    se = realization.se_stack
+    H_e = se.reshape(se.shape[:1] + (1,) * (Delta.ndim - 3) + se.shape[1:])
+    eav_gammas = rates.eav_sinr(H_e, Delta, _col(lanes.snr_tx, H_e.ndim),
+                                config.N_t)
+    user_rates, user_clamped = rates.clamped_logdet_rate_stack(
         user_gammas, config.log_base)
-    eav_rates, eav_clamps = rates.clamped_logdet_rate_stack(
+    eav_rates, eav_clamped = rates.clamped_logdet_rate_stack(
         eav_gammas, config.log_base)
-    return user_rates, eav_rates, user_clamps + eav_clamps
+    lanes_n = len(user_rates)
+    clamps = (user_clamped.reshape(lanes_n, -1).sum(axis=1)
+              + eav_clamped.reshape(lanes_n, -1).sum(axis=1))
+    return user_rates, eav_rates, clamps
 
 
 # ---------------------------------------------------------------------------
 # receive-side and jam-side selection
 
 
-def select_receiving_relays(state: PolicyState, realization,
-                            config: SystemConfig, jammers: tuple) -> tuple:
-    """Pick the T receivers among relays not jamming this slot.
+def select_receiving_relays(state: PolicyState, realization, lanes: Lanes,
+                            jammers: np.ndarray) -> tuple:
+    """Pick each lane's T receivers among the relays not jamming this slot.
 
     Candidates are ranked by logdet(I + Gamma_m), where
     Gamma_m = (I + D_m)^{-1} H_m H_m^H and D_m sums the inter-relay
-    interference of the active jammers' replays at candidate m; ties break
-    by ascending id.  Returns (ids, metric map of those log-dets); the metric
-    map is empty when the pool is exactly T (forced set).
+    interference of the jammers' replays at candidate m; ties break by
+    ascending id.  Returns the (B, Q) receiver mask and the (B, Q) metric
+    (meaningless off the pool), or None for the metric when every lane's
+    pool is exactly T (forced set).
     """
-    pool = [q for q in sorted(state.buffers) if q not in set(jammers)]
-    if len(pool) < config.T:
+    config = lanes.config
+    pool = ~jammers
+    size = pool.sum(axis=1)
+    if (size < config.T).any():
         raise ConfigError(
-            f"receive pool has {len(pool)} relays but T={config.T}")
-    if len(pool) == config.T:
-        return tuple(pool), {}
+            f"receive pool has {int(size.min())} relays but T={config.T}")
+    if (size == config.T).all():
+        return pool, None
 
-    active, snaps = _replay_stack(_peek_replays(state, jammers), jammers)
-
-    G_m = gram(realization.su_stack[[m - 1 for m in pool]])
-    if active:
-        H_km = _rr_block(realization, active, pool)  # (A, C, N_i, N_k)
-        D_m = np.einsum("kcab,kbd,kced->cae", H_km, gram(snaps), H_km.conj())
-    else:
-        D_m = np.zeros_like(G_m)
+    senders, real = _members(jammers)
+    lane = np.arange(len(senders))[:, None]
+    # zero for silent jammers and for padding
+    snaps = np.where(real[..., None, None], _peek(state).snapshot[lane, senders], 0)
+    H_km = _rr_block(realization, senders[:, :, None],
+                     np.arange(config.Q)[None, None])  # (B, K, Q, N_i, N_k)
+    D_m = np.einsum("xkcab,xkbd,xkced->xcae", H_km, gram(snaps), H_km.conj())
     if config.selection_noise_floor:
-        D_m = D_m + (config.N_i * config.sigma2) * np.eye(config.N_i)
-    gammas = np.linalg.solve(np.eye(config.N_i) + D_m, G_m)
-    logdets = rates.logdet_identity_plus_stack(gammas, config.log_base, "neginf")
-    metrics = dict(zip(pool, logdets.tolist()))
-    chosen = sorted(pool, key=lambda m: (-metrics[m], m))[:config.T]
-    return tuple(sorted(chosen)), metrics
+        D_m = D_m + _col(config.N_i * lanes.sigma2, 4) * np.eye(config.N_i)
+    gammas = np.linalg.solve(np.eye(config.N_i) + D_m, gram(realization.su_stack))
+    metrics = rates.logdet_identity_plus_stack(gammas, config.log_base, "neginf")
+    return _top(metrics, config.T, allowed=pool), metrics
 
 
-def select_jamming_relays(state: PolicyState, realization,
-                          config: SystemConfig, current_jammers: tuple = (),
-                          replays: dict | None = None) -> tuple:
-    """Pick the K relays that will jam (and serve the users) next slot.
+def select_jamming_relays(state: PolicyState, realization, lanes: Lanes,
+                          current: np.ndarray | None = None,
+                          replays: Records | None = None) -> tuple:
+    """Pick each lane's K relays that will jam (and serve the users) next
+    slot.
 
     Every relay is a candidate; disjointness from the receivers is restored
     when the next slot's receive pool excludes the picked set.  A candidate n
     is scored with its own replayable snapshot: delivered-signal matrix
     Gamma_n = sum_r H_nr Hs Hs^H H_nr^H against its eavesdropper-side leak
     (I + Delta)^{-1} (P/N_k) sum_e H_ne Hs Hs^H H_ne^H, where Delta is the
-    interference floor created by the currently active jammers.  Relays with
-    empty buffers rank last; ties break by ascending id.
+    interference floor created by the ``current`` jammers (none by default)
+    replaying ``replays`` (their peeks by default).  Relays with empty
+    buffers rank last (metric 0); ties break by ascending id.  Returns the
+    (B, Q) mask and the (B, Q) metric.
     """
+    config = lanes.config
     if config.K == 0:
-        return (), {}
-    pool = sorted(state.buffers)
-    _, p_rel = power_split(config)
-
-    if replays is None:
-        replays = _peek_replays(state, current_jammers)
-    own = _peek_replays(state, pool)
-    eligible, snaps = _replay_stack(own, pool)
-    metrics = {n: 0.0 for n in pool}
-
-    if eligible:
-        idx = [n - 1 for n in eligible]
-        snap_grams = gram(snaps)
-        H_nr = realization.ru_stack[idx]              # (C, M, N_r, N_k)
-        gamma_n = np.einsum("cuab,cbd,cued->cae", H_nr, snap_grams, H_nr.conj())
-        H_ne = realization.re_stack[idx]              # (C, N, N_e, N_k)
-        leak = (p_rel / config.sigma2 / config.N_k) * np.einsum(
-            "ceab,cbd,cefd->caf", H_ne, snap_grams, H_ne.conj())
-        Delta = _eav_interference(realization, config,
-                                  *_replay_stack(replays, current_jammers))
-        gamma_e = np.linalg.solve(rates._eye(config.N_e) + Delta, leak)
-        # N_e == N_r whenever K > 0, so both metrics share one log-det call
-        ld_n, ld_e = rates.logdet_identity_plus_stack(
-            np.stack([gamma_n, gamma_e]), config.log_base, "neginf")
-        # degenerate determinants rank the candidate last, not crash a trial
-        with np.errstate(invalid="ignore"):
-            scores = np.where(np.isfinite(ld_n) & np.isfinite(ld_e), ld_n - ld_e,
-                              -np.inf)
-        metrics.update(zip(eligible, scores.tolist()))
-
-    has = {n: (1 if n in own else 0) for n in pool}
-    chosen = sorted(pool, key=lambda n: (-has[n], -metrics[n], n))[:config.K]
-    return tuple(sorted(chosen)), metrics
+        shape = state.buffers.valid.shape[:2]
+        return np.zeros(shape, dtype=bool), np.zeros(shape)
+    own = _peek(state)
+    if current is None:
+        current = np.zeros(own.found.shape, dtype=bool)
+    snap_grams = gram(own.snapshot)                  # zero for empty buffers
+    H_nr = realization.ru_stack                      # (B, Q, M, N_r, N_k)
+    gamma_n = np.einsum("xcuab,xcbd,xcued->xcae", H_nr, snap_grams, H_nr.conj())
+    H_ne = realization.re_stack                      # (B, Q, N, N_e, N_k)
+    leak = _col(lanes.snr_rel / config.N_k, 4) * np.einsum(
+        "xceab,xcbd,xcefd->xcaf", H_ne, snap_grams, H_ne.conj())
+    replays = own if replays is None else replays
+    Delta = _eav_interference(realization, lanes, replays.found & current,
+                              _factors(lanes, replays))
+    gamma_e = np.linalg.solve(rates._eye(config.N_e) + Delta[:, None], leak)
+    # N_e == N_r whenever K > 0, so both metrics share one log-det call
+    ld_n, ld_e = rates.logdet_identity_plus_stack(
+        np.stack([gamma_n, gamma_e]), config.log_base, "neginf")
+    # degenerate determinants rank the candidate last, not crash a trial
+    with np.errstate(invalid="ignore"):
+        scores = np.where(np.isfinite(ld_n) & np.isfinite(ld_e), ld_n - ld_e,
+                          -np.inf)
+    metrics = np.where(own.found, scores, 0.0)
+    order = np.lexsort((-metrics, ~own.found), axis=1)
+    return _mask(order[:, :config.K], config.Q), metrics
 
 
 # ---------------------------------------------------------------------------
 # shared slot machinery
 
 
-def _resolve_replays(state: PolicyState, transmitters, config: SystemConfig,
-                     forward_only: bool) -> dict:
-    """Pick the record each transmitting relay sends this slot.
+def _resolve_replays(state: PolicyState, transmitters: np.ndarray,
+                     config: SystemConfig, forward_only: bool) -> Records:
+    """Pick the record each transmitter sends this slot.
 
     Joint policies replay via peek (reusable jamming signal) unless
     ``consume_on_jam``; the conventional baselines deliver and consume their
     oldest forward-class record.
     """
-    replays = {}
-    for k in sorted(transmitters):
-        buf = state.buffers[k]
-        if forward_only:
-            rec = buf.pop_forward()
-        else:
-            rec = buf.peek_jamming()
-            if rec is not None and config.consume_on_jam:
-                buf.remove(rec)
-        if rec is None:
-            state.diag.silent_transmitters += 1
-        else:
-            replays[k] = rec
-    return replays
+    bank = state.buffers
+    if forward_only:
+        cell, found = bank.pop_forward(transmitters)
+    else:
+        cell, found = bank.peek_jamming()
+        found = found & transmitters
+        if config.consume_on_jam:
+            bank.remove(found, cell)
+    state.diag.silent_transmitters += (transmitters & ~found).sum(axis=1)
+    return bank.take(cell, found)
 
 
-def _receive_and_store(state: PolicyState, realization, config: SystemConfig,
-                       receivers, replays: dict) -> None:
-    """Compute each receiver's (ascending ids) reception SINR, with per-pair
-    IRI cancellation where feasible, classify it, and push the record."""
-    threshold = config.sinr_threshold
-    if threshold is None:
+def _receive_and_store(state: PolicyState, realization, lanes: Lanes,
+                       receivers: np.ndarray, replays: Records) -> np.ndarray:
+    """Compute each receiver's reception SINR, with per-pair IRI cancellation
+    where feasible, classify it, and push the record; returns the (B, Q)
+    SINRs (0 off the receivers)."""
+    config = lanes.config
+    if np.isnan(lanes.threshold).any():
         raise ConfigError(
             "sinr_threshold is unresolved (None); set a value or run through "
             "monte_carlo, which calibrates it per sweep cell")
-    p_tx, p_rel = power_split(config)
-    active, snaps = _replay_stack(replays, replays)
-    H_rx = realization.su_stack[[i - 1 for i in receivers]]   # (R, N_i, N_t)
-    gamma_S = (p_tx / config.N_t) * np.einsum(
-        "rab,rab->r", H_rx, H_rx.conj()).real
-    powers = np.zeros((0, len(receivers)))
+    rx, rx_real = _members(receivers)
+    tx, tx_real = _members(replays.found)
+    lane = np.arange(len(rx))[:, None]
+    H_rx = realization.su_stack[lane, rx]                     # (B, R, N_i, N_t)
+    gamma_S = _col(lanes.p_tx / config.N_t, 2) * np.einsum(
+        "xrab,xrab->xr", H_rx, H_rx.conj()).real
+    H_ki = _rr_block(realization, tx[:, :, None], rx[:, None, :])  # (B, A, R, ...)
+    prod = np.einsum("xkrab,xkbc->xkrac", H_ki, replays.snapshot[lane, tx])
+    powers = _col(lanes.p_rel / config.N_k, 3) * np.einsum(
+        "xkrab,xkrab->xkr", prod, prod.conj()).real
     phi = 1
-    if active:
-        H_ki = _rr_block(realization, active, receivers)      # (A, R, N_i, N_k)
-        prod = np.einsum("krab,kbc->krac", H_ki, snaps)
-        powers = (p_rel / config.N_k) * np.einsum(
-            "krab,krab->kr", prod, prod.conj()).real
-        if config.iri_cancellation:
-            feasible = iri_feasible(H_rx, H_ki, p_tx / config.sigma2,
-                                    p_rel / config.sigma2, config.N_t,
-                                    config.N_k, config.gamma0)
-            state.diag.phi_tests += feasible.size
-            state.diag.phi_feasible += int(np.count_nonzero(feasible))
-            phi = ~feasible
-    sinrs = reception_sinr(gamma_S, powers, phi, config.N_i, config.sigma2)
-    for i, sinr in zip(receivers, sinrs.tolist()):
-        state.buffers[i].push(BufferedSignal(
-            snapshot=realization.su_stack[i - 1], sinr_at_reception=sinr,
-            slot=realization.slot,
-            signal_class=classify_signal(sinr, threshold)))
+    if config.iri_cancellation and tx.shape[1]:
+        feasible = iri_feasible(H_rx[:, None], H_ki,
+                                _col(lanes.snr_tx, 5),
+                                _col(lanes.snr_rel, 5), config.N_t,
+                                config.N_k, config.gamma0)
+        tested = tx_real[:, :, None] & rx_real[:, None, :]
+        state.diag.phi_tests += tested.sum(axis=(1, 2))
+        state.diag.phi_feasible += (feasible & tested).sum(axis=(1, 2))
+        phi = ~feasible
+    sinrs = reception_sinr(gamma_S, powers, phi, config.N_i, _col(lanes.sigma2, 2))
+    at_lane, at_relay = np.nonzero(receivers)      # the order of sinrs[rx_real]
+    stored = np.zeros(receivers.shape)
+    stored[at_lane, at_relay] = sinrs[rx_real]
+    forward = np.zeros(receivers.shape, dtype=bool)
+    threshold = lanes.threshold.tolist()
+    forward[at_lane, at_relay] = [
+        classify_signal(sinr, threshold[b]) is SignalClass.FORWARD
+        for b, sinr in zip(at_lane.tolist(), sinrs[rx_real].tolist())]
+    state.buffers.push(receivers, realization.su_stack, stored, realization.slot,
+                       forward)
+    return stored
 
 
-def _serve(state: PolicyState, realization, config: SystemConfig, receivers,
-           transmitters, jamming: bool, objective: float | None = None) -> tuple:
-    """Serve one slot's roles: the transmitting relays replay from their
-    buffers (``jamming``: a peeked record that also jams the eavesdroppers;
+def _serve(state: PolicyState, realization, lanes: Lanes, receivers: np.ndarray,
+           transmitters: np.ndarray, jamming: bool,
+           objective: np.ndarray | None = None) -> LaneOutcome:
+    """Serve one slot's roles: the transmitters replay from their buffers
+    (``jamming``: a peeked record that also jams the eavesdroppers;
     otherwise a consumed forward-class record), then the receivers classify
-    and store what they hear.  Returns (outcome, state).
+    and store what they hear."""
+    replays = _resolve_replays(state, transmitters, lanes.config,
+                               forward_only=not jamming)
+    sinr = _receive_and_store(state, realization, lanes, receivers, replays)
+    return LaneOutcome(receivers=receivers, transmitters=transmitters,
+                       jamming=jamming, replays=replays, sinr=sinr,
+                       objective=objective)
+
+
+def lane_rates(realization, lanes: Lanes, replays: Records, jammers: np.ndarray,
+               transmitters: np.ndarray) -> tuple:
+    """Per-slot achievable rates of each lane's role assignment.
+
+    The users are served by the transmitters' replays; the eavesdroppers see
+    the source plus interference from the jammers' replays.  Returns user
+    rates (B, T), eavesdropper rates (B, N), secrecy rates (B,) and clamp
+    counts (B,).
     """
-    receivers, transmitters = tuple(sorted(receivers)), tuple(sorted(transmitters))
-    replays = _resolve_replays(state, transmitters, config, forward_only=not jamming)
-    outcome = SelectionOutcome(
-        receiving_relays=receivers, jamming_relays=transmitters if jamming else (),
-        transmitting_relays=transmitters, replays=replays, objective=objective)
-    _receive_and_store(state, realization, config, receivers, replays)
-    return outcome, state
+    factors = _factors(lanes, replays)
+    serving = (replays.found & transmitters)[..., None, None, None]
+    user_gammas = _relay_sum(np.where(
+        serving, _user_terms(realization, lanes, factors), 0))
+    Delta = _eav_interference(realization, lanes, replays.found & jammers, factors)
+    user_rates, eav_rates, clamps = _slot_rates(realization, lanes, user_gammas,
+                                                Delta)
+    return user_rates, eav_rates, rates.secrecy_rate(user_rates, eav_rates), clamps
 
 
 def slot_rate_report(realization, config: SystemConfig, replays: dict,
                      jammers: tuple, transmitters: tuple) -> tuple:
-    """Per-slot achievable rates for a role assignment.
+    """One-lane view of :func:`lane_rates`: ``replays`` maps relay ids to
+    the BufferedSignal each replays.  Returns (RateReport, clamp count)."""
+    found = np.zeros((1, config.Q), dtype=bool)
+    snapshot = np.zeros((1, config.Q, config.N_i, config.N_t), dtype=complex)
+    for q, record in replays.items():
+        found[0, q - 1] = True
+        snapshot[0, q - 1] = record.snapshot
+    zeros = np.zeros(found.shape)
+    records = Records(found=found, snapshot=snapshot, sinr=zeros, slot=zeros,
+                      forward=np.zeros_like(found))
+    user, eav, secrecy, clamps = lane_rates(
+        _lane_axis(realization), Lanes.of([config]), records,
+        _ids_mask(jammers, config.Q), _ids_mask(transmitters, config.Q))
+    report = rates.RateReport(user_rates=tuple(user[0].tolist()),
+                              eav_rates=tuple(eav[0].tolist()),
+                              secrecy_rate=float(secrecy[0]))
+    return report, int(clamps[0])
 
-    The users are served by the transmitting relays' replays; the
-    eavesdroppers see the source plus interference from the jamming relays'
-    replays.  Returns (RateReport, clamp_event_count).
-    """
-    active_tx, snaps = _replay_stack(replays, transmitters)
-    if active_tx:
-        user_gammas = _user_terms(realization, config, active_tx, snaps).sum(axis=0)
-    else:
-        user_gammas = np.zeros((config.T, config.N_r, config.N_r))
-    jam_stack = ((active_tx, snaps) if jammers == transmitters
-                 else _replay_stack(replays, jammers))
-    Delta = _eav_interference(realization, config, *jam_stack)
-    user_rates, eav_rates, clamps = _slot_rates(realization, config,
-                                                user_gammas, Delta)
-    report = rates.RateReport(
-        user_rates=tuple(map(float, user_rates)),
-        eav_rates=tuple(map(float, eav_rates)),
-        secrecy_rate=float(rates.secrecy_rate(user_rates, eav_rates)))
-    return report, clamps
+
+def _ids_mask(ids, Q: int) -> np.ndarray:
+    return _mask(np.array(ids, dtype=np.intp).reshape(1, -1) - 1, Q)
 
 
 # ---------------------------------------------------------------------------
-# policies
+# policies: each takes (state, lane realization, Lanes, per-lane rngs or None)
 
 
-def bf_rjfs_step(state: PolicyState, realization, config: SystemConfig,
-                 rng=None) -> tuple:
+def _bf_rjfs(state: PolicyState, realization, lanes: Lanes, rngs=None) -> LaneOutcome:
     """One slot of the joint receive/jam function selection.
 
     Slot 0 seeds the jammer set from the source-channel determinant ranking
@@ -360,142 +524,158 @@ def bf_rjfs_step(state: PolicyState, realization, config: SystemConfig,
     selected from the remaining pool, and reception records are classified
     and buffered.
     """
+    config = lanes.config
     if state.last_slot is not None:
         last, current, replays = state.last_slot
-        jammers, _ = select_jamming_relays(state, last, config, current, replays)
+        jammers, _ = select_jamming_relays(state, last, lanes, current, replays)
     elif realization.slot == 0:
-        ranking = list(initial_ranking(realization))
-        picked = (ranking[-config.K:] if config.worst_sinr_seeding
-                  else ranking[:config.K]) if config.K else []
-        jammers = tuple(sorted(picked))
+        ranking = initial_ranking(realization) - 1
+        picked = (ranking[:, config.Q - config.K:] if config.worst_sinr_seeding
+                  else ranking[:, :config.K])
+        jammers = _mask(picked, config.Q)
     else:
-        jammers, _ = select_jamming_relays(state, realization, config)
+        jammers, _ = select_jamming_relays(state, realization, lanes)
 
-    receivers, _ = select_receiving_relays(state, realization, config, jammers)
-    outcome, state = _serve(state, realization, config, receivers, jammers,
-                            jamming=True)
+    receivers, _ = select_receiving_relays(state, realization, lanes, jammers)
+    outcome = _serve(state, realization, lanes, receivers, jammers, jamming=True)
     state.last_slot = (realization, jammers, outcome.replays)
-    return outcome, state
+    return outcome
 
 
-def policy_conventional_bf(state: PolicyState, realization,
-                           config: SystemConfig, rng=None) -> tuple:
+def _conventional_bf(state: PolicyState, realization, lanes: Lanes,
+                     rngs=None) -> LaneOutcome:
     """Buffer-aided forwarding without jamming: the T strongest source links
     receive; of the rest, the T relays with the strongest aggregate
     relay-to-user channels deliver a stored forward-class record."""
-    ids = sorted(state.buffers)
-    rx_vals = source_link_power(realization.su_stack).tolist()
-    receivers = sorted(ids, key=lambda q: (-rx_vals[q - 1], q))[:config.T]
-    rest = [q for q in ids if q not in set(receivers)]
-    tx_vals = source_link_power(realization.ru_stack).sum(axis=1).tolist()
-    transmitters = sorted(rest, key=lambda q: (-tx_vals[q - 1], q))[:config.T]
-    return _serve(state, realization, config, receivers, transmitters,
+    T = lanes.config.T
+    receivers = _top(source_link_power(realization.su_stack), T)
+    tx_vals = source_link_power(realization.ru_stack).sum(axis=2)
+    transmitters = _top(tx_vals, T, allowed=~receivers)
+    return _serve(state, realization, lanes, receivers, transmitters,
                   jamming=False)
 
 
-def policy_max_link(state: PolicyState, realization, config: SystemConfig,
-                    rng=None) -> tuple:
+def _max_link(state: PolicyState, realization, lanes: Lanes,
+              rngs=None) -> LaneOutcome:
     """Strongest-link scheduling: merge all source->relay links (non-full
     buffers preferred) and relay->user links (non-empty buffers only), then
     greedily fill T receive and up to T transmit roles in descending link
     strength, one role per relay."""
-    ids = sorted(state.buffers)
+    config = lanes.config
     rx_vals = source_link_power(realization.su_stack).tolist()
-    tx_vals = source_link_power(realization.ru_stack).max(axis=1).tolist()
-    links = []
-    for q in ids:
-        eligible = 0 if state.buffers[q].is_full else 1
-        links.append((eligible, rx_vals[q - 1], "rx", q))
-        if len(state.buffers[q]) > 0:
-            links.append((1, tx_vals[q - 1], "tx", q))
-    links.sort(key=lambda item: (-item[0], -item[1], item[3], item[2]))
-    receivers, transmitters, assigned = [], [], set()
-    for _, power, kind, q in links:
-        if q in assigned:
-            continue
-        if kind == "rx" and len(receivers) < config.T:
-            receivers.append(q)
-            assigned.add(q)
-        elif kind == "tx" and len(transmitters) < config.T:
-            transmitters.append(q)
-            assigned.add(q)
-    return _serve(state, realization, config, receivers, transmitters,
+    tx_vals = source_link_power(realization.ru_stack).max(axis=2).tolist()
+    occupancy = state.buffers.occupancy().tolist()
+    receivers = np.zeros((len(rx_vals), config.Q), dtype=bool)
+    transmitters = np.zeros_like(receivers)
+    for b, held in enumerate(occupancy):
+        links = []
+        for q in range(config.Q):
+            eligible = 0 if held[q] >= config.buffer_capacity else 1
+            links.append((eligible, rx_vals[b][q], "rx", q))
+            if held[q] > 0:
+                links.append((1, tx_vals[b][q], "tx", q))
+        links.sort(key=lambda item: (-item[0], -item[1], item[3], item[2]))
+        n_rx = n_tx = 0
+        for _, power, kind, q in links:
+            if receivers[b, q] or transmitters[b, q]:
+                continue
+            if kind == "rx" and n_rx < config.T:
+                receivers[b, q] = True
+                n_rx += 1
+            elif kind == "tx" and n_tx < config.T:
+                transmitters[b, q] = True
+                n_tx += 1
+    return _serve(state, realization, lanes, receivers, transmitters,
                   jamming=False)
 
 
-def policy_max_ratio(state: PolicyState, realization, config: SystemConfig,
-                     rng=None) -> tuple:
+def _max_ratio(state: PolicyState, realization, lanes: Lanes,
+               rngs=None) -> LaneOutcome:
     """Rank relays by legitimate-power-to-eavesdropper-leakage ratio; the top
     T receive, and of the rest the top T by the transmit-side analogue of the
     same ratio deliver."""
-    ids = sorted(state.buffers)
-    active, snaps = _replay_stack(_peek_replays(state, ids), ids)
-    # relays with nothing to replay leak and deliver nothing
-    leak = np.zeros(config.Q)
-    delivered = np.zeros(config.Q)
-    if active:
-        idx = [q - 1 for q in active]
-        leak[idx] = relayed_link_power(realization.re_stack[idx],
-                                       snaps[:, None]).sum(axis=1)
-        delivered[idx] = relayed_link_power(realization.ru_stack[idx],
-                                            snaps[:, None]).sum(axis=1)
-    floor = config.N_e * config.sigma2
-    rx_ratio = (source_link_power(realization.su_stack) / (leak + floor)).tolist()
-    receivers = sorted(ids, key=lambda q: (-rx_ratio[q - 1], q))[:config.T]
-    rest = [q for q in ids if q not in set(receivers)]
-    tx_ratio = (delivered / (leak + floor)).tolist()
-    transmitters = sorted(rest, key=lambda q: (-tx_ratio[q - 1], q))[:config.T]
-    return _serve(state, realization, config, receivers, transmitters,
+    config = lanes.config
+    # a relay with nothing to replay has a zero snapshot: it leaks and
+    # delivers exactly nothing
+    snaps = _peek(state).snapshot[:, :, None]
+    leak = relayed_link_power(realization.re_stack, snaps).sum(axis=2)
+    delivered = relayed_link_power(realization.ru_stack, snaps).sum(axis=2)
+    floor = _col(config.N_e * lanes.sigma2, 2)
+    receivers = _top(source_link_power(realization.su_stack) / (leak + floor),
+                     config.T)
+    transmitters = _top(delivered / (leak + floor), config.T, allowed=~receivers)
+    return _serve(state, realization, lanes, receivers, transmitters,
                   jamming=False)
 
 
-def policy_random(state: PolicyState, realization, config: SystemConfig,
-                  rng: np.random.Generator) -> tuple:
-    """Uniformly random disjoint receive and jam sets (lower baseline)."""
-    if rng is None:
+def _random(state: PolicyState, realization, lanes: Lanes, rngs) -> LaneOutcome:
+    """Uniformly random disjoint receive and jam sets (lower baseline): one
+    permutation of the relays per lane, from that lane's rng."""
+    if rngs is None or any(rng is None for rng in rngs):
         raise ValueError("the random policy needs an rng substream")
-    ids = np.array(sorted(state.buffers))
-    perm = rng.permutation(len(ids))
-    receivers = tuple(sorted(int(ids[j]) for j in perm[:config.T]))
-    jammers = tuple(sorted(int(ids[j])
-                           for j in perm[config.T:config.T + config.K]))
-    return _serve(state, realization, config, receivers, jammers, jamming=True)
+    config = lanes.config
+    perms = np.stack([rng.permutation(config.Q) for rng in rngs])
+    return _serve(state, realization, lanes, _mask(perms[:, :config.T], config.Q),
+                  _mask(perms[:, config.T:config.T + config.K], config.Q),
+                  jamming=True)
 
 
 _ORACLE_GUARD = 100_000
 
 
-def _jam_set_scores(realization, config: SystemConfig, replays: dict,
+@functools.lru_cache(maxsize=4)
+def _oracle_sets(Q: int, T: int, K: int) -> tuple:
+    """The C(Q, K) jam sets in ``itertools.combinations`` order as (S, K)
+    relay indices and (S, Q) masks, the (S, Q) mask of the first receive set
+    in combinations order that is disjoint from each, and the rank of that
+    receive set in combinations order among the S of them."""
+    count = math.comb(Q, K)
+    if count > _ORACLE_GUARD:
+        raise ConfigError(
+            f"oracle would score {count} jam sets (> {_ORACLE_GUARD})")
+    jam = np.array(list(itertools.combinations(range(Q), K)),
+                   dtype=np.intp).reshape(count, K)
+    jam_mask = _mask(jam, Q)
+    receive = np.argsort(jam_mask, axis=1, kind="stable")[:, :T]
+    rank = np.empty(count, dtype=np.intp)
+    rank[np.lexsort(receive.T[::-1])] = np.arange(count)
+    sets = (jam, jam_mask, _mask(receive, Q), rank)
+    for array in sets:
+        array.flags.writeable = False     # shared by every caller
+    return sets
+
+
+def _jam_set_scores(realization, lanes: Lanes, replays: Records,
                     jam_sets: np.ndarray) -> np.ndarray:
-    """Slot secrecy rate of each row of ``jam_sets`` ((S, K) ascending relay
-    ids) as the jamming and transmitting set, each member replaying its
-    record in ``replays`` (silent when it has none).
+    """(B, S) slot secrecy rate of each row of ``jam_sets`` ((S, K) relay
+    indices, ascending) as the jamming and transmitting set, each member
+    replaying its record in ``replays`` (silent when it has none).
 
     Each replaying relay's user-side signal term and eavesdropper-side
     interference term are computed once, then summed per set in ascending
     relay order with a silent relay adding an exact zero, so sets with the
     same replaying members score bit-identically, and each score equals
-    ``slot_rate_report`` of its set bit for bit.
+    :func:`lane_rates` of its set bit for bit.
     """
-    S = len(jam_sets)
-    user_terms = np.zeros((config.Q, config.T, config.N_r, config.N_r), dtype=complex)
-    eav_terms = np.zeros((config.Q, config.N_e, config.N_e), dtype=complex)
-    active, snaps = _replay_stack(replays, set(jam_sets.ravel().tolist()))
-    if active:
-        idx = [k - 1 for k in active]
-        user_terms[idx] = _user_terms(realization, config, active, snaps)
-        eav_terms[idx] = _jamming_terms(realization, config, active, snaps)
-    user_gammas = np.zeros((S, config.T, config.N_r, config.N_r), dtype=complex)
-    Delta = np.zeros((S, config.N_e, config.N_e), dtype=complex)
-    for col in (jam_sets - 1).T:
-        user_gammas += user_terms[col]
-        Delta += eav_terms[col]
-    user_rates, eav_rates, _ = _slot_rates(realization, config, user_gammas, Delta)
+    config = lanes.config
+    found = replays.found
+    shape = (len(found), len(jam_sets))
+    user_gammas = np.zeros(shape + (config.T, config.N_r, config.N_r), dtype=complex)
+    Delta = np.zeros(shape + (config.N_e, config.N_e), dtype=complex)
+    if jam_sets.size:
+        factors = _factors(lanes, replays)
+        user_terms = np.where(found[..., None, None, None],
+                              _user_terms(realization, lanes, factors), 0)
+        eav_terms = np.where(found[..., None, None],
+                             _jamming_terms(realization, lanes, factors), 0)
+        for col in jam_sets.T:
+            user_gammas += user_terms[:, col]
+            Delta += eav_terms[:, col]
+    user_rates, eav_rates, _ = _slot_rates(realization, lanes, user_gammas, Delta)
     return rates.secrecy_rate(user_rates, eav_rates)
 
 
-def exhaustive_oracle(state: PolicyState, realization, config: SystemConfig,
-                      rng=None) -> tuple:
+def _oracle(state: PolicyState, realization, lanes: Lanes, rngs=None) -> LaneOutcome:
     """Take the disjoint (receive, jam) assignment with the highest slot
     secrecy rate under the current buffers.
 
@@ -504,34 +684,51 @@ def exhaustive_oracle(state: PolicyState, realization, config: SystemConfig,
     set in ``itertools.combinations`` order that is disjoint from a
     max-scoring jam set, then to the first such jam set in the same order:
     the first best assignment of a receive-major enumeration.  The objective
-    is that set's batch score, which equals ``slot_rate_report`` of the
-    chosen assignment bit for bit.
+    is that set's batch score, which equals :func:`lane_rates` of the chosen
+    assignment bit for bit.
 
     Refuses to run when C(Q, K) exceeds 100000.
     """
-    ids = sorted(state.buffers)
-    count = math.comb(config.Q, config.K)
-    if count > _ORACLE_GUARD:
-        raise ConfigError(
-            f"oracle would score {count} jam sets (> {_ORACLE_GUARD})")
-    jam_sets = list(itertools.combinations(ids, config.K))
-    scores = _jam_set_scores(realization, config, _peek_replays(state, ids),
-                             np.array(jam_sets, dtype=int))
-    top = scores.max()
-    best = [jam_sets[s] for s in np.flatnonzero(scores == top)]
-    for rx in itertools.combinations(ids, config.T):
-        jam = next((j for j in best if set(j).isdisjoint(rx)), None)
-        if jam is not None:
-            break
-    return _serve(state, realization, config, rx, jam, jamming=True,
-                  objective=float(top))
+    config = lanes.config
+    jam, jam_mask, receive_mask, rank = _oracle_sets(config.Q, config.T, config.K)
+    scores = _jam_set_scores(realization, lanes, _peek(state), jam)
+    top = scores.max(axis=1)
+    best = scores == top[:, None]
+    # the first receive set disjoint from a best set is the first of the
+    # best sets' own first disjoint receive sets
+    receivers = receive_mask[np.where(best, rank, len(rank)).argmin(axis=1)]
+    clear = ~(receivers @ jam_mask.T)
+    jammers = jam_mask[np.argmax(best & clear, axis=1)]
+    return _serve(state, realization, lanes, receivers, jammers, jamming=True,
+                  objective=top)
 
 
-POLICIES = {
-    "bf-rjfs": bf_rjfs_step,
-    "conventional-bf": policy_conventional_bf,
-    "max-link": policy_max_link,
-    "max-ratio": policy_max_ratio,
-    "random": policy_random,
-    "oracle": exhaustive_oracle,
+LANE_STEPS = {
+    "bf-rjfs": _bf_rjfs,
+    "conventional-bf": _conventional_bf,
+    "max-link": _max_link,
+    "max-ratio": _max_ratio,
+    "random": _random,
+    "oracle": _oracle,
 }
+
+
+def _one_lane(step):
+    def one_lane(state: PolicyState, realization, config: SystemConfig, rng=None):
+        outcome = step(state, _lane_axis(realization), Lanes.of([config]), [rng])
+        return outcome.view(0), state
+
+    one_lane.__doc__ = (
+        "One-lane view, on a realization without lane axis, one config and "
+        "its rng (None unless the policy draws), returning (SelectionOutcome, "
+        "state), of:\n\n    " + step.__doc__)
+    return one_lane
+
+
+POLICIES = {name: _one_lane(step) for name, step in LANE_STEPS.items()}
+bf_rjfs_step = POLICIES["bf-rjfs"]
+policy_conventional_bf = POLICIES["conventional-bf"]
+policy_max_link = POLICIES["max-link"]
+policy_max_ratio = POLICIES["max-ratio"]
+policy_random = POLICIES["random"]
+exhaustive_oracle = POLICIES["oracle"]

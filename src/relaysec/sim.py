@@ -1,11 +1,19 @@
-"""Monte Carlo engine: seeded trials, SNR/eta sweeps, CSV emission.
+"""Monte Carlo engine: seeded trials on lockstep lanes, SNR/eta sweeps, CSV
+emission.
 
 Determinism contract: every random draw is keyed by (seed, stream, trial,
 slot) through :func:`relaysec.channel.substream`, trials are aggregated in
 trial-index order, and no timestamps enter the outputs, so a sweep produces
-byte-identical files across reruns and across worker counts.  One routine,
-:func:`_run_cells`, runs a sweep's calibration pre-runs and trials at every
-worker count; only the ``map`` it is handed differs.
+byte-identical files across reruns and across worker counts.
+
+The engine runs the slot sequences of one policy, its lanes, together on
+(B, ...) stacks (see :mod:`relaysec.selection`).  A lane is a trial or a
+calibration pre-run with its own streams, noise variance, power split and
+threshold, and it gives the same numbers in any batch, alone included.  One
+routine, :func:`_run_cells`, runs a sweep at every worker count: each
+policy's calibration pre-runs, then each cell's trials, as lane batches
+split into ``workers`` chunks of at most ``_MAX_LANES`` lanes; only the
+``map`` it is handed differs.
 
 The printed rate formulas carry an implicit unit noise floor, so all powers
 passed into the matrix-rate builders are divided by the one noise variance
@@ -21,7 +29,7 @@ import math
 import statistics
 import struct
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -30,11 +38,18 @@ from .channel import (STREAM_CALIBRATION, STREAM_CHANNEL, STREAM_POLICY,
                       gen_network_realization, substream)
 from .config import SystemConfig
 from .errors import ConfigError, NumericError
-from .selection import POLICIES, DiagCounters, fresh_state, slot_rate_report
+from .rates import RateReport
+# slot_rate_report is not called here; relaysec.sim.slot_rate_report stays a
+# name that bench/tracing.py wraps
+from .selection import (LANE_STEPS, POLICIES, DiagCounters, Lanes, fresh_state,
+                        lane_rates, slot_rate_report)  # noqa: F401
 
 POLICY_ORDER = tuple(POLICIES)
 
 _CALIBRATION_SLOTS = 200
+# lanes per batch, which bounds a batch's arrays; an oracle lane counts once
+# per jam set it scores
+_MAX_LANES = 256
 _Z95 = 1.959963984540054
 
 
@@ -94,48 +109,111 @@ class SecrecyReport:
     sweep: SweepSpec
 
 
-def _run_trial_full(config: SystemConfig, policy: str, trial_index: int):
-    """All per-slot rate reports of one seeded trial plus its diagnostics."""
-    if policy not in POLICIES:
-        raise ConfigError(f"unknown policy {policy!r}")
-    step = POLICIES[policy]
-    state = fresh_state(config)
-    reports = []
-    for slot in range(config.slots):
-        try:
-            rng = substream(config.seed, STREAM_CHANNEL, trial_index, slot)
-            realization = gen_network_realization(config, slot, rng)
-            prng = (substream(config.seed, STREAM_POLICY, trial_index, slot)
-                    if policy == "random" else None)
-            outcome, state = step(state, realization, config, prng)
-            report, clamps = slot_rate_report(
-                realization, config, outcome.replays,
-                outcome.jamming_relays, outcome.transmitting_relays)
-        except NumericError as exc:
-            raise NumericError(
-                f"policy {policy!r} trial {trial_index} slot {slot}: {exc}"
-            ) from exc
-        state.diag.clamp_events += clamps
-        reports.append(report)
-    return reports, state.diag
-
-
-def run_trial(config: SystemConfig, policy: str, trial_index: int) -> list:
-    """Per-slot RateReports of one trial; a pure function of (config, policy,
-    trial_index) including the root seed inside the config."""
-    return _run_trial_full(config, policy, trial_index)[0]
-
-
-def _trial_summary(config: SystemConfig, policy: str, trial_index: int):
-    """(mean secrecy rate over the retained slots, DiagCounters) of a trial."""
-    reports, diag = _run_trial_full(config, policy, trial_index)
-    retained = reports[config.warmup_slots:]
-    return sum(r.secrecy_rate for r in retained) / len(retained), diag
-
-
 def _float_key(x: float) -> int:
     """Stable 64-bit key for a float, for content-addressed RNG substreams."""
     return int.from_bytes(struct.pack("<d", float(x)), "little")
+
+
+def _stream_keys(policy: str, config: SystemConfig, trial, slot: int) -> tuple:
+    """The (channel, policy) substream keys of a lane's slot: keyed by
+    (trial, slot) for a trial, by (policy, sigma2, eta, slot) for a
+    calibration pre-run (trial None)."""
+    if trial is None:
+        key = (STREAM_CALIBRATION, POLICY_ORDER.index(policy),
+               _float_key(config.sigma2), _float_key(config.eta), slot)
+        return key + (0,), key + (1,)
+    return (STREAM_CHANNEL, trial, slot), (STREAM_POLICY, trial, slot)
+
+
+def _lockstep(policy: str, configs, trials, slots: int, score: bool = True):
+    """Run lanes of one policy in lockstep and yield (outcome, state, rates)
+    after each slot.
+
+    Lane b runs ``configs[b]`` (they may differ only in eta, sigma2 and
+    sinr_threshold) as trial ``trials[b]``, or as a calibration pre-run where
+    that is None.  ``rates`` is what :func:`~relaysec.selection.lane_rates`
+    returns, or None unless ``score``.
+    """
+    if policy not in POLICIES:
+        raise ConfigError(f"unknown policy {policy!r}")
+    step = LANE_STEPS[policy]
+    lanes = Lanes.of(configs)
+    config = lanes.config
+    state = fresh_state(config, len(configs))
+    for slot in range(slots):
+        keys = [_stream_keys(policy, cfg, trial, slot)
+                for cfg, trial in zip(configs, trials)]
+        realization = gen_network_realization(
+            config, slot, [substream(config.seed, *channel) for channel, _ in keys])
+        rngs = ([substream(config.seed, *drawn) for _, drawn in keys]
+                if policy == "random" else None)
+        outcome = step(state, realization, lanes, rngs)
+        rates = None
+        if score:
+            rates = lane_rates(realization, lanes, outcome.replays,
+                               outcome.jammers, outcome.transmitters)
+            state.diag.clamp_events += rates[3]
+        yield outcome, state, rates
+
+
+def _scored_slots(policy: str, config: SystemConfig, trials, slots: int):
+    """Yield (slot, rates, state) of trial lanes of one cell.  A
+    NumericError names the policy, the first failing trial and its slot."""
+    slot = 0
+    try:
+        for _, state, rates in _lockstep(policy, [config] * len(trials), trials,
+                                         slots):
+            yield slot, rates, state
+            slot += 1
+    except NumericError as exc:
+        if len(trials) == 1:
+            raise NumericError(
+                f"policy {policy!r} trial {trials[0]} slot {slot}: {exc}") from exc
+        for trial in trials:    # alone, a lane fails where it fails in a batch
+            for _ in _scored_slots(policy, config, (trial,), slots):
+                pass
+        raise
+
+
+def run_trial(config: SystemConfig, policy: str, trial_index: int,
+              slots: int) -> list:
+    """Per-slot RateReports of one trial of ``slots`` slots; a pure function
+    of (config, policy, trial_index, slots) including the root seed inside
+    the config."""
+    return [RateReport(user_rates=tuple(user[0].tolist()),
+                       eav_rates=tuple(eav[0].tolist()),
+                       secrecy_rate=float(secrecy[0]))
+            for _, (user, eav, secrecy, _), _ in _scored_slots(
+                policy, config, (trial_index,), slots)]
+
+
+def _trial_lanes(config: SystemConfig, policy: str, trials, slots: int) -> list:
+    """(mean secrecy rate over the retained slots, DiagCounters) of each of
+    ``trials`` of one sweep cell, run as the lanes of one batch."""
+    total = 0.0
+    for slot, (_, _, secrecy, _), state in _scored_slots(policy, config, trials,
+                                                         slots):
+        if slot >= config.warmup_slots:
+            total = total + secrecy
+    means = total / (slots - config.warmup_slots)
+    diag = state.diag
+    return [(mean, DiagCounters(**{f.name: int(getattr(diag, f.name)[b])
+                                   for f in dataclasses.fields(DiagCounters)}))
+            for b, mean in enumerate(means.tolist())]
+
+
+def _calibrate_lanes(policy: str, configs) -> list:
+    """The :func:`calibrate_threshold` of each of ``configs``, cells of one
+    policy whose pre-runs run as the lanes of one batch."""
+    pre_runs = [cfg.replace(sinr_threshold=0.0) for cfg in configs]
+    stored, received = [], []
+    for outcome, _, _ in _lockstep(policy, pre_runs, (None,) * len(pre_runs),
+                                   _CALIBRATION_SLOTS, score=False):
+        stored.append(outcome.sinr)
+        received.append(outcome.receivers)
+    stored, received = np.stack(stored, axis=1), np.stack(received, axis=1)
+    return [float(statistics.median(sinrs[mask].tolist())) if mask.any() else 0.0
+            for sinrs, mask in zip(stored, received)]
 
 
 def calibrate_threshold(config: SystemConfig, policy: str) -> float:
@@ -146,41 +224,25 @@ def calibrate_threshold(config: SystemConfig, policy: str) -> float:
     keyed by (seed, policy, SNR, eta) so the result is independent of which
     other cells appear in a sweep.
     """
-    cal_cfg = config.replace(sinr_threshold=0.0, slots=_CALIBRATION_SLOTS,
-                             warmup_slots=0)
-    key = (POLICY_ORDER.index(policy), _float_key(config.sigma2),
-           _float_key(config.eta))
-    state = fresh_state(cal_cfg)
-    step = POLICIES[policy]
-    sinrs = []
-    for slot in range(cal_cfg.slots):
-        rng = substream(cal_cfg.seed, STREAM_CALIBRATION, *key, slot, 0)
-        realization = gen_network_realization(cal_cfg, slot, rng)
-        prng = (substream(cal_cfg.seed, STREAM_CALIBRATION, *key, slot, 1)
-                if policy == "random" else None)
-        outcome, state = step(state, realization, cal_cfg, prng)
-        sinrs += [state.buffers[i].records[-1].sinr_at_reception
-                  for i in outcome.receiving_relays]
-    if not sinrs:
-        return 0.0
-    return float(statistics.median(sinrs))
+    return _calibrate_lanes(policy, [config])[0]
 
 
-# Pool tasks are pickled by qualified name, so a wrapper installed over
-# calibrate_threshold (a timing harness's local closure, say) cannot be
-# submitted itself; this shim can, and looks the name up when it runs.
-def _calibration_worker(args):
-    return calibrate_threshold(*args)
+def _chunks(items, workers: int, cap: int) -> list:
+    """``items`` split into max(workers, ceil(len / cap)) contiguous chunks
+    of near-equal size, or one per item when there are fewer."""
+    n = min(len(items), max(workers, -(-len(items) // cap)))
+    return [items[len(items) * i // n:len(items) * (i + 1) // n] for i in range(n)]
 
 
-def _in_process_map(fn, *iterables, chunksize=1):   # chunksize batches pool tasks
-    return map(fn, *iterables)
+def _lane_cap(config: SystemConfig, policy: str) -> int:
+    sets = math.comb(config.Q, config.K) if policy == "oracle" else 1
+    return max(1, _MAX_LANES // sets)
 
 
 def _run_cell(rows, cell_cfg: SystemConfig, policy: str, snr_db: float,
               eta: float) -> CellResult:
-    """Aggregate a cell's ``_trial_summary`` rows, in trial-index order,
-    into its CellResult; the DiagCounters fields are summed by name."""
+    """Aggregate a cell's trial rows, (mean, DiagCounters) in trial-index
+    order, into its CellResult; the DiagCounters fields are summed by name."""
     trials = len(rows)
     means = np.array([mean for mean, _ in rows])
     diag = DiagCounters(**{f.name: sum(getattr(d, f.name) for _, d in rows)
@@ -202,20 +264,28 @@ def _run_cell(rows, cell_cfg: SystemConfig, policy: str, snr_db: float,
 
 def _run_cells(map_, cells: list, sweep: SweepSpec) -> list:
     """Run every cell through ``map_`` (``pool.map``, or the builtin ``map``
-    in process): the calibration pre-runs of all auto-threshold cells are
-    mapped first, in cell order, then each cell's trials once its threshold
-    is known; rows are read back once every cell is mapped."""
-    auto = [(cfg, policy) for policy, _, _, cfg in cells if cfg.sinr_threshold is None]
-    thresholds = map_(_calibration_worker, auto)
-    chunksize = max(1, sweep.trials // (sweep.workers * 8))
+    in process) as lane batches: first each policy's calibration pre-runs of
+    its auto-threshold cells, in cell order, then each cell's trials once its
+    threshold is known; rows are read back once every cell is mapped."""
+    auto = {}
+    for policy, _, _, cfg in cells:
+        if cfg.sinr_threshold is None:
+            auto.setdefault(policy, []).append(cfg)
+    batches = [(policy, chunk) for policy, cfgs in auto.items()
+               for chunk in _chunks(cfgs, sweep.workers, _lane_cap(cfgs[0], policy))]
+    thresholds = chain.from_iterable(map_(
+        _calibrate_lanes, [policy for policy, _ in batches],
+        [chunk for _, chunk in batches]))
     mapped = []
     for policy, snr_db, eta, cfg in cells:
         if cfg.sinr_threshold is None:
             cfg = cfg.replace(sinr_threshold=next(thresholds))
-        rows = map_(_trial_summary, repeat(cfg), repeat(policy),
-                    range(sweep.trials), chunksize=chunksize)
+        trials = _chunks(range(sweep.trials), sweep.workers, _lane_cap(cfg, policy))
+        rows = map_(_trial_lanes, repeat(cfg), repeat(policy), trials,
+                    repeat(sweep.slots_per_trial))
         mapped.append((rows, cfg, policy, snr_db, eta))
-    return [_run_cell(list(rows), *cell) for rows, *cell in mapped]
+    return [_run_cell([row for batch in rows for row in batch], *cell)
+            for rows, *cell in mapped]
 
 
 def monte_carlo(config: SystemConfig, sweep: SweepSpec) -> SecrecyReport:
@@ -230,13 +300,17 @@ def monte_carlo(config: SystemConfig, sweep: SweepSpec) -> SecrecyReport:
     error in a pooled task is raised here when its result is read back, and
     the work still queued in the pool is cancelled, not run.
     """
-    cells = [(policy, snr_db, eta,
-              config.replace(eta=eta, slots=sweep.slots_per_trial).with_snr_db(snr_db))
+    if not 0 <= config.warmup_slots < sweep.slots_per_trial:
+        raise ConfigError(
+            f"warmup_slots must lie in [0, slots_per_trial), got "
+            f"warmup_slots={config.warmup_slots}, "
+            f"slots_per_trial={sweep.slots_per_trial}")
+    cells = [(policy, snr_db, eta, config.replace(eta=eta).with_snr_db(snr_db))
              for policy in sweep.policies
              for snr_db in sweep.snr_db_grid
              for eta in sweep.eta_grid]
     if sweep.workers == 1:
-        results = _run_cells(_in_process_map, cells, sweep)
+        results = _run_cells(map, cells, sweep)
     else:
         pool = concurrent.futures.ProcessPoolExecutor(max_workers=sweep.workers)
         try:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import relaysec.sim
-from relaysec.buffers import BufferedSignal, classify_signal
+from relaysec.buffers import BufferedSignal, SignalClass, classify_signal
 from relaysec.channel import (STREAM_INSTANCE, NetworkRealization,
                               gen_network_realization, substream)
 from relaysec.config import SystemConfig
@@ -31,7 +31,7 @@ def small_config(**overrides):
     """Q=4 scenario small enough for exhaustive enumeration in tests."""
     defaults = dict(N_t=2, N_r=2, N_e=2, N_i=2, N_k=2, M=2, N=2,
                     Q=4, T=2, K=2, sinr_threshold=1.0,
-                    slots=5, warmup_slots=0, buffer_capacity=4)
+                    warmup_slots=0, buffer_capacity=4)
     defaults.update(overrides)
     return SystemConfig(**defaults)
 
@@ -67,6 +67,30 @@ def rr_map(real):
             if k != i}
 
 
+def stock(state, relay_id, record, lane=0):
+    """Push one BufferedSignal into relay ``relay_id``'s buffer of a lane."""
+    bank = state.buffers
+    shape = bank.valid.shape[:2]
+    relays = np.zeros(shape, dtype=bool)
+    relays[lane, relay_id - 1] = True
+    snapshot = np.zeros(shape + bank.snapshot.shape[3:], dtype=complex)
+    snapshot[lane, relay_id - 1] = record.snapshot
+    bank.push(relays, snapshot, np.full(shape, record.sinr_at_reception),
+              record.slot, np.full(shape, record.signal_class is SignalClass.FORWARD))
+
+
+def buffer_records(state, relay_id, lane=0):
+    """The records of relay ``relay_id`` in a lane, oldest first."""
+    return state.buffers.records(lane, relay_id - 1)
+
+
+def peek_all(state, lane=0):
+    """{relay id: record it would replay now} over the relays that have one."""
+    cell, found = state.buffers.peek_jamming()
+    records = state.buffers.take(cell, found)
+    return {q + 1: records.record(lane, q) for q in np.flatnonzero(found[lane])}
+
+
 def make_instance(config, seed, start_slot=10):
     """Deterministic single-slot test instance: pre-stocked buffers plus a
     fresh realization.  Rebuilding with the same seed gives an identical but
@@ -74,11 +98,11 @@ def make_instance(config, seed, start_slot=10):
     rng = substream(config.seed, STREAM_INSTANCE, seed, 0)
     state = fresh_state(config)
     threshold = config.sinr_threshold if config.sinr_threshold is not None else 1.0
-    for q in sorted(state.buffers):
+    for q in range(1, config.Q + 1):
         n_records = int(rng.integers(0, 4))
         for j in range(n_records):
             sinr = float(rng.exponential(2.0))
-            state.buffers[q].push(BufferedSignal(
+            stock(state, q, BufferedSignal(
                 snapshot=cn_matrix(rng, config.N_i, config.N_t),
                 sinr_at_reception=sinr,
                 slot=j,
@@ -96,7 +120,7 @@ needs_fork = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
 def inject_trial_error(monkeypatch):
     """Make every trial slot raise NumericError("injected"); calibration
     pre-runs score no slot, so they are unaffected."""
-    def failing_report(*args, **kwargs):
+    def failing_rates(*args, **kwargs):
         raise NumericError("injected")
 
-    monkeypatch.setattr(relaysec.sim, "slot_rate_report", failing_report)
+    monkeypatch.setattr(relaysec.sim, "lane_rates", failing_rates)

@@ -7,7 +7,7 @@ import numpy as np
 
 from relaysec import buffers, rates, selection
 
-from conftest import make_instance, small_config
+from conftest import buffer_records, make_instance, small_config
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 
@@ -51,7 +51,7 @@ def test_max_ratio_reaches_patched_link_powers(monkeypatch):
     # powers without looking them up on the selection module
     config = small_config()
     state, real = make_instance(config, seed=3)
-    assert any(len(b) for b in state.buffers.values())
+    assert any(buffer_records(state, q) for q in range(1, config.Q + 1))
     calls = {}
     for name in ("source_link_power", "relayed_link_power"):
         def counted(*args, _fn=getattr(selection, name), _name=name):

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relaysec.buffers import (BufferedSignal, RelayBuffer, SignalClass,
-                              classify_signal)
+from relaysec.buffers import (BufferBank, BufferedSignal, RelayBuffer,
+                              SignalClass, classify_signal)
 
 
 def record(slot, signal_class=SignalClass.FORWARD, sinr=1.0):
@@ -144,3 +144,67 @@ def test_random_operation_sequences_hold_invariants(ops, capacity):
         slots = [r.slot for r in buf.records]
         assert slots == sorted(slots)
         assert len(set(slots)) == len(slots)
+
+
+_OPS = st.tuples(st.sampled_from(["push", "pop", "peek", "consume"]), st.booleans())
+_LANES, _RELAYS = 3, 2
+
+
+def _same(got, want):
+    return (got.slot == want.slot and got.sinr_at_reception == want.sinr_at_reception
+            and got.signal_class is want.signal_class
+            and np.array_equal(got.snapshot, want.snapshot))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 8]),
+       st.lists(st.lists(_OPS, min_size=_LANES * _RELAYS,
+                         max_size=_LANES * _RELAYS), max_size=40))
+def test_bank_matches_relay_buffers(capacity, steps):
+    # every step gives each (lane, relay) buffer one op: push with eviction,
+    # pop_forward, peek_jamming, or a consume-on-jam remove of the peeked
+    # record; the bank and one RelayBuffer per buffer must agree on what
+    # each op returns, on the records kept, in order, and on evictions
+    bank = BufferBank(_LANES, _RELAYS, capacity, (1, 1))
+    spec = [[RelayBuffer(q, capacity) for q in range(_RELAYS)] for _ in range(_LANES)]
+    cells = [(b, q) for b in range(_LANES) for q in range(_RELAYS)]
+    slot = np.zeros((_LANES, _RELAYS), dtype=int)
+    for ops in steps:
+        kind = np.array([k for k, _ in ops]).reshape(_LANES, _RELAYS)
+        forward = np.array([f for _, f in ops]).reshape(_LANES, _RELAYS)
+
+        cell, found = bank.peek_jamming()
+        peeked = bank.take(cell, found)
+        for b, q in cells:
+            want = spec[b][q].peek_jamming()
+            assert found[b, q] == (want is not None)
+            if want is not None:
+                assert _same(peeked.record(b, q), want)
+                if kind[b, q] == "consume":
+                    spec[b][q].remove(want)
+        bank.remove(found & (kind == "consume"), cell)
+
+        cell, found = bank.pop_forward(kind == "pop")
+        popped = bank.take(cell, found)
+        for b, q in cells:
+            want = spec[b][q].pop_forward() if kind[b, q] == "pop" else None
+            assert found[b, q] == (want is not None)
+            if want is not None:
+                assert _same(popped.record(b, q), want)
+
+        push = kind == "push"
+        snapshot = (slot + 1j * np.arange(_LANES * _RELAYS).reshape(slot.shape))
+        sinr = slot + 0.5
+        bank.push(push, snapshot[..., None, None], sinr, slot, forward)
+        for b, q in np.argwhere(push).tolist():
+            spec[b][q].push(BufferedSignal(
+                snapshot=np.full((1, 1), snapshot[b, q]),
+                sinr_at_reception=float(sinr[b, q]), slot=int(slot[b, q]),
+                signal_class=SignalClass.FORWARD if forward[b, q] else SignalClass.JAM))
+        slot += push
+
+        for b, q in cells:
+            got, want = bank.records(b, q), spec[b][q].records
+            assert len(got) == len(want)
+            assert all(_same(g, w) for g, w in zip(got, want))
+            assert bank.evictions[b, q] == spec[b][q].evictions

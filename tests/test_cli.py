@@ -78,11 +78,12 @@ def test_cli_infinite_power_or_noise_in_config(tmp_path, capsys, line):
 
 @pytest.mark.parametrize("line,flag", [("eta = 0.2", "--eta"),
                                        ("sigma2 = 100", "--snr"),
-                                       ("trials = 10", "--trials")],
-                         ids=["eta", "sigma2", "trials"])
+                                       ("trials = 10", "--trials"),
+                                       ("slots = 8", "--slots")],
+                         ids=["eta", "sigma2", "trials", "slots"])
 def test_cli_sweep_axis_in_config_rejected(tmp_path, capsys, line, flag):
-    # --eta, --snr and --trials set these for the sweep; a file value would be
-    # ignored
+    # --eta, --snr, --trials and --slots set these for the sweep; a file
+    # value would be ignored
     bad = tmp_path / "bad.cfg"
     bad.write_text(line + "\n")
     out = tmp_path / "x.csv"
@@ -168,3 +169,11 @@ def test_parse_grid_rejects_garbage():
         _parse_grid("5:1:1", "snr")
     with pytest.raises(ConfigError):
         _parse_grid("a,b", "eta")
+
+
+def test_cli_warmup_longer_than_a_trial(tmp_path, capsys):
+    # the check needs both the file's warmup_slots and the --slots value
+    code, out = run_cli(tmp_path, "--slots", "1")
+    assert code == 2
+    assert "warmup_slots" in capsys.readouterr().err
+    assert not out.exists()

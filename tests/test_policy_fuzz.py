@@ -33,7 +33,7 @@ def small_scenarios(draw):
         selection_noise_floor=draw(st.booleans()),
         rate_unit=draw(st.sampled_from(["bits", "nats"])),
         seed=draw(st.integers(0, 2**32)),
-        slots=3, warmup_slots=0)
+        warmup_slots=0)
     return kwargs, draw(st.sampled_from([-10.0, 10.0, 30.0]))
 
 
@@ -46,8 +46,8 @@ def test_every_policy_runs_every_valid_config(scenario):
     except ConfigError:
         return
     for policy in POLICIES:
-        reports = run_trial(config, policy, 0)
-        assert len(reports) == config.slots
+        reports = run_trial(config, policy, 0, 3)
+        assert len(reports) == 3
         for report in reports:
             values = report.user_rates + report.eav_rates + (report.secrecy_rate,)
             assert all(math.isfinite(v) and v >= 0.0 for v in values), (policy, report)

@@ -10,25 +10,75 @@ from relaysec.channel import (STREAM_CHANNEL, gen_network_realization,
 from relaysec.config import power_split
 from relaysec.errors import ConfigError
 from relaysec.rates import eav_rate, logdet_identity_plus, user_rate
-from relaysec.selection import (POLICIES, _jam_set_scores, bf_rjfs_step,
-                                exhaustive_oracle, fresh_state,
+from relaysec.buffers import Records
+from relaysec.selection import (POLICIES, Lanes, _jam_set_scores, _lane_axis,
+                                bf_rjfs_step, exhaustive_oracle, fresh_state,
                                 initial_ranking, policy_conventional_bf,
                                 policy_max_link, policy_max_ratio,
                                 policy_random,
                                 select_jamming_relays,
                                 select_receiving_relays, slot_rate_report)
 
-from conftest import (cn_matrix, make_instance, realization_from_arrays,
-                      rr_map, small_config)
+from conftest import (buffer_records, cn_matrix, make_instance, peek_all,
+                      realization_from_arrays, rr_map, small_config)
+from conftest import stock as push_record
 from reference import (eav_sinr_matrix, max_ratio_roles, secrecy_rate,
                        user_sinr_matrix)
 
 
 def stock(state, relay_id, snapshot, sinr=5.0, slot=0,
           signal_class=SignalClass.JAM):
-    state.buffers[relay_id].push(BufferedSignal(
+    push_record(state, relay_id, BufferedSignal(
         snapshot=snapshot, sinr_at_reception=sinr, slot=slot,
         signal_class=signal_class))
+
+
+def id_mask(ids, Q):
+    """(1, Q) role mask of a tuple of relay ids."""
+    mask = np.zeros((1, Q), dtype=bool)
+    mask[0, [q - 1 for q in ids]] = True
+    return mask
+
+
+def mask_ids(mask):
+    return tuple((np.flatnonzero(mask[0]) + 1).tolist())
+
+
+def ranking(real):
+    return initial_ranking(_lane_axis(real))[0].tolist()
+
+
+def select_receivers(state, real, config, jammers):
+    """(receiver ids, {pool relay id: metric}, empty when forced)."""
+    chosen, metrics = select_receiving_relays(
+        state, _lane_axis(real), Lanes.of([config]), id_mask(jammers, config.Q))
+    pool = [q for q in range(1, config.Q + 1) if q not in jammers]
+    return mask_ids(chosen), ({} if metrics is None
+                              else {q: float(metrics[0, q - 1]) for q in pool})
+
+
+def select_jammers(state, real, config, current_jammers=()):
+    """(jammer ids, {relay id: metric}); the current jammers replay their
+    peeks."""
+    chosen, metrics = select_jamming_relays(
+        state, _lane_axis(real), Lanes.of([config]),
+        id_mask(current_jammers, config.Q))
+    return mask_ids(chosen), {q + 1: float(m) for q, m in enumerate(metrics[0])}
+
+
+def jam_set_scores(real, config, replays, jam_sets):
+    """Scores of jam sets (rows of relay ids) with ``replays`` ({relay id:
+    record}) as the one lane's replays."""
+    found = np.zeros((1, config.Q), dtype=bool)
+    snapshot = np.zeros((1, config.Q, config.N_i, config.N_t), dtype=complex)
+    for q, rec in replays.items():
+        found[0, q - 1] = True
+        snapshot[0, q - 1] = rec.snapshot
+    zeros = np.zeros(found.shape)
+    records = Records(found=found, snapshot=snapshot, sinr=zeros, slot=zeros,
+                      forward=np.zeros_like(found))
+    return _jam_set_scores(_lane_axis(real), Lanes.of([config]), records,
+                           np.asarray(jam_sets, dtype=int).reshape(len(jam_sets), -1) - 1)[0]
 
 
 def run_steps(config, policy, n_slots, trial=0):
@@ -56,7 +106,7 @@ def test_initial_ranking_analytic():
         config, 0, su, cn_matrix(rng, 2, 2)[None].repeat(2, 0),
         {(1, 2): cn_matrix(rng, 2, 2), (2, 1): cn_matrix(rng, 2, 2)},
         np.zeros((2, 2, 2, 2)), np.zeros((2, 2, 2, 2)))
-    assert list(initial_ranking(real)) == [1, 2]
+    assert ranking(real) == [1, 2]
 
 
 def test_initial_ranking_tie_break():
@@ -68,7 +118,7 @@ def test_initial_ranking_tie_break():
           for i in range(1, 5) if k != i}
     real = realization_from_arrays(config, 0, su, np.zeros((2, 2, 2)), rr,
                                    np.zeros((4, 2, 2, 2)), np.zeros((4, 2, 2, 2)))
-    assert list(initial_ranking(real)) == [1, 2, 3, 4]
+    assert ranking(real) == [1, 2, 3, 4]
 
 
 def test_initial_ranking_matches_brute_force(rng):
@@ -77,7 +127,7 @@ def test_initial_ranking_matches_brute_force(rng):
     dets = {q: np.linalg.det(H @ H.conj().T).real
             for q, H in enumerate(real.su_stack, start=1)}
     expected = sorted(dets, key=lambda q: (-dets[q], q))
-    assert list(initial_ranking(real)) == expected
+    assert ranking(real) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +137,7 @@ def test_initial_ranking_matches_brute_force(rng):
 def test_receiving_forced_when_pool_equals_T():
     config = small_config()
     state, real = make_instance(config, seed=0)
-    chosen, metrics = select_receiving_relays(state, real, config,
-                                              jammers=(2, 4))
+    chosen, metrics = select_receivers(state, real, config, jammers=(2, 4))
     assert chosen == (1, 3)
     assert metrics == {}
 
@@ -97,7 +146,7 @@ def test_receiving_pool_too_small():
     config = small_config()
     state, real = make_instance(config, seed=0)
     with pytest.raises(ConfigError):
-        select_receiving_relays(state, real, config, jammers=(1, 2, 4))
+        select_receivers(state, real, config, jammers=(1, 2, 4))
 
 
 def test_receiving_dominant_candidate_wins():
@@ -112,7 +161,7 @@ def test_receiving_dominant_candidate_wins():
         np.stack([np.stack([cn_matrix(rng, 2, 2) for _ in range(2)]) for _ in range(4)]),
         np.stack([np.stack([cn_matrix(rng, 2, 2) for _ in range(2)]) for _ in range(4)]))
     state = fresh_state(config)
-    chosen, metrics = select_receiving_relays(state, real, config, jammers=(4,))
+    chosen, metrics = select_receivers(state, real, config, jammers=(4,))
     assert 2 in chosen
     assert metrics[2] == max(metrics.values())
 
@@ -128,7 +177,7 @@ def test_receiving_all_identical_tie_break():
         np.stack([cn_matrix(rng, 2, 2) for _ in range(2)]), rr,
         np.zeros((4, 2, 2, 2)), np.zeros((4, 2, 2, 2)))
     state = fresh_state(config)
-    chosen, _ = select_receiving_relays(state, real, config, jammers=(4,))
+    chosen, _ = select_receivers(state, real, config, jammers=(4,))
     assert chosen == (1, 2)
 
 
@@ -153,17 +202,16 @@ def test_jamming_prefers_helpful_nonleaky_candidate():
     snap = np.eye(2, dtype=complex)
     stock(state, 1, snap)
     stock(state, 2, snap)
-    chosen, metrics = select_jamming_relays(state, real, config)
+    chosen, metrics = select_jammers(state, real, config)
     assert chosen == (1,)
     assert metrics[1] > 0 > metrics[2]
 
 
 def test_jamming_empty_buffers_rank_last_and_break_ties_by_id():
     config = small_config()
-    state, real = make_instance(config, seed=3)
-    for q in state.buffers:
-        state.buffers[q]._queue.clear()
-    chosen, metrics = select_jamming_relays(state, real, config)
+    _, real = make_instance(config, seed=3)
+    state = fresh_state(config)
+    chosen, metrics = select_jammers(state, real, config)
     assert chosen == (1, 2)
     assert all(v == 0.0 for v in metrics.values())
 
@@ -171,21 +219,22 @@ def test_jamming_empty_buffers_rank_last_and_break_ties_by_id():
 def test_jamming_k_zero():
     config = small_config(K=0)
     state, real = make_instance(config, seed=3)
-    assert select_jamming_relays(state, real, config) == ((), {})
+    chosen, metrics = select_jammers(state, real, config)
+    assert chosen == () and set(metrics.values()) == {0.0}
 
 
 def test_jamming_metrics_match_literal_formulas():
     config = small_config(Q=5, T=2, K=2)
     state, real = make_instance(config, seed=11)
     current = (1, 2)
-    chosen, metrics = select_jamming_relays(state, real, config,
-                                            current_jammers=current)
+    chosen, metrics = select_jammers(state, real, config, current_jammers=current)
+    peeked = peek_all(state)
     p_tx, p_rel = power_split(config)
     p_tx_e, p_rel_e = p_tx / config.sigma2, p_rel / config.sigma2
 
     delta = np.zeros((2, 2), dtype=complex)
     for k in current:
-        rec = state.buffers[k].peek_jamming()
+        rec = peeked.get(k)
         if rec is None:
             continue
         inner = np.eye(2) + (p_tx_e / config.N_t) * (rec.snapshot @ rec.snapshot.conj().T)
@@ -193,8 +242,8 @@ def test_jamming_metrics_match_literal_formulas():
             H_ke = real.re_stack[k - 1][e]
             delta += (p_rel_e / config.N_k) * (H_ke @ H_ke.conj().T) @ inner
 
-    for n in sorted(state.buffers):
-        rec = state.buffers[n].peek_jamming()
+    for n in range(1, config.Q + 1):
+        rec = peeked.get(n)
         if rec is None:
             assert metrics[n] == 0.0
             continue
@@ -218,21 +267,23 @@ def test_bf_rjfs_slot0_seeds_best_ranking():
     real = gen_network_realization(config, 0, substream(4, 0, 0, 0))
     state = fresh_state(config)
     outcome, new_state = bf_rjfs_step(state, real, config)
-    ranking = list(initial_ranking(real))
-    assert outcome.jamming_relays == tuple(sorted(ranking[:2]))
+    ranks = ranking(real)
+    assert outcome.jamming_relays == tuple(sorted(ranks[:2]))
     assert outcome.transmitting_relays == outcome.jamming_relays
-    assert outcome.receiving_relays == tuple(sorted(ranking[2:]))
+    assert outcome.receiving_relays == tuple(sorted(ranks[2:]))
+    # the next slot picks its jammers on this slot's channels, jammers and
+    # replays (none yet: the buffers started empty)
     last, jammers, replays = new_state.last_slot
-    assert last is real and jammers == outcome.jamming_relays
-    assert replays is outcome.replays
+    np.testing.assert_array_equal(last.su_stack[0], real.su_stack)
+    assert last.slot == 0 and mask_ids(jammers) == outcome.jamming_relays
+    assert not replays.found.any()
 
 
 def test_bf_rjfs_slot0_worst_seeding_flag():
     config = small_config(worst_sinr_seeding=True)
     real = gen_network_realization(config, 0, substream(4, 0, 0, 0))
     outcome, _ = bf_rjfs_step(fresh_state(config), real, config)
-    ranking = list(initial_ranking(real))
-    assert outcome.jamming_relays == tuple(sorted(ranking[-2:]))
+    assert outcome.jamming_relays == tuple(sorted(ranking(real)[-2:]))
 
 
 def test_bf_rjfs_step_deterministic():
@@ -252,10 +303,10 @@ def test_bf_rjfs_receivers_push_records():
     state = fresh_state(config)
     outcome, new_state = bf_rjfs_step(state, real, config)
     for q in outcome.receiving_relays:
-        assert len(new_state.buffers[q]) == 1
-        assert new_state.buffers[q].records[0].slot == 0
+        assert len(buffer_records(new_state, q)) == 1
+        assert buffer_records(new_state, q)[0].slot == 0
     for q in outcome.jamming_relays:
-        assert len(new_state.buffers[q]) == 0
+        assert len(buffer_records(new_state, q)) == 0
 
 
 def test_bf_rjfs_requires_resolved_threshold():
@@ -304,9 +355,8 @@ def test_conventional_bf_dominant_source_link():
 
 def test_conventional_bf_transmits_forward_records():
     config = small_config()
-    state, real = make_instance(config, seed=22)
-    for q in state.buffers:
-        state.buffers[q]._queue.clear()
+    _, real = make_instance(config, seed=22)
+    state = fresh_state(config)
     snap = np.eye(2, dtype=complex)
     stock(state, 1, snap, signal_class=SignalClass.JAM, slot=0)
     stock(state, 1, snap, signal_class=SignalClass.FORWARD, slot=1)
@@ -316,14 +366,13 @@ def test_conventional_bf_transmits_forward_records():
         assert outcome.replays[1].signal_class is SignalClass.FORWARD
         # forward delivery consumes the record
         assert all(r.signal_class is SignalClass.JAM
-                   for r in state.buffers[1].records)
+                   for r in buffer_records(state, 1))
 
 
 def test_max_link_roles_and_eligibility():
     config = small_config(buffer_capacity=1)
-    state, real = make_instance(config, seed=23)
-    for q in state.buffers:
-        state.buffers[q]._queue.clear()
+    _, real = make_instance(config, seed=23)
+    state = fresh_state(config)
     stock(state, 1, np.eye(2, dtype=complex), signal_class=SignalClass.FORWARD)
     outcome, _ = policy_max_link(state, real, config)
     assert len(outcome.receiving_relays) == config.T
@@ -342,9 +391,8 @@ def test_max_link_prefers_globally_strongest(rng):
 
 def test_max_ratio_zero_leakage_reduces_to_max_power():
     config = small_config()
-    state, real = make_instance(config, seed=25)
-    for q in state.buffers:
-        state.buffers[q]._queue.clear()   # empty buffers: zero leakage
+    _, real = make_instance(config, seed=25)
+    state = fresh_state(config)   # empty buffers: zero leakage
     outcome, _ = policy_max_ratio(state, real, config)
     rx_power = {q: np.sum(np.abs(real.su_stack[q - 1]) ** 2)
                 for q in range(1, 5)}
@@ -398,7 +446,7 @@ def test_random_policy_uniform_memberships():
     jam_counts = np.zeros(5)
     for i in range(draws):
         rng = substream(17, 1, 0, i)
-        ids = np.array(sorted(state.buffers))
+        ids = np.arange(1, config.Q + 1)
         perm = rng.permutation(len(ids))
         rx = [int(ids[j]) for j in perm[:config.T]]
         jam = [int(ids[j]) for j in perm[config.T:config.T + config.K]]
@@ -421,7 +469,7 @@ def test_oracle_small_enumeration_matches_manual_argmax():
     config = small_config(Q=3, T=1, K=1)
     state, real = make_instance(config, seed=41)
     ids = [1, 2, 3]
-    peeked = {q: state.buffers[q].peek_jamming() for q in ids}
+    peeked = {q: peek_all(state).get(q) for q in ids}
     best = None
     n_assignments = 0
     for rx in itertools.combinations(ids, 1):
@@ -463,16 +511,10 @@ def test_oracle_dominates_other_policies_on_instances():
     assert worse == 0
 
 
-def peek_all(state):
-    """{relay id: record it would replay now} over the relays that have one."""
-    return {q: rec for q in sorted(state.buffers)
-            if (rec := state.buffers[q].peek_jamming()) is not None}
-
-
 def reference_oracle(state, real, config):
     """Receive-major search over all C(Q,T) C(Q-T,K) assignments with one
     slot_rate_report each, keeping the first best (strict >)."""
-    ids = sorted(state.buffers)
+    ids = list(range(1, config.Q + 1))
     peeked = peek_all(state)
     best = None
     for rx in itertools.combinations(ids, config.T):
@@ -543,8 +585,8 @@ def test_oracle_matches_receive_major_reference(overrides):
     for state, real in oracle_slots(config):
         score, rx, jam = reference_oracle(state, real, config)
         # before the oracle runs: it pushes reception records
-        best = _jam_set_scores(real, config, peek_all(state), jam_sets).max()
-        silent += sum(len(b) == 0 for b in state.buffers.values())
+        best = jam_set_scores(real, config, peek_all(state), jam_sets).max()
+        silent += int((state.buffers.occupancy() == 0).sum())
         outcome, _ = exhaustive_oracle(state, real, config)
         assert outcome.receiving_relays == rx
         assert outcome.jamming_relays == jam
@@ -578,8 +620,7 @@ def test_jam_set_scores_match_rates_module_composition(overrides):
     ids = list(range(1, config.Q + 1))
     jam_sets = list(itertools.combinations(ids, config.K))
     for state, real in oracle_slots(config, n_instances=6, n_slots=3):
-        scores = _jam_set_scores(real, config, peek_all(state),
-                                 np.array(jam_sets, dtype=int))
+        scores = jam_set_scores(real, config, peek_all(state), jam_sets)
         assert scores.shape == (len(jam_sets),)
         for jam, got in zip(jam_sets, scores):
             expected = scalar_jam_set_score(state, real, config, jam)
@@ -592,7 +633,7 @@ def test_oracle_empty_buffers_tie_every_jam_set():
     state = fresh_state(config)
     real = gen_network_realization(config, 0, substream(3, 0, 0, 0))
     jam_sets = np.array(list(itertools.combinations(range(1, 7), 2)))
-    scores = _jam_set_scores(real, config, {}, jam_sets)
+    scores = jam_set_scores(real, config, {}, jam_sets)
     assert np.all(scores == scores[0])
     outcome, _ = exhaustive_oracle(state, real, config)
     assert outcome.receiving_relays == (1, 2)
@@ -607,8 +648,7 @@ def test_oracle_silent_members_tie_exactly():
     stock(state, 5, cn_matrix(np.random.default_rng(8), 2, 2))
     real = gen_network_realization(config, 4, substream(3, 0, 0, 4))
     jam_sets = np.array([(1, 5), (2, 5), (3, 5), (4, 5), (5, 6)])
-    scores = _jam_set_scores(real, config, {5: state.buffers[5].peek_jamming()},
-                             jam_sets)
+    scores = jam_set_scores(real, config, {5: peek_all(state)[5]}, jam_sets)
     assert np.all(scores == scores[0])
 
 
@@ -616,8 +656,8 @@ def test_oracle_scores_jam_sets_not_assignments():
     # Q=16, T=4, K=4: 900 900 assignments but 1 820 jam sets, under the guard
     config = small_config(Q=16, T=4, K=4)
     state, real = make_instance(config, seed=5)
-    scores = _jam_set_scores(real, config, peek_all(state), np.array(
-        list(itertools.combinations(range(1, 17), 4))))
+    scores = jam_set_scores(real, config, peek_all(state),
+                            list(itertools.combinations(range(1, 17), 4)))
     outcome, _ = exhaustive_oracle(state, real, config)
     assert len(outcome.receiving_relays) == 4
     assert len(outcome.jamming_relays) == 4
@@ -660,9 +700,9 @@ def _permute_realization(real, config, perm):
 
 def _permute_state(state, config, perm):
     new = fresh_state(config)
-    for q, buf in state.buffers.items():
-        for rec in buf.records:
-            new.buffers[perm[q]].push(rec)
+    for q in range(1, config.Q + 1):
+        for rec in buffer_records(state, q):
+            push_record(new, perm[q], rec)
     return new
 
 
@@ -694,11 +734,16 @@ def test_reception_matches_scalar_link_ops():
     config = small_config(gamma0=0.2)
     state, real = make_instance(config, seed=88)
     jammers = (1, 2)
-    replays = _resolve_replays(state, jammers, config, forward_only=False)
+    resolved = _resolve_replays(state, id_mask(jammers, 4), config,
+                                forward_only=False)
+    replays = {q: resolved.record(0, q - 1) for q in jammers
+               if resolved.found[0, q - 1]}
     receivers = (3, 4)
     state2, _ = make_instance(config, seed=88)
-    replays2 = _resolve_replays(state2, jammers, config, forward_only=False)
-    _receive_and_store(state2, real, config, receivers, replays2)
+    replays2 = _resolve_replays(state2, id_mask(jammers, 4), config,
+                                forward_only=False)
+    _receive_and_store(state2, _lane_axis(real), Lanes.of([config]),
+                       id_mask(receivers, 4), replays2)
 
     p_tx, p_rel = power_split(config)
     for i in receivers:
@@ -715,7 +760,7 @@ def test_reception_matches_scalar_link_ops():
                     H_ki, replays[k].snapshot)
         expected = sinr_relay(gamma_S, residual, 1, config.N_i,
                               config.sigma2).value
-        stored = state2.buffers[i].records[-1]
+        stored = buffer_records(state2, i)[-1]
         assert stored.sinr_at_reception == pytest.approx(expected, rel=1e-10)
         np.testing.assert_array_equal(stored.snapshot, H_i)
 
@@ -759,4 +804,4 @@ def test_metric_scale_invariance_of_ranking():
     scaled = realization_from_arrays(
         config, 0, 3.0 * real.su_stack, real.se_stack,
         rr_map(real), real.re_stack, real.ru_stack)
-    assert list(initial_ranking(real)) == list(initial_ranking(scaled))
+    assert ranking(real) == ranking(scaled)

@@ -1,13 +1,17 @@
 import concurrent.futures
 import dataclasses
+import pickle
 import time
 
+import numpy as np
 import pytest
 
 import relaysec.selection
 import relaysec.sim
+from relaysec.channel import STREAM_CHANNEL
 from relaysec.config import SystemConfig, load_config, parse_config, power_split
 from relaysec.errors import ConfigError, NumericError
+from relaysec.selection import DiagCounters
 from relaysec.sim import (SecrecyReport, SweepSpec, calibrate_threshold,
                           emit_results, monte_carlo, run_trial)
 
@@ -33,8 +37,19 @@ def test_apply_power_split_rejects_bad_eta():
 
 
 def test_zero_slot_config_rejected():
+    # the slots per trial are a sweep setting
     with pytest.raises(ConfigError):
-        small_config(slots=0)
+        SweepSpec(policies=("bf-rjfs",), slots_per_trial=0)
+
+
+def test_warmup_must_be_shorter_than_a_trial():
+    cfg = small_config(warmup_slots=4)
+    sweep = SweepSpec(policies=("bf-rjfs",), snr_db_grid=(10.0,), eta_grid=(1.0,),
+                      trials=1, slots_per_trial=4)
+    with pytest.raises(ConfigError, match="warmup_slots"):
+        monte_carlo(cfg, sweep)
+    with pytest.raises(ConfigError, match="warmup_slots"):
+        small_config(warmup_slots=-1)
 
 
 def test_replay_antenna_mismatch_rejected_without_jammers():
@@ -46,27 +61,27 @@ def test_replay_antenna_mismatch_rejected_without_jammers():
 
 def test_unknown_policy_rejected():
     with pytest.raises(ConfigError):
-        run_trial(small_config(), "bogus", 0)
+        run_trial(small_config(), "bogus", 0, 5)
 
 
 def test_unresolved_threshold_rejected():
     cfg = small_config(sinr_threshold=None)
     with pytest.raises(ConfigError):
-        run_trial(cfg, "bf-rjfs", 0)
+        run_trial(cfg, "bf-rjfs", 0, 5)
 
 
 def test_run_trial_deterministic():
-    cfg = small_config(seed=77, slots=6)
-    a = run_trial(cfg, "bf-rjfs", trial_index=3)
-    b = run_trial(cfg, "bf-rjfs", trial_index=3)
+    cfg = small_config(seed=77)
+    a = run_trial(cfg, "bf-rjfs", trial_index=3, slots=6)
+    b = run_trial(cfg, "bf-rjfs", trial_index=3, slots=6)
     assert [r.secrecy_rate for r in a] == [r.secrecy_rate for r in b]
     assert [r.user_rates for r in a] == [r.user_rates for r in b]
 
 
 def test_run_trial_distinct_across_trials():
-    cfg = small_config(seed=77, slots=6)
-    a = run_trial(cfg, "bf-rjfs", trial_index=0)
-    b = run_trial(cfg, "bf-rjfs", trial_index=1)
+    cfg = small_config(seed=77)
+    a = run_trial(cfg, "bf-rjfs", trial_index=0, slots=6)
+    b = run_trial(cfg, "bf-rjfs", trial_index=1, slots=6)
     assert [r.secrecy_rate for r in a] != [r.secrecy_rate for r in b]
 
 
@@ -82,14 +97,13 @@ def test_bf_rjfs_picks_no_jammers_after_the_last_slot(monkeypatch):
         return select(*args, **kwargs)
 
     monkeypatch.setattr(relaysec.selection, "select_jamming_relays", counted)
-    cfg = small_config(seed=77, slots=6)
-    run_trial(cfg, "bf-rjfs", 0)
-    assert len(calls) == cfg.slots - 1
+    run_trial(small_config(seed=77), "bf-rjfs", 0, 6)
+    assert len(calls) == 6 - 1
 
 
 def test_report_structure():
-    cfg = small_config(seed=5, slots=4)
-    reports = run_trial(cfg, "bf-rjfs", 0)
+    cfg = small_config(seed=5)
+    reports = run_trial(cfg, "bf-rjfs", 0, 4)
     assert len(reports) == 4
     for rep in reports:
         assert len(rep.user_rates) == cfg.T
@@ -100,19 +114,19 @@ def test_report_structure():
 def test_oracle_dominates_on_shared_state_slot0():
     # both policies start from the same empty buffers at slot 0
     for seed in range(10):
-        cfg = small_config(seed=seed, slots=1)
-        a = run_trial(cfg, "oracle", 0)
-        b = run_trial(cfg, "bf-rjfs", 0)
+        cfg = small_config(seed=seed)
+        a = run_trial(cfg, "oracle", 0, 1)
+        b = run_trial(cfg, "bf-rjfs", 0, 1)
         assert a[0].secrecy_rate >= b[0].secrecy_rate - 1e-9
 
 
 def test_oracle_dominates_in_aggregate():
     # after slot 0 the buffer states diverge, so dominance holds on average
-    cfg = small_config(seed=3, slots=5)
+    cfg = small_config(seed=3)
     diff = 0.0
     for trial in range(12):
-        a = run_trial(cfg, "oracle", trial)
-        b = run_trial(cfg, "bf-rjfs", trial)
+        a = run_trial(cfg, "oracle", trial, 5)
+        b = run_trial(cfg, "bf-rjfs", trial, 5)
         diff += sum(r.secrecy_rate for r in a) - sum(r.secrecy_rate for r in b)
     assert diff > 0.0
 
@@ -198,49 +212,74 @@ def test_one_pool_per_sweep_runs_calibration(monkeypatch):
 
 def test_pooled_calibration_through_a_wrapped_calibrate_threshold(monkeypatch):
     # a timing harness wraps calibrate_threshold in a local closure, which a
-    # pool cannot pickle; the pool must be handed a module-level task instead,
-    # and in process every calibration must still go through the wrapper
+    # pool cannot pickle; sweeps run their calibration pre-runs as lane
+    # batches instead, serial and pooled alike, and every cell still gets the
+    # threshold of its own one-lane pre-run
     calibrate = relaysec.sim.calibrate_threshold
-    calls = []
 
     def timed(*args, **kwargs):
-        calls.append(args)
         return calibrate(*args, **kwargs)
 
     monkeypatch.setattr(relaysec.sim, "calibrate_threshold", timed)
     cfg = small_config(sinr_threshold=None, seed=23, warmup_slots=1)
-    sweep = _tiny_sweep(policies=("bf-rjfs",), trials=2)
+    sweep = _tiny_sweep(policies=("bf-rjfs", "random"), trials=2)
     serial = monte_carlo(cfg, sweep)
-    assert len(calls) == len(serial.cells) == 2   # one per auto-threshold cell
     pooled = monte_carlo(cfg, dataclasses.replace(sweep, workers=2))
-    assert all(cell.sinr_threshold > 0.0 for cell in serial.cells)
     assert pooled.cells == serial.cells
+    for cell in serial.cells:
+        one_lane = calibrate(cfg.replace(eta=cell.eta).with_snr_db(cell.snr_db),
+                             cell.policy)
+        assert cell.sinr_threshold == one_lane > 0.0
 
 
 @needs_fork
 def test_pool_error_reaches_caller_and_cancels_queued_cells(monkeypatch, tmp_path):
     inject_trial_error(monkeypatch)
-    real_trial = relaysec.sim._run_trial_full
+    real_lockstep = relaysec.sim._lockstep
 
-    def summary(config, policy, trial_index):   # leaves a file per started trial
-        (tmp_path / f"{config.eta}-{trial_index}").touch()
-        if trial_index:
-            time.sleep(0.2)
-        return real_trial(config, policy, trial_index)
+    def lockstep(policy, configs, trials, slots, score=True):
+        if trials[0] is not None:      # leaves a file per started trial batch
+            (tmp_path / f"{configs[0].eta}-{trials[0]}").touch()
+            if trials[0]:
+                time.sleep(0.2)
+        return real_lockstep(policy, configs, trials, slots, score)
 
-    # _run_trial_full, not the _trial_summary the pool is handed: a local
-    # function cannot be pickled into a task
-    monkeypatch.setattr(relaysec.sim, "_run_trial_full", summary)
+    # one-lane batches, so that a cell has more batches than the pool holds
+    # queued; the pool is handed _trial_lanes, which looks _lockstep up
+    monkeypatch.setattr(relaysec.sim, "_MAX_LANES", 1)
+    monkeypatch.setattr(relaysec.sim, "_lockstep", lockstep)
     sweep = SweepSpec(policies=("bf-rjfs",), snr_db_grid=(10.0,),
                       eta_grid=(0.5, 1.0, 1.5), trials=8, slots_per_trial=4,
                       workers=2)
     with pytest.raises(NumericError,
                        match=r"policy 'bf-rjfs' trial 0 slot 0: injected"):
         monte_carlo(small_config(seed=9), sweep)
-    # trial 0 of the first cell fails at once; no trial of a later cell starts
+    # trial 0 of the first cell fails at once; no batch of a later cell starts
     started = [path.name for path in tmp_path.iterdir()]
     assert "0.5-0" in started
     assert all(name.startswith("0.5-") for name in started)
+
+
+def test_batch_error_names_the_failing_trial_and_slot(monkeypatch):
+    # trial 3's channels overflow at slot 2 inside a batch of 6 lanes; the
+    # error names that trial and slot, as a run of trial 3 alone does
+    real_substream = relaysec.sim.substream
+
+    class Overflowing:
+        def standard_normal(self, shape):
+            return np.full(shape, np.inf)
+
+    def substream(seed, *key):
+        if key == (STREAM_CHANNEL, 3, 2):
+            return Overflowing()
+        return real_substream(seed, *key)
+
+    monkeypatch.setattr(relaysec.sim, "substream", substream)
+    sweep = SweepSpec(policies=("bf-rjfs",), snr_db_grid=(10.0,),
+                      eta_grid=(1.0,), trials=6, slots_per_trial=4)
+    with pytest.raises(NumericError, match=r"policy 'bf-rjfs' trial 3 slot 2: "):
+        with np.errstate(all="ignore"):
+            monte_carlo(small_config(seed=9), sweep)
 
 
 def test_calibration_deterministic_and_policy_scoped():
@@ -381,3 +420,54 @@ def test_non_finite_power_noise_and_gamma0_rejected(field, value):
     name = _NOISE_FIELD.get(field, field)
     with pytest.raises(ConfigError, match=name):
         SystemConfig(**{name: value})
+
+
+# ---------------------------------------------------------------------------
+# lanes
+
+
+_LANE_CONFIGS = {
+    "Q=5 unforced receive": SystemConfig(Q=5, T=2, K=2, gamma0=0.3, seed=20261018),
+    "default scenario": SystemConfig(seed=20261018),
+    "consume_on_jam": SystemConfig(Q=5, T=2, K=2, gamma0=0.3, seed=20261018,
+                                   consume_on_jam=True),
+    "single antenna": SystemConfig(Q=5, T=2, K=2, gamma0=0.3,
+                                   seed=20261018).single_antenna(),
+}
+
+
+def _lane_slot(outcome, state, rates, b):
+    """Everything a lane's slot produced, as bytes: roles, replayed records,
+    stored SINRs, rates, clamps, the buffers and the counters."""
+    bank, replays = state.buffers, outcome.replays
+    return pickle.dumps((
+        outcome.receivers[b], outcome.transmitters[b], outcome.jammers[b],
+        replays.found[b], replays.snapshot[b], replays.sinr[b], replays.slot[b],
+        replays.forward[b], outcome.sinr[b],
+        None if outcome.objective is None else outcome.objective[b],
+        [r[b] for r in rates],
+        bank.valid[b], bank.snapshot[b], bank.sinr[b], bank.slot[b],
+        bank.forward[b], bank.evictions[b],
+        [getattr(state.diag, f.name)[b] for f in dataclasses.fields(DiagCounters)]))
+
+
+@pytest.mark.parametrize("name", _LANE_CONFIGS)
+@pytest.mark.parametrize("policy", relaysec.sim.POLICY_ORDER)
+def test_lanes_are_batch_invariant(policy, name):
+    # a lane gives the same bits alone and in a batch with other trials of
+    # its cell, lanes of other cells (other sigma2, eta and threshold) and a
+    # calibration pre-run; this keeps outputs equal across worker counts and
+    # cells independent
+    base = _LANE_CONFIGS[name]
+    cells = [base.replace(eta=1.0, sinr_threshold=0.3).with_snr_db(10.0),
+             base.replace(eta=0.5, sinr_threshold=0.1).with_snr_db(0.0),
+             base.replace(eta=1.5, sinr_threshold=0.0).with_snr_db(20.0)]
+    configs = [cells[0], cells[0], cells[1], cells[2]]
+    trials = (0, 5, 1, None)
+    slots = 12
+    batch = relaysec.sim._lockstep(policy, configs, trials, slots)
+    alone = [relaysec.sim._lockstep(policy, [cfg], (trial,), slots)
+             for cfg, trial in zip(configs, trials)]
+    for slot, (together, *singles) in enumerate(zip(batch, *alone)):
+        for b, single in enumerate(singles):
+            assert _lane_slot(*together, b) == _lane_slot(*single, 0), (slot, b)
