@@ -111,13 +111,15 @@ class DiagCounters:
 
 @dataclass
 class PolicyState:
-    """Single-owner state of a batch of lanes: buffers, the previous
-    ``bf-rjfs`` slot's (realization, jammers, replays), and the per-lane
-    counters.  Every policy step advances it in place."""
+    """Single-owner state of a batch of lanes: buffers, per-lane counters,
+    the previous ``bf-rjfs`` slot's (realization, jammers, replays), and that
+    slot's eavesdropper interference covariance once :func:`lane_rates` has
+    scored it.  Every policy step advances it in place."""
 
     buffers: BufferBank
     diag: DiagCounters
     last_slot: tuple | None = None
+    last_delta: np.ndarray | None = None
 
 
 def fresh_state(config: SystemConfig, lanes: int = 1) -> PolicyState:
@@ -147,7 +149,7 @@ class Lanes:
         """Lane b runs ``configs[b]``; raises ConfigError if two of them
         differ in a shared field."""
         base = configs[0]
-        for cfg in configs:
+        for cfg in set(configs):
             if cfg is not base and cfg.replace(
                     eta=base.eta, sigma2=base.sigma2,
                     sinr_threshold=base.sinr_threshold) != base:
@@ -339,8 +341,7 @@ def select_receiving_relays(state: PolicyState, realization, lanes: Lanes,
 
 
 def select_jamming_relays(state: PolicyState, realization, lanes: Lanes,
-                          current: np.ndarray | None = None,
-                          replays: Records | None = None) -> tuple:
+                          Delta: np.ndarray | None = None) -> tuple:
     """Pick each lane's K relays that will jam (and serve the users) next
     slot.
 
@@ -349,27 +350,24 @@ def select_jamming_relays(state: PolicyState, realization, lanes: Lanes,
     is scored with its own replayable snapshot: delivered-signal matrix
     Gamma_n = sum_r H_nr Hs Hs^H H_nr^H against its eavesdropper-side leak
     (I + Delta)^{-1} (P/N_k) sum_e H_ne Hs Hs^H H_ne^H, where Delta is the
-    interference floor created by the ``current`` jammers (none by default)
-    replaying ``replays`` (their peeks by default).  Relays with empty
-    buffers rank last (metric 0); ties break by ascending id.  Returns the
-    (B, Q) mask and the (B, Q) metric.
+    (B, N_e, N_e) interference floor of the current jammers (none by
+    default; see :func:`_eav_interference`).  Relays with empty buffers rank
+    last (metric 0); ties break by ascending id.  Returns the (B, Q) mask and
+    the (B, Q) metric.
     """
     config = lanes.config
     if config.K == 0:
         shape = state.buffers.valid.shape[:2]
         return np.zeros(shape, dtype=bool), np.zeros(shape)
     own = _peek(state)
-    if current is None:
-        current = np.zeros(own.found.shape, dtype=bool)
+    if Delta is None:
+        Delta = np.zeros((len(own.found), config.N_e, config.N_e), dtype=complex)
     snap_grams = gram(own.snapshot)                  # zero for empty buffers
     H_nr = realization.ru_stack                      # (B, Q, M, N_r, N_k)
     gamma_n = np.einsum("xcuab,xcbd,xcued->xcae", H_nr, snap_grams, H_nr.conj())
     H_ne = realization.re_stack                      # (B, Q, N, N_e, N_k)
     leak = _col(lanes.snr_rel / config.N_k, 4) * np.einsum(
         "xceab,xcbd,xcefd->xcaf", H_ne, snap_grams, H_ne.conj())
-    replays = own if replays is None else replays
-    Delta = _eav_interference(realization, lanes, replays.found & current,
-                              _factors(lanes, replays))
     gamma_e = np.linalg.solve(rates._eye(config.N_e) + Delta[:, None], leak)
     # N_e == N_r whenever K > 0, so both metrics share one log-det call
     ld_n, ld_e = rates.logdet_identity_plus_stack(
@@ -472,8 +470,8 @@ def lane_rates(realization, lanes: Lanes, replays: Records, jammers: np.ndarray,
 
     The users are served by the transmitters' replays; the eavesdroppers see
     the source plus interference from the jammers' replays.  Returns user
-    rates (B, T), eavesdropper rates (B, N), secrecy rates (B,) and clamp
-    counts (B,).
+    rates (B, T), eavesdropper rates (B, N), secrecy rates (B,), clamp
+    counts (B,) and that interference covariance Delta (B, N_e, N_e).
     """
     factors = _factors(lanes, replays)
     serving = (replays.found & transmitters)[..., None, None, None]
@@ -482,7 +480,8 @@ def lane_rates(realization, lanes: Lanes, replays: Records, jammers: np.ndarray,
     Delta = _eav_interference(realization, lanes, replays.found & jammers, factors)
     user_rates, eav_rates, clamps = _slot_rates(realization, lanes, user_gammas,
                                                 Delta)
-    return user_rates, eav_rates, rates.secrecy_rate(user_rates, eav_rates), clamps
+    return (user_rates, eav_rates, rates.secrecy_rate(user_rates, eav_rates),
+            clamps, Delta)
 
 
 def slot_rate_report(realization, config: SystemConfig, replays: dict,
@@ -497,7 +496,7 @@ def slot_rate_report(realization, config: SystemConfig, replays: dict,
     zeros = np.zeros(found.shape)
     records = Records(found=found, snapshot=snapshot, sinr=zeros, slot=zeros,
                       forward=np.zeros_like(found))
-    user, eav, secrecy, clamps = lane_rates(
+    user, eav, secrecy, clamps, _ = lane_rates(
         _lane_axis(realization), Lanes.of([config]), records,
         _ids_mask(jammers, config.Q), _ids_mask(transmitters, config.Q))
     report = rates.RateReport(user_rates=tuple(user[0].tolist()),
@@ -520,14 +519,20 @@ def _bf_rjfs(state: PolicyState, realization, lanes: Lanes, rngs=None) -> LaneOu
     Slot 0 seeds the jammer set from the source-channel determinant ranking
     (best first unless ``worst_sinr_seeding``); afterwards the jammers are
     chosen with the jam-side metric on the previous slot's channels, jammers
-    and replays, against the buffers as that slot left them.  Receivers are
-    selected from the remaining pool, and reception records are classified
-    and buffered.
+    and replays, against the buffers as that slot left them.  The
+    eavesdropper covariance of those jammers is the one :func:`lane_rates`
+    handed over when it scored the previous slot, and is computed here when
+    that slot went unscored.  Receivers are selected from the remaining pool,
+    and reception records are classified and buffered.
     """
     config = lanes.config
     if state.last_slot is not None:
         last, current, replays = state.last_slot
-        jammers, _ = select_jamming_relays(state, last, lanes, current, replays)
+        Delta = state.last_delta
+        if Delta is None:
+            Delta = _eav_interference(last, lanes, replays.found & current,
+                                      _factors(lanes, replays))
+        jammers, _ = select_jamming_relays(state, last, lanes, Delta)
     elif realization.slot == 0:
         ranking = initial_ranking(realization) - 1
         picked = (ranking[:, config.Q - config.K:] if config.worst_sinr_seeding
@@ -539,6 +544,7 @@ def _bf_rjfs(state: PolicyState, realization, lanes: Lanes, rngs=None) -> LaneOu
     receivers, _ = select_receiving_relays(state, realization, lanes, jammers)
     outcome = _serve(state, realization, lanes, receivers, jammers, jamming=True)
     state.last_slot = (realization, jammers, outcome.replays)
+    state.last_delta = None
     return outcome
 
 

@@ -7,13 +7,16 @@ trial-index order, and no timestamps enter the outputs, so a sweep produces
 byte-identical files across reruns and across worker counts.
 
 The engine runs the slot sequences of one policy, its lanes, together on
-(B, ...) stacks (see :mod:`relaysec.selection`).  A lane is a trial or a
-calibration pre-run with its own streams, noise variance, power split and
-threshold, and it gives the same numbers in any batch, alone included.  One
-routine, :func:`_run_cells`, runs a sweep at every worker count: each
-policy's calibration pre-runs, then each cell's trials, as lane batches
-split into ``workers`` chunks of at most ``_MAX_LANES`` lanes; only the
-``map`` it is handed differs.
+(B, ...) stacks (see :mod:`relaysec.selection`).  A lane is a trial of a
+cell or a calibration pre-run with its own noise variance, power split and
+threshold, and it gives the same numbers in any batch, alone included.  A
+channel realization depends only on (seed, trial, slot) and the antenna
+shapes, so every cell of a sweep runs trial t on the same draws: each slot
+draws once per trial and every cell's lane of that trial reads it.  One
+routine, :func:`_run_cells`, runs a sweep at every worker count: the
+calibration pre-runs first, then the trials in contiguous chunks, each chunk
+one task that runs every cell, one batch per policy; only the ``map`` it is
+handed differs.
 
 The printed rate formulas carry an implicit unit noise floor, so all powers
 passed into the matrix-rate builders are divided by the one noise variance
@@ -48,7 +51,8 @@ POLICY_ORDER = tuple(POLICIES)
 
 _CALIBRATION_SLOTS = 200
 # lanes per batch, which bounds a batch's arrays; an oracle lane counts once
-# per jam set it scores
+# per jam set it scores.  A trial batch holds at least one trial of each cell
+# of its policy, so one wider than this runs as one batch of that width.
 _MAX_LANES = 256
 _Z95 = 1.959963984540054
 
@@ -125,54 +129,75 @@ def _stream_keys(policy: str, config: SystemConfig, trial, slot: int) -> tuple:
     return (STREAM_CHANNEL, trial, slot), (STREAM_POLICY, trial, slot)
 
 
-def _lockstep(policy: str, configs, trials, slots: int, score: bool = True):
-    """Run lanes of one policy in lockstep and yield (outcome, state, rates)
-    after each slot.
+def _take(realization, rows: list):
+    """The lane realization whose lane b is lane ``rows[b]`` of
+    ``realization``."""
+    stacks = {}
+    for name in ("su_stack", "se_stack", "rr_stack", "re_stack", "ru_stack"):
+        stack = getattr(realization, name)[rows]
+        stack.flags.writeable = False
+        stacks[name] = stack
+    return dataclasses.replace(realization, **stacks)
 
-    Lane b runs ``configs[b]`` (they may differ only in eta, sigma2 and
-    sinr_threshold) as trial ``trials[b]``, or as a calibration pre-run where
-    that is None.  ``rates`` is what :func:`~relaysec.selection.lane_rates`
-    returns, or None unless ``score``.
+
+def _lockstep(batches, slots: int, score: bool = True):
+    """Run batches of lanes in lockstep and yield, after each slot, one
+    (outcome, state, rates) per batch.
+
+    A batch is (policy, configs, trials): its lane b runs ``configs[b]``
+    (they may differ only in eta, sigma2 and sinr_threshold) as trial
+    ``trials[b]``, or as a calibration pre-run where that is None.  All
+    batches share the shape fields and the seed.  Each slot draws every
+    distinct channel stream of its lanes once, so every lane of a trial, in
+    any batch, runs on one shared realization.  ``rates`` is what
+    :func:`~relaysec.selection.lane_rates` returns, or None unless ``score``;
+    scoring hands its Delta to the next slot's step.
     """
-    if policy not in POLICIES:
-        raise ConfigError(f"unknown policy {policy!r}")
-    step = LANE_STEPS[policy]
-    lanes = Lanes.of(configs)
-    config = lanes.config
-    state = fresh_state(config, len(configs))
+    for policy, _, _ in batches:
+        if policy not in POLICIES:
+            raise ConfigError(f"unknown policy {policy!r}")
+    runs = [(LANE_STEPS[policy], Lanes.of(configs),
+             fresh_state(configs[0], len(configs)))
+            for policy, configs, _ in batches]
+    config = batches[0][1][0]
     for slot in range(slots):
-        keys = [_stream_keys(policy, cfg, trial, slot)
-                for cfg, trial in zip(configs, trials)]
-        realization = gen_network_realization(
-            config, slot, [substream(config.seed, *channel) for channel, _ in keys])
-        rngs = ([substream(config.seed, *drawn) for _, drawn in keys]
-                if policy == "random" else None)
-        outcome = step(state, realization, lanes, rngs)
-        rates = None
-        if score:
-            rates = lane_rates(realization, lanes, outcome.replays,
-                               outcome.jammers, outcome.transmitters)
-            state.diag.clamp_events += rates[3]
-        yield outcome, state, rates
+        keyed = [[_stream_keys(policy, cfg, trial, slot)
+                  for cfg, trial in zip(configs, trials)]
+                 for policy, configs, trials in batches]
+        streams = {}        # channel key -> lane of the slot's draw
+        rows = [[streams.setdefault(channel, len(streams)) for channel, _ in keys]
+                for keys in keyed]
+        drawn = gen_network_realization(
+            config, slot, [substream(config.seed, *key) for key in streams])
+        scored = []
+        for (policy, _, _), (step, lanes, state), keys, lane_rows in zip(
+                batches, runs, keyed, rows):
+            realization = (drawn if lane_rows == list(range(len(streams)))
+                           else _take(drawn, lane_rows))
+            rngs = ([substream(config.seed, *drawn_key) for _, drawn_key in keys]
+                    if policy == "random" else None)
+            outcome = step(state, realization, lanes, rngs)
+            rates = None
+            if score:
+                rates = lane_rates(realization, lanes, outcome.replays,
+                                   outcome.jammers, outcome.transmitters)
+                state.diag.clamp_events += rates[3]
+                state.last_delta = rates[4]
+            scored.append((outcome, state, rates))
+        yield scored
 
 
-def _scored_slots(policy: str, config: SystemConfig, trials, slots: int):
-    """Yield (slot, rates, state) of trial lanes of one cell.  A
-    NumericError names the policy, the first failing trial and its slot."""
+def _lane(policy: str, config: SystemConfig, trial: int, slots: int):
+    """Yield the rates of each slot of one trial lane run alone.  A
+    NumericError names the policy, the trial and the slot."""
     slot = 0
     try:
-        for _, state, rates in _lockstep(policy, [config] * len(trials), trials,
-                                         slots):
-            yield slot, rates, state
+        for [(_, _, rates)] in _lockstep([(policy, [config], (trial,))], slots):
+            yield rates
             slot += 1
     except NumericError as exc:
-        if len(trials) == 1:
-            raise NumericError(
-                f"policy {policy!r} trial {trials[0]} slot {slot}: {exc}") from exc
-        for trial in trials:    # alone, a lane fails where it fails in a batch
-            for _ in _scored_slots(policy, config, (trial,), slots):
-                pass
-        raise
+        raise NumericError(
+            f"policy {policy!r} trial {trial} slot {slot}: {exc}") from exc
 
 
 def run_trial(config: SystemConfig, policy: str, trial_index: int,
@@ -183,37 +208,77 @@ def run_trial(config: SystemConfig, policy: str, trial_index: int,
     return [RateReport(user_rates=tuple(user[0].tolist()),
                        eav_rates=tuple(eav[0].tolist()),
                        secrecy_rate=float(secrecy[0]))
-            for _, (user, eav, secrecy, _), _ in _scored_slots(
-                policy, config, (trial_index,), slots)]
+            for user, eav, secrecy, _, _ in _lane(policy, config, trial_index,
+                                                  slots)]
 
 
-def _trial_lanes(config: SystemConfig, policy: str, trials, slots: int) -> list:
-    """(mean secrecy rate over the retained slots, DiagCounters) of each of
-    ``trials`` of one sweep cell, run as the lanes of one batch."""
-    total = 0.0
-    for slot, (_, _, secrecy, _), state in _scored_slots(policy, config, trials,
-                                                         slots):
-        if slot >= config.warmup_slots:
-            total = total + secrecy
-    means = total / (slots - config.warmup_slots)
-    diag = state.diag
-    return [(mean, DiagCounters(**{f.name: int(getattr(diag, f.name)[b])
-                                   for f in dataclasses.fields(DiagCounters)}))
-            for b, mean in enumerate(means.tolist())]
+def _by_policy(cells) -> dict:
+    """{policy: indices of its cells} of (policy, config) ``cells``, both in
+    order of appearance."""
+    groups = {}
+    for i, (policy, _) in enumerate(cells):
+        groups.setdefault(policy, []).append(i)
+    return groups
 
 
-def _calibrate_lanes(policy: str, configs) -> list:
-    """The :func:`calibrate_threshold` of each of ``configs``, cells of one
-    policy whose pre-runs run as the lanes of one batch."""
-    pre_runs = [cfg.replace(sinr_threshold=0.0) for cfg in configs]
-    stored, received = [], []
-    for outcome, _, _ in _lockstep(policy, pre_runs, (None,) * len(pre_runs),
-                                   _CALIBRATION_SLOTS, score=False):
-        stored.append(outcome.sinr)
-        received.append(outcome.receivers)
-    stored, received = np.stack(stored, axis=1), np.stack(received, axis=1)
-    return [float(statistics.median(sinrs[mask].tolist())) if mask.any() else 0.0
-            for sinrs, mask in zip(stored, received)]
+def _trial_chunk(cells, trials, slots: int) -> list:
+    """(mean secrecy rate over the retained slots of each of ``trials``,
+    DiagCounters summed over them) of each of ``cells``, (policy, config)
+    pairs of one sweep with resolved thresholds.
+
+    The cells of a policy run as the lanes of one batch, cell-major, and
+    every batch runs on the slot's one draw per trial.  A NumericError names
+    the failing lane with the smallest trial index, ties going to cell
+    order."""
+    groups = _by_policy(cells)
+    batches = [(policy, [cells[i][1] for i in members for _ in trials],
+                [trial for _ in members for trial in trials])
+               for policy, members in groups.items()]
+    warmup = cells[0][1].warmup_slots
+    totals = [0.0] * len(batches)
+    try:
+        for slot, scored in enumerate(_lockstep(batches, slots)):
+            if slot >= warmup:
+                totals = [total + rates[2]
+                          for total, (_, _, rates) in zip(totals, scored)]
+    except NumericError:
+        # alone, a lane fails where it fails in a batch
+        for trial in trials:
+            for policy, config in cells:
+                for _ in _lane(policy, config, trial, slots):
+                    pass
+        raise
+    rows = [None] * len(cells)
+    for members, total, (_, state, _) in zip(groups.values(), totals, scored):
+        means = (total / (slots - warmup)).reshape(len(members), -1)
+        diag = {f.name: getattr(state.diag, f.name).reshape(len(members), -1)
+                for f in dataclasses.fields(DiagCounters)}
+        for row, i in enumerate(members):
+            rows[i] = (means[row], DiagCounters(
+                **{name: int(counts[row].sum()) for name, counts in diag.items()}))
+    return rows
+
+
+def _calibrate_lanes(cells) -> list:
+    """The :func:`calibrate_threshold` of each of ``cells``, (policy, config)
+    pairs whose pre-runs run as lanes, one batch per policy."""
+    groups = _by_policy(cells)
+    batches = [(policy, [cells[i][1].replace(sinr_threshold=0.0) for i in members],
+                (None,) * len(members))
+               for policy, members in groups.items()]
+    stored = [[] for _ in batches]
+    received = [[] for _ in batches]
+    for scored in _lockstep(batches, _CALIBRATION_SLOTS, score=False):
+        for k, (outcome, _, _) in enumerate(scored):
+            stored[k].append(outcome.sinr)
+            received[k].append(outcome.receivers)
+    thresholds = [None] * len(cells)
+    for members, sinrs, masks in zip(groups.values(), stored, received):
+        sinrs, masks = np.stack(sinrs, axis=1), np.stack(masks, axis=1)
+        for i, lane_sinrs, mask in zip(members, sinrs, masks):
+            thresholds[i] = (float(statistics.median(lane_sinrs[mask].tolist()))
+                             if mask.any() else 0.0)
+    return thresholds
 
 
 def calibrate_threshold(config: SystemConfig, policy: str) -> float:
@@ -224,7 +289,7 @@ def calibrate_threshold(config: SystemConfig, policy: str) -> float:
     keyed by (seed, policy, SNR, eta) so the result is independent of which
     other cells appear in a sweep.
     """
-    return _calibrate_lanes(policy, [config])[0]
+    return _calibrate_lanes([(policy, config)])[0]
 
 
 def _chunks(items, workers: int, cap: int) -> list:
@@ -234,17 +299,18 @@ def _chunks(items, workers: int, cap: int) -> list:
     return [items[len(items) * i // n:len(items) * (i + 1) // n] for i in range(n)]
 
 
-def _lane_cap(config: SystemConfig, policy: str) -> int:
-    sets = math.comb(config.Q, config.K) if policy == "oracle" else 1
-    return max(1, _MAX_LANES // sets)
+def _jam_sets(config: SystemConfig, policy: str) -> int:
+    """Jam sets a lane of ``policy`` scores per slot (1 unless the oracle)."""
+    return math.comb(config.Q, config.K) if policy == "oracle" else 1
 
 
 def _run_cell(rows, cell_cfg: SystemConfig, policy: str, snr_db: float,
               eta: float) -> CellResult:
-    """Aggregate a cell's trial rows, (mean, DiagCounters) in trial-index
-    order, into its CellResult; the DiagCounters fields are summed by name."""
-    trials = len(rows)
-    means = np.array([mean for mean, _ in rows])
+    """Aggregate a cell's chunk rows, (per-trial mean secrecy rates,
+    DiagCounters) in trial-index order, into its CellResult; the
+    DiagCounters fields are summed by name."""
+    means = np.concatenate([chunk_means for chunk_means, _ in rows])
+    trials = len(means)
     diag = DiagCounters(**{f.name: sum(getattr(d, f.name) for _, d in rows)
                            for f in dataclasses.fields(DiagCounters)})
     mean = float(np.mean(means))
@@ -264,41 +330,47 @@ def _run_cell(rows, cell_cfg: SystemConfig, policy: str, snr_db: float,
 
 def _run_cells(map_, cells: list, sweep: SweepSpec) -> list:
     """Run every cell through ``map_`` (``pool.map``, or the builtin ``map``
-    in process) as lane batches: first each policy's calibration pre-runs of
-    its auto-threshold cells, in cell order, then each cell's trials once its
-    threshold is known; rows are read back once every cell is mapped."""
-    auto = {}
-    for policy, _, _, cfg in cells:
-        if cfg.sinr_threshold is None:
-            auto.setdefault(policy, []).append(cfg)
-    batches = [(policy, chunk) for policy, cfgs in auto.items()
-               for chunk in _chunks(cfgs, sweep.workers, _lane_cap(cfgs[0], policy))]
+    in process): first the calibration pre-runs of the auto-threshold cells,
+    in cell order, split into about ``sweep.workers`` tasks; then the trials
+    of the sweep, split into at least ``sweep.workers`` contiguous chunks,
+    each a task that runs every cell on one draw per (trial, slot)."""
+    auto = [(policy, cfg) for policy, _, _, cfg in cells
+            if cfg.sinr_threshold is None]
+    lane_sets = max((_jam_sets(cfg, policy) for policy, cfg in auto), default=1)
     thresholds = chain.from_iterable(map_(
-        _calibrate_lanes, [policy for policy, _ in batches],
-        [chunk for _, chunk in batches]))
-    mapped = []
-    for policy, snr_db, eta, cfg in cells:
-        if cfg.sinr_threshold is None:
-            cfg = cfg.replace(sinr_threshold=next(thresholds))
-        trials = _chunks(range(sweep.trials), sweep.workers, _lane_cap(cfg, policy))
-        rows = map_(_trial_lanes, repeat(cfg), repeat(policy), trials,
-                    repeat(sweep.slots_per_trial))
-        mapped.append((rows, cfg, policy, snr_db, eta))
-    return [_run_cell([row for batch in rows for row in batch], *cell)
-            for rows, *cell in mapped]
+        _calibrate_lanes, _chunks(auto, sweep.workers,
+                                  max(1, _MAX_LANES // lane_sets))))
+    resolved = [(policy, cfg if cfg.sinr_threshold is not None
+                 else cfg.replace(sinr_threshold=next(thresholds)))
+                for policy, _, _, cfg in cells]
+    trial_sets = max(len(members) * _jam_sets(resolved[members[0]][1], policy)
+                     for policy, members in _by_policy(resolved).items())
+    chunks = list(map_(_trial_chunk, repeat(resolved),
+                       _chunks(range(sweep.trials), sweep.workers,
+                               max(1, _MAX_LANES // trial_sets)),
+                       repeat(sweep.slots_per_trial)))
+    return [_run_cell([rows[i] for rows in chunks], cfg, policy, snr_db, eta)
+            for i, ((policy, snr_db, eta, _), (_, cfg))
+            in enumerate(zip(cells, resolved))]
 
 
 def monte_carlo(config: SystemConfig, sweep: SweepSpec) -> SecrecyReport:
     """Run every sweep cell and aggregate trial-mean secrecy rates.
 
-    Cells are independent: each derives its RNG streams and its calibrated
-    threshold from (seed, policy, SNR, eta) alone, so adding or removing grid
-    points does not change the numbers of the remaining cells.  Every sweep
-    runs through :func:`_run_cells`, which maps all calibration pre-runs
-    before any trial: in this process at ``sweep.workers == 1``, on one pool
-    of N processes at N > 1.  The outputs are bit-identical for any N.  An
-    error in a pooled task is raised here when its result is read back, and
-    the work still queued in the pool is cancelled, not run.
+    Cells are independent: a cell's trial t reads the channel draws of
+    (seed, trial t) and, for ``random``, its policy draws, and its calibrated
+    threshold comes from (seed, policy, SNR, eta) alone, so adding or
+    removing grid points does not change the numbers of the remaining cells.
+    Every cell sees the same channel draw per (trial, slot), drawn once per
+    sweep.  Every sweep runs through :func:`_run_cells`, which maps all
+    calibration pre-runs before any trial: in this process at
+    ``sweep.workers == 1``, on one pool of N processes at N > 1.  The outputs
+    are bit-identical for any N.
+
+    A NumericError in a trial names the failing lane with the smallest
+    trial index, ties going to cell order, with its policy, trial and slot,
+    at any N.  An error in a pooled task is raised here when its result is
+    read back, and the work still queued in the pool is cancelled, not run.
     """
     if not 0 <= config.warmup_slots < sweep.slots_per_trial:
         raise ConfigError(

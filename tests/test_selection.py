@@ -11,7 +11,8 @@ from relaysec.config import power_split
 from relaysec.errors import ConfigError
 from relaysec.rates import eav_rate, logdet_identity_plus, user_rate
 from relaysec.buffers import Records
-from relaysec.selection import (POLICIES, Lanes, _jam_set_scores, _lane_axis,
+from relaysec.selection import (POLICIES, Lanes, _eav_interference, _factors,
+                                _jam_set_scores, _lane_axis, _peek,
                                 bf_rjfs_step, exhaustive_oracle, fresh_state,
                                 initial_ranking, policy_conventional_bf,
                                 policy_max_link, policy_max_ratio,
@@ -60,9 +61,12 @@ def select_receivers(state, real, config, jammers):
 def select_jammers(state, real, config, current_jammers=()):
     """(jammer ids, {relay id: metric}); the current jammers replay their
     peeks."""
-    chosen, metrics = select_jamming_relays(
-        state, _lane_axis(real), Lanes.of([config]),
-        id_mask(current_jammers, config.Q))
+    real, lanes = _lane_axis(real), Lanes.of([config])
+    peeks = _peek(state)
+    Delta = _eav_interference(real, lanes,
+                              peeks.found & id_mask(current_jammers, config.Q),
+                              _factors(lanes, peeks))
+    chosen, metrics = select_jamming_relays(state, real, lanes, Delta)
     return mask_ids(chosen), {q + 1: float(m) for q, m in enumerate(metrics[0])}
 
 

@@ -1,6 +1,8 @@
 import concurrent.futures
 import dataclasses
+import math
 import pickle
+import statistics
 import time
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 
 import relaysec.selection
 import relaysec.sim
-from relaysec.channel import STREAM_CHANNEL
+from relaysec.channel import STREAM_CHANNEL, gen_network_realization
 from relaysec.config import SystemConfig, load_config, parse_config, power_split
 from relaysec.errors import ConfigError, NumericError
 from relaysec.selection import DiagCounters
@@ -237,27 +239,62 @@ def test_pool_error_reaches_caller_and_cancels_queued_cells(monkeypatch, tmp_pat
     inject_trial_error(monkeypatch)
     real_lockstep = relaysec.sim._lockstep
 
-    def lockstep(policy, configs, trials, slots, score=True):
-        if trials[0] is not None:      # leaves a file per started trial batch
-            (tmp_path / f"{configs[0].eta}-{trials[0]}").touch()
-            if trials[0]:
+    def lockstep(batches, slots, score=True):
+        trial = batches[0][2][0]
+        if trial is not None:      # leaves a file per started trial chunk
+            (tmp_path / str(trial)).touch()
+            if trial:
                 time.sleep(0.2)
-        return real_lockstep(policy, configs, trials, slots, score)
+        return real_lockstep(batches, slots, score)
 
-    # one-lane batches, so that a cell has more batches than the pool holds
-    # queued; the pool is handed _trial_lanes, which looks _lockstep up
-    monkeypatch.setattr(relaysec.sim, "_MAX_LANES", 1)
+    # one trial of the 3 cells per chunk, so that the sweep has more chunks
+    # than the pool holds queued; the pool is handed _trial_chunk, which
+    # looks _lockstep up
+    monkeypatch.setattr(relaysec.sim, "_MAX_LANES", 3)
     monkeypatch.setattr(relaysec.sim, "_lockstep", lockstep)
     sweep = SweepSpec(policies=("bf-rjfs",), snr_db_grid=(10.0,),
-                      eta_grid=(0.5, 1.0, 1.5), trials=8, slots_per_trial=4,
+                      eta_grid=(0.5, 1.0, 1.5), trials=24, slots_per_trial=4,
                       workers=2)
     with pytest.raises(NumericError,
                        match=r"policy 'bf-rjfs' trial 0 slot 0: injected"):
         monte_carlo(small_config(seed=9), sweep)
-    # trial 0 of the first cell fails at once; no batch of a later cell starts
-    started = [path.name for path in tmp_path.iterdir()]
-    assert "0.5-0" in started
-    assert all(name.startswith("0.5-") for name in started)
+    # the chunk of trial 0 fails at once; of the 24 chunks, none after the
+    # first 8 starts
+    started = sorted(int(path.name) for path in tmp_path.iterdir())
+    assert started[0] == 0
+    assert started[-1] < 8, started
+
+
+@needs_fork
+def test_threshold_error_reaches_caller_and_cancels_queued_calibrations(
+        monkeypatch, tmp_path):
+    # the sweep raises in this process, on the first calibrated threshold,
+    # while calibration tasks are still queued; the pool's shutdown cancels
+    # them
+    monkeypatch.setattr(statistics, "median", lambda values: math.nan)
+    real_lockstep = relaysec.sim._lockstep
+    cfg = small_config(sinr_threshold=None, seed=9, warmup_slots=1)
+    snrs = tuple(float(snr) for snr in range(24))
+    order = [cfg.with_snr_db(snr).sigma2 for snr in snrs]
+
+    def lockstep(batches, slots, score=True):
+        index = order.index(batches[0][1][0].sigma2)
+        (tmp_path / str(index)).touch()     # a file per started calibration
+        if index:
+            time.sleep(0.2)
+        return real_lockstep(batches, slots, score)
+
+    # one calibration lane per task, so that the sweep has more tasks than
+    # the pool holds queued
+    monkeypatch.setattr(relaysec.sim, "_MAX_LANES", 1)
+    monkeypatch.setattr(relaysec.sim, "_lockstep", lockstep)
+    sweep = SweepSpec(policies=("bf-rjfs",), snr_db_grid=snrs, eta_grid=(1.0,),
+                      trials=2, slots_per_trial=4, workers=2)
+    with pytest.raises(ConfigError, match="sinr_threshold"):
+        monte_carlo(cfg, sweep)
+    started = sorted(int(path.name) for path in tmp_path.iterdir())
+    assert started[0] == 0
+    assert started[-1] < 8, started
 
 
 def test_batch_error_names_the_failing_trial_and_slot(monkeypatch):
@@ -280,6 +317,42 @@ def test_batch_error_names_the_failing_trial_and_slot(monkeypatch):
     with pytest.raises(NumericError, match=r"policy 'bf-rjfs' trial 3 slot 2: "):
         with np.errstate(all="ignore"):
             monte_carlo(small_config(seed=9), sweep)
+
+
+def _fingerprint(config, trial, slot):
+    """A value that tells the channel draw of (trial, slot) from any other."""
+    return gen_network_realization(config, slot, relaysec.sim.substream(
+        config.seed, STREAM_CHANNEL, trial, slot)).su_stack[0, 0, 0]
+
+
+@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=needs_fork)])
+@pytest.mark.parametrize("failures,expected", [
+    # (policy, snr_db, trial, slot) of each failing lane
+    ((("conventional-bf", 0.0, 2, 1), ("bf-rjfs", 10.0, 4, 0)),
+     r"policy 'conventional-bf' trial 2 slot 1: injected"),
+    ((("conventional-bf", 0.0, 2, 1), ("bf-rjfs", 10.0, 2, 3)),
+     r"policy 'bf-rjfs' trial 2 slot 3: injected"),
+])
+def test_error_names_smallest_failing_trial_then_cell_order(monkeypatch, workers,
+                                                            failures, expected):
+    # two cells fail at different trials (or at one trial, different slots);
+    # the error names the smallest trial, then the first cell in cell order,
+    # whichever fails first in a batch and whichever chunk holds each trial
+    cfg = small_config(seed=9, warmup_slots=1)
+    for policy, snr_db, trial, slot in failures:
+        step = relaysec.selection.LANE_STEPS[policy]
+        sigma2, mark = cfg.with_snr_db(snr_db).sigma2, _fingerprint(cfg, trial, slot)
+
+        def failing(state, realization, lanes, rngs=None, step=step,
+                    sigma2=sigma2, mark=mark):
+            if ((lanes.sigma2 == sigma2)
+                    & (realization.su_stack[:, 0, 0, 0] == mark)).any():
+                raise NumericError("injected")
+            return step(state, realization, lanes, rngs)
+
+        monkeypatch.setitem(relaysec.selection.LANE_STEPS, policy, failing)
+    with pytest.raises(NumericError, match=expected):
+        monte_carlo(cfg, _tiny_sweep(trials=6, workers=workers))
 
 
 def test_calibration_deterministic_and_policy_scoped():
@@ -462,12 +535,105 @@ def test_lanes_are_batch_invariant(policy, name):
     cells = [base.replace(eta=1.0, sinr_threshold=0.3).with_snr_db(10.0),
              base.replace(eta=0.5, sinr_threshold=0.1).with_snr_db(0.0),
              base.replace(eta=1.5, sinr_threshold=0.0).with_snr_db(20.0)]
-    configs = [cells[0], cells[0], cells[1], cells[2]]
-    trials = (0, 5, 1, None)
+    # the last lane shares trial 0's draw with the first
+    configs = [cells[0], cells[0], cells[1], cells[2], cells[2]]
+    trials = (0, 5, 1, None, 0)
     slots = 12
-    batch = relaysec.sim._lockstep(policy, configs, trials, slots)
-    alone = [relaysec.sim._lockstep(policy, [cfg], (trial,), slots)
+    batch = relaysec.sim._lockstep([(policy, configs, trials)], slots)
+    alone = [relaysec.sim._lockstep([(policy, [cfg], (trial,))], slots)
              for cfg, trial in zip(configs, trials)]
-    for slot, (together, *singles) in enumerate(zip(batch, *alone)):
-        for b, single in enumerate(singles):
+    for slot, ([together], *singles) in enumerate(zip(batch, *alone)):
+        for b, [single] in enumerate(singles):
             assert _lane_slot(*together, b) == _lane_slot(*single, 0), (slot, b)
+
+
+def test_lanes_of_a_batch_differ_only_in_cell_fields():
+    cfg = small_config()
+    lanes = relaysec.selection.Lanes.of(
+        [cfg, cfg.replace(eta=0.5), cfg.with_snr_db(3.0), cfg])
+    assert lanes.sigma2.tolist() == [1.0, 1.0, cfg.with_snr_db(3.0).sigma2, 1.0]
+    with pytest.raises(ConfigError, match="differ only"):
+        relaysec.selection.Lanes.of([cfg, cfg.replace(eta=0.5),
+                                     cfg.replace(gamma0=0.5)])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sub_grid_cells_equal_full_sweep_cells(workers):
+    # every cell of a sweep runs on the one shared draw per (trial, slot), in
+    # batches and chunks shaped by the whole grid; a sweep over a sub-grid
+    # still gives the shared cells' results field for field
+    cfg = small_config(sinr_threshold=None, seed=31, warmup_slots=1)
+    full = monte_carlo(cfg, SweepSpec(
+        policies=("bf-rjfs", "random", "conventional-bf"),
+        snr_db_grid=(0.0, 10.0, 20.0), eta_grid=(0.5, 1.5), trials=5,
+        slots_per_trial=4, workers=workers))
+    sub = monte_carlo(cfg, SweepSpec(
+        policies=("random", "bf-rjfs"), snr_db_grid=(10.0,),
+        eta_grid=(1.5,), trials=5, slots_per_trial=4, workers=workers))
+    by_key = {(c.policy, c.snr_db, c.eta): c for c in full.cells}
+    assert len(sub.cells) == 2
+    for cell in sub.cells:
+        assert cell == by_key[(cell.policy, cell.snr_db, cell.eta)]
+
+
+def test_one_channel_draw_per_trial_slot_per_sweep(monkeypatch):
+    # 2 policies x 2 SNRs x 2 etas share each (trial, slot) draw
+    real_substream = relaysec.sim.substream
+    keys = []
+
+    def substream(seed, *key):
+        keys.append(key)
+        return real_substream(seed, *key)
+
+    monkeypatch.setattr(relaysec.sim, "substream", substream)
+    sweep = SweepSpec(policies=("bf-rjfs", "random"), snr_db_grid=(0.0, 10.0),
+                      eta_grid=(0.5, 1.5), trials=7, slots_per_trial=3)
+    monte_carlo(small_config(seed=9), sweep)
+    channel = [key for key in keys if key[0] == STREAM_CHANNEL]
+    assert sorted(channel) == [(STREAM_CHANNEL, trial, slot)
+                               for trial in range(7) for slot in range(3)]
+
+
+def test_bf_rjfs_scored_trial_computes_each_slot_delta_once(monkeypatch):
+    # lane_rates hands its eavesdropper covariance over to the next slot's
+    # jam selection; a calibration pre-run, which scores no slot, computes it
+    # in the step
+    real = relaysec.selection._eav_interference
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(relaysec.selection, "_eav_interference", counted)
+    run_trial(small_config(seed=77), "bf-rjfs", 0, 6)
+    assert len(calls) == 6
+    calls.clear()
+    calibrate_threshold(small_config(sinr_threshold=None, seed=77), "bf-rjfs")
+    assert len(calls) == relaysec.sim._CALIBRATION_SLOTS - 1
+
+
+def test_pool_tasks_survive_pickling():
+    # a pool task that fails to pickle can hang the pool's shutdown instead
+    # of raising; every function and argument _run_cells hands its map, and
+    # every result, must make the round trip
+    handed = []
+
+    def pickling_map(fn, *iterables):
+        assert pickle.loads(pickle.dumps(fn)) is fn
+        for args in zip(*iterables):
+            handed.append(fn.__name__)
+            assert pickle.loads(pickle.dumps(args)) == args
+            result = fn(*args)
+            sent = pickle.dumps(result)
+            assert pickle.dumps(pickle.loads(sent)) == sent
+            yield result
+
+    cfg = small_config(sinr_threshold=None, seed=23, warmup_slots=1)
+    sweep = _tiny_sweep(policies=("bf-rjfs", "random"), trials=3, workers=2)
+    cells = [(policy, snr_db, eta, cfg.replace(eta=eta).with_snr_db(snr_db))
+             for policy in sweep.policies for snr_db in sweep.snr_db_grid
+             for eta in sweep.eta_grid]
+    results = relaysec.sim._run_cells(pickling_map, cells, sweep)
+    assert set(handed) == {"_calibrate_lanes", "_trial_chunk"}
+    assert tuple(results) == monte_carlo(cfg, sweep).cells
