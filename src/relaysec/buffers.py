@@ -60,10 +60,6 @@ class RelayBuffer:
     def records(self) -> tuple:
         return tuple(self._queue)
 
-    @property
-    def is_full(self) -> bool:
-        return len(self._queue) >= self.capacity
-
     def push(self, record: BufferedSignal) -> None:
         if self._queue and record.slot <= self._queue[-1].slot:
             raise ValueError(

@@ -71,19 +71,19 @@ class SelectionOutcome:
 class LaneOutcome:
     """One slot's roles in every lane, as (B, Q) masks.  ``replays`` holds
     the record each transmitter replayed, ``sinr`` the reception SINR each
-    receiver stored (0 elsewhere), ``objective`` the oracle's slot secrecy
-    rate per lane."""
+    receiver stored (0 elsewhere), ``factors`` the (B, Q, N_i, N_i)
+    stored-signal factors of the replays, ``delta`` the (B, N_e, N_e)
+    jamming covariance of the jammers' replays at the eavesdroppers, and
+    ``objective`` the oracle's slot secrecy rate per lane."""
 
     receivers: np.ndarray
     transmitters: np.ndarray
-    jamming: bool                 # the transmitters also jam
+    jammers: np.ndarray
     replays: Records
     sinr: np.ndarray
+    factors: np.ndarray
+    delta: np.ndarray
     objective: np.ndarray | None = None
-
-    @property
-    def jammers(self) -> np.ndarray:
-        return self.transmitters if self.jamming else np.zeros_like(self.transmitters)
 
     def view(self, lane: int) -> SelectionOutcome:
         def ids(mask):
@@ -92,7 +92,7 @@ class LaneOutcome:
         transmitters = ids(self.transmitters)
         return SelectionOutcome(
             receiving_relays=ids(self.receivers),
-            jamming_relays=transmitters if self.jamming else (),
+            jamming_relays=ids(self.jammers),
             transmitting_relays=transmitters,
             replays={q: self.replays.record(lane, q - 1) for q in transmitters
                      if self.replays.found[lane, q - 1]},
@@ -111,15 +111,13 @@ class DiagCounters:
 
 @dataclass
 class PolicyState:
-    """Single-owner state of a batch of lanes: buffers, per-lane counters,
-    the previous ``bf-rjfs`` slot's (realization, jammers, replays), and that
-    slot's eavesdropper interference covariance once :func:`lane_rates` has
-    scored it.  Every policy step advances it in place."""
+    """Single-owner state of a batch of lanes: buffers, per-lane counters
+    and the previous ``bf-rjfs`` slot's (realization, LaneOutcome).  Every
+    policy step advances it in place."""
 
     buffers: BufferBank
     diag: DiagCounters
     last_slot: tuple | None = None
-    last_delta: np.ndarray | None = None
 
 
 def fresh_state(config: SystemConfig, lanes: int = 1) -> PolicyState:
@@ -449,6 +447,20 @@ def _receive_and_store(state: PolicyState, realization, lanes: Lanes,
     return stored
 
 
+def _outcome(realization, lanes: Lanes, receivers: np.ndarray,
+             transmitters: np.ndarray, jammers: np.ndarray, replays: Records,
+             sinr: np.ndarray, objective: np.ndarray | None = None) -> LaneOutcome:
+    """The LaneOutcome of served roles, with the stored-signal factors of
+    ``replays`` and the jamming covariance of the jammers that replay."""
+    factors = _factors(lanes, replays)
+    return LaneOutcome(
+        receivers=receivers, transmitters=transmitters, jammers=jammers,
+        replays=replays, sinr=sinr, factors=factors,
+        delta=_eav_interference(realization, lanes, replays.found & jammers,
+                                factors),
+        objective=objective)
+
+
 def _serve(state: PolicyState, realization, lanes: Lanes, receivers: np.ndarray,
            transmitters: np.ndarray, jamming: bool,
            objective: np.ndarray | None = None) -> LaneOutcome:
@@ -459,29 +471,26 @@ def _serve(state: PolicyState, realization, lanes: Lanes, receivers: np.ndarray,
     replays = _resolve_replays(state, transmitters, lanes.config,
                                forward_only=not jamming)
     sinr = _receive_and_store(state, realization, lanes, receivers, replays)
-    return LaneOutcome(receivers=receivers, transmitters=transmitters,
-                       jamming=jamming, replays=replays, sinr=sinr,
-                       objective=objective)
+    jammers = transmitters if jamming else np.zeros_like(transmitters)
+    return _outcome(realization, lanes, receivers, transmitters, jammers,
+                    replays, sinr, objective)
 
 
-def lane_rates(realization, lanes: Lanes, replays: Records, jammers: np.ndarray,
-               transmitters: np.ndarray) -> tuple:
-    """Per-slot achievable rates of each lane's role assignment.
+def lane_rates(realization, lanes: Lanes, outcome: LaneOutcome) -> tuple:
+    """Per-slot achievable rates of each lane's served roles.
 
     The users are served by the transmitters' replays; the eavesdroppers see
-    the source plus interference from the jammers' replays.  Returns user
-    rates (B, T), eavesdropper rates (B, N), secrecy rates (B,), clamp
-    counts (B,) and that interference covariance Delta (B, N_e, N_e).
+    the source plus the outcome's jamming covariance ``delta``.  Returns
+    user rates (B, T), eavesdropper rates (B, N), secrecy rates (B,) and
+    clamp counts (B,).
     """
-    factors = _factors(lanes, replays)
-    serving = (replays.found & transmitters)[..., None, None, None]
+    serving = (outcome.replays.found & outcome.transmitters)[..., None, None, None]
     user_gammas = _relay_sum(np.where(
-        serving, _user_terms(realization, lanes, factors), 0))
-    Delta = _eav_interference(realization, lanes, replays.found & jammers, factors)
+        serving, _user_terms(realization, lanes, outcome.factors), 0))
     user_rates, eav_rates, clamps = _slot_rates(realization, lanes, user_gammas,
-                                                Delta)
+                                                outcome.delta)
     return (user_rates, eav_rates, rates.secrecy_rate(user_rates, eav_rates),
-            clamps, Delta)
+            clamps)
 
 
 def slot_rate_report(realization, config: SystemConfig, replays: dict,
@@ -496,9 +505,11 @@ def slot_rate_report(realization, config: SystemConfig, replays: dict,
     zeros = np.zeros(found.shape)
     records = Records(found=found, snapshot=snapshot, sinr=zeros, slot=zeros,
                       forward=np.zeros_like(found))
-    user, eav, secrecy, clamps, _ = lane_rates(
-        _lane_axis(realization), Lanes.of([config]), records,
-        _ids_mask(jammers, config.Q), _ids_mask(transmitters, config.Q))
+    realization, lanes = _lane_axis(realization), Lanes.of([config])
+    outcome = _outcome(realization, lanes, np.zeros_like(found),
+                       _ids_mask(transmitters, config.Q),
+                       _ids_mask(jammers, config.Q), records, zeros)
+    user, eav, secrecy, clamps = lane_rates(realization, lanes, outcome)
     report = rates.RateReport(user_rates=tuple(user[0].tolist()),
                               eav_rates=tuple(eav[0].tolist()),
                               secrecy_rate=float(secrecy[0]))
@@ -518,21 +529,15 @@ def _bf_rjfs(state: PolicyState, realization, lanes: Lanes, rngs=None) -> LaneOu
 
     Slot 0 seeds the jammer set from the source-channel determinant ranking
     (best first unless ``worst_sinr_seeding``); afterwards the jammers are
-    chosen with the jam-side metric on the previous slot's channels, jammers
-    and replays, against the buffers as that slot left them.  The
-    eavesdropper covariance of those jammers is the one :func:`lane_rates`
-    handed over when it scored the previous slot, and is computed here when
-    that slot went unscored.  Receivers are selected from the remaining pool,
+    chosen with the jam-side metric on the previous slot's channels against
+    the jamming covariance its outcome carries, and against the buffers as
+    that slot left them.  Receivers are selected from the remaining pool,
     and reception records are classified and buffered.
     """
     config = lanes.config
     if state.last_slot is not None:
-        last, current, replays = state.last_slot
-        Delta = state.last_delta
-        if Delta is None:
-            Delta = _eav_interference(last, lanes, replays.found & current,
-                                      _factors(lanes, replays))
-        jammers, _ = select_jamming_relays(state, last, lanes, Delta)
+        last, served = state.last_slot
+        jammers, _ = select_jamming_relays(state, last, lanes, served.delta)
     elif realization.slot == 0:
         ranking = initial_ranking(realization) - 1
         picked = (ranking[:, config.Q - config.K:] if config.worst_sinr_seeding
@@ -543,8 +548,7 @@ def _bf_rjfs(state: PolicyState, realization, lanes: Lanes, rngs=None) -> LaneOu
 
     receivers, _ = select_receiving_relays(state, realization, lanes, jammers)
     outcome = _serve(state, realization, lanes, receivers, jammers, jamming=True)
-    state.last_slot = (realization, jammers, outcome.replays)
-    state.last_delta = None
+    state.last_slot = (realization, outcome)
     return outcome
 
 

@@ -150,8 +150,7 @@ def _lockstep(batches, slots: int, score: bool = True):
     batches share the shape fields and the seed.  Each slot draws every
     distinct channel stream of its lanes once, so every lane of a trial, in
     any batch, runs on one shared realization.  ``rates`` is what
-    :func:`~relaysec.selection.lane_rates` returns, or None unless ``score``;
-    scoring hands its Delta to the next slot's step.
+    :func:`~relaysec.selection.lane_rates` returns, or None unless ``score``.
     """
     for policy, _, _ in batches:
         if policy not in POLICIES:
@@ -179,10 +178,8 @@ def _lockstep(batches, slots: int, score: bool = True):
             outcome = step(state, realization, lanes, rngs)
             rates = None
             if score:
-                rates = lane_rates(realization, lanes, outcome.replays,
-                                   outcome.jammers, outcome.transmitters)
+                rates = lane_rates(realization, lanes, outcome)
                 state.diag.clamp_events += rates[3]
-                state.last_delta = rates[4]
             scored.append((outcome, state, rates))
         yield scored
 
@@ -208,8 +205,8 @@ def run_trial(config: SystemConfig, policy: str, trial_index: int,
     return [RateReport(user_rates=tuple(user[0].tolist()),
                        eav_rates=tuple(eav[0].tolist()),
                        secrecy_rate=float(secrecy[0]))
-            for user, eav, secrecy, _, _ in _lane(policy, config, trial_index,
-                                                  slots)]
+            for user, eav, secrecy, _ in _lane(policy, config, trial_index,
+                                               slots)]
 
 
 def _by_policy(cells) -> dict:
@@ -416,11 +413,10 @@ def emit_results(report: SecrecyReport, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
     manifest = [f"version = {__version__}"]
-    for name in ("N_t", "N_r", "N_e", "N_i", "N_k", "M", "N", "Q", "T", "K",
-                 "P", "gamma0", "buffer_capacity", "warmup_slots", "seed",
-                 "iri_cancellation", "consume_on_jam", "worst_sinr_seeding",
-                 "selection_noise_floor", "rate_unit"):
-        manifest.append(f"{name} = {getattr(report.config, name)}")
+    for field in dataclasses.fields(SystemConfig):
+        # each cell sets eta and sigma2; the threshold is written last
+        if field.name not in ("eta", "sigma2", "sinr_threshold"):
+            manifest.append(f"{field.name} = {getattr(report.config, field.name)}")
     manifest.append(f"sinr_threshold = "
                     f"{'auto' if report.config.sinr_threshold is None else report.config.sinr_threshold}")
     manifest.append(f"policies = {','.join(report.sweep.policies)}")

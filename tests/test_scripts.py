@@ -1,0 +1,38 @@
+"""Smoke runs of the experiment scripts on a tiny sweep."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name),
+         "--trials", "1", "--slots", "2", "--workers", "1", *args],
+        env=env, capture_output=True, text=True, timeout=300)
+
+
+def data_rows(path):
+    return len(path.read_text().splitlines()) - 1
+
+
+def test_snr_sweep_script(tmp_path):
+    out = tmp_path / "snr.csv"
+    result = run_script("run_snr_sweep.py", "--out", str(out))
+    assert result.returncode == 0, result.stderr
+    # every policy at five SNRs
+    assert data_rows(out) == 30
+    assert (tmp_path / "snr.csv.manifest").exists()
+
+
+def test_eta_sweep_script(tmp_path):
+    result = run_script("run_eta_sweep.py", "--outdir", str(tmp_path))
+    assert result.returncode == 0, result.stderr
+    for label in ("with_iri_cancel", "without_iri_cancel"):
+        out = tmp_path / f"eta_sweep_{label}.csv"
+        assert data_rows(out) == 7
+        assert (tmp_path / f"eta_sweep_{label}.csv.manifest").exists()

@@ -275,12 +275,13 @@ def test_bf_rjfs_slot0_seeds_best_ranking():
     assert outcome.jamming_relays == tuple(sorted(ranks[:2]))
     assert outcome.transmitting_relays == outcome.jamming_relays
     assert outcome.receiving_relays == tuple(sorted(ranks[2:]))
-    # the next slot picks its jammers on this slot's channels, jammers and
-    # replays (none yet: the buffers started empty)
-    last, jammers, replays = new_state.last_slot
+    # the next slot picks its jammers on this slot's channels and served
+    # outcome: its jammers, and their replays (none yet: the buffers started
+    # empty)
+    last, served = new_state.last_slot
     np.testing.assert_array_equal(last.su_stack[0], real.su_stack)
-    assert last.slot == 0 and mask_ids(jammers) == outcome.jamming_relays
-    assert not replays.found.any()
+    assert last.slot == 0 and mask_ids(served.jammers) == outcome.jamming_relays
+    assert not served.replays.found.any()
 
 
 def test_bf_rjfs_slot0_worst_seeding_flag():

@@ -376,6 +376,18 @@ def test_emit_results_csv_format(tmp_path):
     assert "version = " in manifest
 
 
+def test_manifest_lists_every_config_field(tmp_path):
+    # every SystemConfig field but the two each cell sets is recorded, so a
+    # new field cannot be left out of the manifest
+    out = tmp_path / "r.csv"
+    emit_results(monte_carlo(small_config(seed=9, warmup_slots=1),
+                             _tiny_sweep()), out)
+    names = {line.split(" = ")[0]
+             for line in (tmp_path / "r.csv.manifest").read_text().splitlines()}
+    fields = {f.name for f in dataclasses.fields(SystemConfig)}
+    assert fields - names == {"eta", "sigma2"}
+
+
 def test_emit_results_byte_identical_reruns(tmp_path):
     cfg = small_config(seed=9, warmup_slots=1)
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -511,12 +523,13 @@ _LANE_CONFIGS = {
 
 def _lane_slot(outcome, state, rates, b):
     """Everything a lane's slot produced, as bytes: roles, replayed records,
-    stored SINRs, rates, clamps, the buffers and the counters."""
+    stored SINRs, stored-signal factors, jamming covariance, rates, clamps,
+    the buffers and the counters."""
     bank, replays = state.buffers, outcome.replays
     return pickle.dumps((
         outcome.receivers[b], outcome.transmitters[b], outcome.jammers[b],
         replays.found[b], replays.snapshot[b], replays.sinr[b], replays.slot[b],
-        replays.forward[b], outcome.sinr[b],
+        replays.forward[b], outcome.sinr[b], outcome.factors[b], outcome.delta[b],
         None if outcome.objective is None else outcome.objective[b],
         [r[b] for r in rates],
         bank.valid[b], bank.snapshot[b], bank.sinr[b], bank.slot[b],
@@ -595,9 +608,9 @@ def test_one_channel_draw_per_trial_slot_per_sweep(monkeypatch):
 
 
 def test_bf_rjfs_scored_trial_computes_each_slot_delta_once(monkeypatch):
-    # lane_rates hands its eavesdropper covariance over to the next slot's
-    # jam selection; a calibration pre-run, which scores no slot, computes it
-    # in the step
+    # serving a slot computes its jamming covariance onto the outcome, which
+    # both the slot's rates and the next slot's jam selection read; a
+    # calibration pre-run, which scores no slot, computes it as often
     real = relaysec.selection._eav_interference
     calls = []
 
@@ -610,7 +623,7 @@ def test_bf_rjfs_scored_trial_computes_each_slot_delta_once(monkeypatch):
     assert len(calls) == 6
     calls.clear()
     calibrate_threshold(small_config(sinr_threshold=None, seed=77), "bf-rjfs")
-    assert len(calls) == relaysec.sim._CALIBRATION_SLOTS - 1
+    assert len(calls) == relaysec.sim._CALIBRATION_SLOTS
 
 
 def test_pool_tasks_survive_pickling():
