@@ -71,19 +71,30 @@ class SelectionOutcome:
 class LaneOutcome:
     """One slot's roles in every lane, as (B, Q) masks.  ``replays`` holds
     the record each transmitter replayed, ``sinr`` the reception SINR each
-    receiver stored (0 elsewhere), ``factors`` the (B, Q, N_i, N_i)
-    stored-signal factors of the replays, ``delta`` the (B, N_e, N_e)
-    jamming covariance of the jammers' replays at the eavesdroppers, and
-    ``objective`` the oracle's slot secrecy rate per lane."""
+    receiver stored (0 elsewhere), ``objective`` the oracle's slot secrecy
+    rate per lane.  ``factors`` (the replays' stored-signal factors) and
+    ``delta`` (the jammers' jamming covariance through the slot's
+    ``re_stack``) are computed with ``lanes`` on first read, once."""
 
     receivers: np.ndarray
     transmitters: np.ndarray
     jammers: np.ndarray
     replays: Records
     sinr: np.ndarray
-    factors: np.ndarray
-    delta: np.ndarray
+    re_stack: np.ndarray
+    lanes: Lanes
     objective: np.ndarray | None = None
+
+    @functools.cached_property
+    def factors(self) -> np.ndarray:
+        """(B, Q, N_i, N_i), see :func:`_factors`."""
+        return _factors(self.lanes, self.replays)
+
+    @functools.cached_property
+    def delta(self) -> np.ndarray:
+        """(B, N_e, N_e), see :func:`_eav_interference`."""
+        return _eav_interference(self.re_stack, self.lanes,
+                                 self.replays.found & self.jammers, self.factors)
 
     def view(self, lane: int) -> SelectionOutcome:
         def ids(mask):
@@ -261,14 +272,15 @@ def _user_terms(realization, lanes: Lanes, factors: np.ndarray) -> np.ndarray:
                              _col(lanes.snr_rel, 5), config.N_k)
 
 
-def _jamming_terms(realization, lanes: Lanes, factors: np.ndarray) -> np.ndarray:
-    """(B, Q, N_e, N_e) jamming terms of every relay replaying a record with
-    stored-signal ``factors``."""
-    return rates.relay_terms(gram(realization.re_stack).sum(axis=2), factors,
+def _jamming_terms(re_stack: np.ndarray, lanes: Lanes,
+                   factors: np.ndarray) -> np.ndarray:
+    """(B, Q, N_e, N_e) jamming terms through ``re_stack`` of every relay
+    replaying a record with stored-signal ``factors``."""
+    return rates.relay_terms(gram(re_stack).sum(axis=2), factors,
                              _col(lanes.snr_rel, 4), lanes.config.N_k)
 
 
-def _eav_interference(realization, lanes: Lanes, active: np.ndarray,
+def _eav_interference(re_stack: np.ndarray, lanes: Lanes, active: np.ndarray,
                       factors: np.ndarray) -> np.ndarray:
     """(B, N_e, N_e) aggregate jamming covariance at the eavesdroppers: the
     terms of the ``active`` (B, Q) relays, jammers that replay a record with
@@ -276,7 +288,7 @@ def _eav_interference(realization, lanes: Lanes, active: np.ndarray,
     if not active.any():
         N_e = lanes.config.N_e
         return np.zeros((len(active), N_e, N_e), dtype=complex)
-    terms = _jamming_terms(realization, lanes, factors)
+    terms = _jamming_terms(re_stack, lanes, factors)
     return _relay_sum(np.where(active[..., None, None], terms, 0))
 
 
@@ -447,20 +459,6 @@ def _receive_and_store(state: PolicyState, realization, lanes: Lanes,
     return stored
 
 
-def _outcome(realization, lanes: Lanes, receivers: np.ndarray,
-             transmitters: np.ndarray, jammers: np.ndarray, replays: Records,
-             sinr: np.ndarray, objective: np.ndarray | None = None) -> LaneOutcome:
-    """The LaneOutcome of served roles, with the stored-signal factors of
-    ``replays`` and the jamming covariance of the jammers that replay."""
-    factors = _factors(lanes, replays)
-    return LaneOutcome(
-        receivers=receivers, transmitters=transmitters, jammers=jammers,
-        replays=replays, sinr=sinr, factors=factors,
-        delta=_eav_interference(realization, lanes, replays.found & jammers,
-                                factors),
-        objective=objective)
-
-
 def _serve(state: PolicyState, realization, lanes: Lanes, receivers: np.ndarray,
            transmitters: np.ndarray, jamming: bool,
            objective: np.ndarray | None = None) -> LaneOutcome:
@@ -471,9 +469,11 @@ def _serve(state: PolicyState, realization, lanes: Lanes, receivers: np.ndarray,
     replays = _resolve_replays(state, transmitters, lanes.config,
                                forward_only=not jamming)
     sinr = _receive_and_store(state, realization, lanes, receivers, replays)
-    jammers = transmitters if jamming else np.zeros_like(transmitters)
-    return _outcome(realization, lanes, receivers, transmitters, jammers,
-                    replays, sinr, objective)
+    return LaneOutcome(
+        receivers=receivers, transmitters=transmitters,
+        jammers=transmitters if jamming else np.zeros_like(transmitters),
+        replays=replays, sinr=sinr, re_stack=realization.re_stack, lanes=lanes,
+        objective=objective)
 
 
 def lane_rates(realization, lanes: Lanes, outcome: LaneOutcome) -> tuple:
@@ -506,9 +506,11 @@ def slot_rate_report(realization, config: SystemConfig, replays: dict,
     records = Records(found=found, snapshot=snapshot, sinr=zeros, slot=zeros,
                       forward=np.zeros_like(found))
     realization, lanes = _lane_axis(realization), Lanes.of([config])
-    outcome = _outcome(realization, lanes, np.zeros_like(found),
-                       _ids_mask(transmitters, config.Q),
-                       _ids_mask(jammers, config.Q), records, zeros)
+    outcome = LaneOutcome(
+        receivers=np.zeros_like(found),
+        transmitters=_ids_mask(transmitters, config.Q),
+        jammers=_ids_mask(jammers, config.Q), replays=records, sinr=zeros,
+        re_stack=realization.re_stack, lanes=lanes)
     user, eav, secrecy, clamps = lane_rates(realization, lanes, outcome)
     report = rates.RateReport(user_rates=tuple(user[0].tolist()),
                               eav_rates=tuple(eav[0].tolist()),
@@ -676,8 +678,9 @@ def _jam_set_scores(realization, lanes: Lanes, replays: Records,
         factors = _factors(lanes, replays)
         user_terms = np.where(found[..., None, None, None],
                               _user_terms(realization, lanes, factors), 0)
-        eav_terms = np.where(found[..., None, None],
-                             _jamming_terms(realization, lanes, factors), 0)
+        eav_terms = np.where(
+            found[..., None, None],
+            _jamming_terms(realization.re_stack, lanes, factors), 0)
         for col in jam_sets.T:
             user_gammas += user_terms[:, col]
             Delta += eav_terms[:, col]

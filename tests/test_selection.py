@@ -63,7 +63,7 @@ def select_jammers(state, real, config, current_jammers=()):
     peeks."""
     real, lanes = _lane_axis(real), Lanes.of([config])
     peeks = _peek(state)
-    Delta = _eav_interference(real, lanes,
+    Delta = _eav_interference(real.re_stack, lanes,
                               peeks.found & id_mask(current_jammers, config.Q),
                               _factors(lanes, peeks))
     chosen, metrics = select_jamming_relays(state, real, lanes, Delta)

@@ -377,15 +377,17 @@ def test_emit_results_csv_format(tmp_path):
 
 
 def test_manifest_lists_every_config_field(tmp_path):
-    # every SystemConfig field but the two each cell sets is recorded, so a
-    # new field cannot be left out of the manifest
+    # the config lines follow the SystemConfig fields, so a new field gets
+    # one; eta and sigma2 are per cell and the threshold comes last
     out = tmp_path / "r.csv"
     emit_results(monte_carlo(small_config(seed=9, warmup_slots=1),
                              _tiny_sweep()), out)
-    names = {line.split(" = ")[0]
-             for line in (tmp_path / "r.csv.manifest").read_text().splitlines()}
-    fields = {f.name for f in dataclasses.fields(SystemConfig)}
-    assert fields - names == {"eta", "sigma2"}
+    lines = (tmp_path / "r.csv.manifest").read_text().splitlines()
+    names = [line.split(" = ")[0] for line in lines]
+    config_lines = names[names.index("version") + 1:names.index("policies")]
+    assert config_lines == [
+        f.name for f in dataclasses.fields(SystemConfig)
+        if f.name not in ("eta", "sigma2", "sinr_threshold")] + ["sinr_threshold"]
 
 
 def test_emit_results_byte_identical_reruns(tmp_path):
@@ -608,9 +610,11 @@ def test_one_channel_draw_per_trial_slot_per_sweep(monkeypatch):
 
 
 def test_bf_rjfs_scored_trial_computes_each_slot_delta_once(monkeypatch):
-    # serving a slot computes its jamming covariance onto the outcome, which
-    # both the slot's rates and the next slot's jam selection read; a
-    # calibration pre-run, which scores no slot, computes it as often
+    # a served slot's jamming covariance is computed on the outcome when
+    # first read, by the slot's rates or by the next slot's jam selection,
+    # and never again; a calibration pre-run, which scores no slot, never
+    # reads the last slot's, and a policy that does not score jammers
+    # against it reads none
     real = relaysec.selection._eav_interference
     calls = []
 
@@ -623,7 +627,11 @@ def test_bf_rjfs_scored_trial_computes_each_slot_delta_once(monkeypatch):
     assert len(calls) == 6
     calls.clear()
     calibrate_threshold(small_config(sinr_threshold=None, seed=77), "bf-rjfs")
-    assert len(calls) == relaysec.sim._CALIBRATION_SLOTS
+    assert len(calls) == relaysec.sim._CALIBRATION_SLOTS - 1
+    calls.clear()
+    for policy in ("conventional-bf", "random", "oracle"):
+        calibrate_threshold(small_config(sinr_threshold=None, seed=77), policy)
+    assert calls == []
 
 
 def test_pool_tasks_survive_pickling():
