@@ -15,6 +15,8 @@ Stream key layout (first element after the root seed):
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,10 +28,13 @@ STREAM_CALIBRATION = 2
 STREAM_INSTANCE = 3
 
 _SQRT_HALF = math.sqrt(0.5)
+# the stacks of a realization, in the order a draw carves them
+_STACKS = ("su_stack", "se_stack", "rr_stack", "re_stack", "ru_stack")
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
-    """Independent generator for a (seed, key...) path, order-insensitive."""
+    """Independent generator for a (seed, key...) path.  The stream depends
+    on the key's elements and their order, not on the order of calls."""
     return np.random.default_rng([int(seed) & (2**64 - 1), *map(int, key)])
 
 
@@ -64,6 +69,17 @@ def received_power(H: np.ndarray):
     return float(powers) if H.ndim == 2 else powers
 
 
+@functools.lru_cache(maxsize=8)
+def _rr_rows(Q: int) -> np.ndarray:
+    """(Q, Q) row of ``rr_stack`` of each (sender, receiver) relay index
+    pair, ascending (k, i) with k != i; a relay paired with itself gets
+    row 0."""
+    k, i = np.indices((Q, Q))
+    rows = np.where(k == i, 0, k * (Q - 1) + i - (i > k))
+    rows.flags.writeable = False     # shared by every caller
+    return rows
+
+
 @dataclass(frozen=True)
 class NetworkRealization:
     """One slot's complete set of channel matrices, as read-only stacks.
@@ -71,7 +87,9 @@ class NetworkRealization:
     Relay id q is row ``q - 1`` of the relay-indexed stacks (``rr_row`` gives
     the row of a relay pair); eavesdroppers and users are positional.  A lane
     realization holds B slots of independent lanes: every stack gains a
-    leading lane axis.
+    leading lane axis.  ``rr_block`` gathers a lane realization's relay->relay
+    channels by relay index pairs, and ``index_lanes`` indexes the lane axis
+    of every stack at once.
     """
 
     slot: int
@@ -86,7 +104,26 @@ class NetworkRealization:
         """Row of ``rr_stack`` holding the relay k -> relay i channel."""
         if k == i:
             raise KeyError(f"no self channel for relay {k}")
-        return (k - 1) * (self.Q - 1) + (i - 1) - (1 if i > k else 0)
+        return int(_rr_rows(self.Q)[k - 1, i - 1])
+
+    def rr_block(self, senders: np.ndarray, receivers: np.ndarray) -> np.ndarray:
+        """Relay->relay channels of a lane realization from ``senders`` to
+        ``receivers``, relay index arrays that broadcast to (B, X, Y): shape
+        (B, X, Y, N_i, N_k).  A relay paired with itself gets an arbitrary
+        channel."""
+        rows = _rr_rows(self.Q)[senders, receivers]
+        return self.rr_stack[np.arange(len(rows))[:, None, None], rows]
+
+    def index_lanes(self, index) -> NetworkRealization:
+        """The read-only realization whose every stack is ``stack[index]``:
+        a list of lanes picks those lanes of a lane realization, None gives
+        a realization without lane axis one lane."""
+        stacks = {}
+        for name in _STACKS:
+            stack = getattr(self, name)[index]
+            stack.flags.writeable = False
+            stacks[name] = stack
+        return dataclasses.replace(self, **stacks)
 
 
 def gen_network_realization(config, slot: int, rng) -> NetworkRealization:
@@ -123,7 +160,4 @@ def gen_network_realization(config, slot: int, rng) -> NetworkRealization:
         block = flat[:, offset:offset + size].reshape((len(rngs),) + shape)
         blocks.append(block if lanes else block[0])
         offset += size
-    su, se, rr, re, ru = blocks
-    return NetworkRealization(
-        slot=slot, su_stack=su, se_stack=se, rr_stack=rr, re_stack=re,
-        ru_stack=ru, Q=Q)
+    return NetworkRealization(slot=slot, Q=Q, **dict(zip(_STACKS, blocks)))

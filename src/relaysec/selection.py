@@ -112,7 +112,7 @@ class LaneOutcome:
 
 @dataclass
 class DiagCounters:
-    """Event counts: integers for one trial, (B,) arrays in a lane state."""
+    """Event counts: (B,) arrays in a lane state, integer sums over trials."""
 
     phi_tests: int = 0
     phi_feasible: int = 0
@@ -213,32 +213,6 @@ def _relay_sum(terms: np.ndarray) -> np.ndarray:
     return np.cumsum(terms, axis=1)[:, -1]
 
 
-def _lane_axis(realization):
-    """The one-lane realization of a realization without lane axis."""
-    return dataclasses.replace(
-        realization, su_stack=realization.su_stack[None],
-        se_stack=realization.se_stack[None], rr_stack=realization.rr_stack[None],
-        re_stack=realization.re_stack[None], ru_stack=realization.ru_stack[None])
-
-
-@functools.lru_cache(maxsize=8)
-def _rr_rows(Q: int) -> np.ndarray:
-    """(Q, Q) row of ``rr_stack`` of each (sender, receiver) relay index
-    pair; a relay paired with itself gets row 0."""
-    k, i = np.indices((Q, Q))
-    rows = np.where(k == i, 0, k * (Q - 1) + i - (i > k))
-    rows.flags.writeable = False     # shared by every caller
-    return rows
-
-
-def _rr_block(realization, senders: np.ndarray, receivers: np.ndarray) -> np.ndarray:
-    """Relay->relay channels from ``senders`` to ``receivers``, relay index
-    arrays that broadcast to (B, X, Y): shape (B, X, Y, N_i, N_k).  A relay
-    paired with itself gets an arbitrary channel."""
-    rows = _rr_rows(realization.Q)[senders, receivers]
-    return realization.rr_stack[np.arange(len(rows))[:, None, None], rows]
-
-
 def _peek(state: PolicyState) -> Records:
     """The record each relay would replay as jamming now."""
     return state.buffers.take(*state.buffers.peek_jamming())
@@ -249,10 +223,10 @@ def _peek(state: PolicyState) -> Records:
 
 
 def initial_ranking(realization) -> np.ndarray:
-    """Relay ids of each lane in rank order, (B, Q): descending real
-    det(H_q H_q^H) of the source links, ties by ascending id."""
+    """Relay indices of each lane in rank order, (B, Q): descending real
+    det(H_q H_q^H) of the source links, ties by ascending index."""
     dets = np.linalg.det(gram(realization.su_stack)).real
-    return np.argsort(-dets, axis=1, kind="stable") + 1
+    return np.argsort(-dets, axis=1, kind="stable")
 
 
 def _factors(lanes: Lanes, replays: Records) -> np.ndarray:
@@ -340,8 +314,8 @@ def select_receiving_relays(state: PolicyState, realization, lanes: Lanes,
     lane = np.arange(len(senders))[:, None]
     # zero for silent jammers and for padding
     snaps = np.where(real[..., None, None], _peek(state).snapshot[lane, senders], 0)
-    H_km = _rr_block(realization, senders[:, :, None],
-                     np.arange(config.Q)[None, None])  # (B, K, Q, N_i, N_k)
+    # (B, K, Q, N_i, N_k)
+    H_km = realization.rr_block(senders[:, :, None], np.arange(config.Q)[None, None])
     D_m = np.einsum("xkcab,xkbd,xkced->xcae", H_km, gram(snaps), H_km.conj())
     if config.selection_noise_floor:
         D_m = D_m + _col(config.N_i * lanes.sigma2, 4) * np.eye(config.N_i)
@@ -431,7 +405,7 @@ def _receive_and_store(state: PolicyState, realization, lanes: Lanes,
     H_rx = realization.su_stack[lane, rx]                     # (B, R, N_i, N_t)
     gamma_S = _col(lanes.p_tx / config.N_t, 2) * np.einsum(
         "xrab,xrab->xr", H_rx, H_rx.conj()).real
-    H_ki = _rr_block(realization, tx[:, :, None], rx[:, None, :])  # (B, A, R, ...)
+    H_ki = realization.rr_block(tx[:, :, None], rx[:, None, :])  # (B, A, R, ...)
     prod = np.einsum("xkrab,xkbc->xkrac", H_ki, replays.snapshot[lane, tx])
     powers = _col(lanes.p_rel / config.N_k, 3) * np.einsum(
         "xkrab,xkrab->xkr", prod, prod.conj()).real
@@ -505,7 +479,7 @@ def slot_rate_report(realization, config: SystemConfig, replays: dict,
     zeros = np.zeros(found.shape)
     records = Records(found=found, snapshot=snapshot, sinr=zeros, slot=zeros,
                       forward=np.zeros_like(found))
-    realization, lanes = _lane_axis(realization), Lanes.of([config])
+    realization, lanes = realization.index_lanes(None), Lanes.of([config])
     outcome = LaneOutcome(
         receivers=np.zeros_like(found),
         transmitters=_ids_mask(transmitters, config.Q),
@@ -541,7 +515,7 @@ def _bf_rjfs(state: PolicyState, realization, lanes: Lanes, rngs=None) -> LaneOu
         last, served = state.last_slot
         jammers, _ = select_jamming_relays(state, last, lanes, served.delta)
     elif realization.slot == 0:
-        ranking = initial_ranking(realization) - 1
+        ranking = initial_ranking(realization)
         picked = (ranking[:, config.Q - config.K:] if config.worst_sinr_seeding
                   else ranking[:, :config.K])
         jammers = _mask(picked, config.Q)
@@ -728,7 +702,7 @@ LANE_STEPS = {
 
 def _one_lane(step):
     def one_lane(state: PolicyState, realization, config: SystemConfig, rng=None):
-        outcome = step(state, _lane_axis(realization), Lanes.of([config]), [rng])
+        outcome = step(state, realization.index_lanes(None), Lanes.of([config]), [rng])
         return outcome.view(0), state
 
     one_lane.__doc__ = (

@@ -129,17 +129,6 @@ def _stream_keys(policy: str, config: SystemConfig, trial, slot: int) -> tuple:
     return (STREAM_CHANNEL, trial, slot), (STREAM_POLICY, trial, slot)
 
 
-def _take(realization, rows: list):
-    """The lane realization whose lane b is lane ``rows[b]`` of
-    ``realization``."""
-    stacks = {}
-    for name in ("su_stack", "se_stack", "rr_stack", "re_stack", "ru_stack"):
-        stack = getattr(realization, name)[rows]
-        stack.flags.writeable = False
-        stacks[name] = stack
-    return dataclasses.replace(realization, **stacks)
-
-
 def _lockstep(batches, slots: int, score: bool = True):
     """Run batches of lanes in lockstep and yield, after each slot, one
     (outcome, state, rates) per batch.
@@ -172,7 +161,7 @@ def _lockstep(batches, slots: int, score: bool = True):
         for (policy, _, _), (step, lanes, state), keys, lane_rows in zip(
                 batches, runs, keyed, rows):
             realization = (drawn if lane_rows == list(range(len(streams)))
-                           else _take(drawn, lane_rows))
+                           else drawn.index_lanes(lane_rows))
             rngs = ([substream(config.seed, *drawn_key) for _, drawn_key in keys]
                     if policy == "random" else None)
             outcome = step(state, realization, lanes, rngs)

@@ -142,6 +142,15 @@ def test_realization_immutable():
         real.su_stack[0, 0, 0] = 0
     with pytest.raises(ValueError):
         real.ru_stack[0, 0, 0, 0] = 0
+    # a lane axis added to a realization, and lanes picked from a lane
+    # realization (a copy), are read-only too
+    lanes = gen_network_realization(config, 0,
+                                    [substream(1, 0, t, 0) for t in range(2)])
+    for view in (real.index_lanes(None), lanes.index_lanes([1, 0, 1])):
+        for stack in (view.su_stack, view.se_stack, view.rr_stack,
+                      view.re_stack, view.ru_stack):
+            with pytest.raises(ValueError):
+                stack[(0,) * stack.ndim] = 0
 
 
 def test_realization_views_consistent_with_stacks():
@@ -151,6 +160,12 @@ def test_realization_views_consistent_with_stacks():
     pairs = [(k, i) for k in range(1, config.Q + 1)
              for i in range(1, config.Q + 1) if k != i]
     assert [real.rr_row(k, i) for k, i in pairs] == list(range(len(pairs)))
+    # the pair-block gather reads the same rows
+    ids = np.arange(config.Q)
+    block = real.index_lanes(None).rr_block(ids[None, :, None], ids[None, None])[0]
+    for k, i in pairs:
+        np.testing.assert_array_equal(block[k - 1, i - 1],
+                                      real.rr_stack[real.rr_row(k, i)])
 
 
 def test_realization_entry_statistics():

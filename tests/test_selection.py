@@ -12,7 +12,7 @@ from relaysec.errors import ConfigError
 from relaysec.rates import eav_rate, logdet_identity_plus, user_rate
 from relaysec.buffers import Records
 from relaysec.selection import (POLICIES, Lanes, _eav_interference, _factors,
-                                _jam_set_scores, _lane_axis, _peek,
+                                _jam_set_scores, _peek,
                                 bf_rjfs_step, exhaustive_oracle, fresh_state,
                                 initial_ranking, policy_conventional_bf,
                                 policy_max_link, policy_max_ratio,
@@ -46,13 +46,14 @@ def mask_ids(mask):
 
 
 def ranking(real):
-    return initial_ranking(_lane_axis(real))[0].tolist()
+    return (initial_ranking(real.index_lanes(None))[0] + 1).tolist()
 
 
 def select_receivers(state, real, config, jammers):
     """(receiver ids, {pool relay id: metric}, empty when forced)."""
     chosen, metrics = select_receiving_relays(
-        state, _lane_axis(real), Lanes.of([config]), id_mask(jammers, config.Q))
+        state, real.index_lanes(None), Lanes.of([config]),
+        id_mask(jammers, config.Q))
     pool = [q for q in range(1, config.Q + 1) if q not in jammers]
     return mask_ids(chosen), ({} if metrics is None
                               else {q: float(metrics[0, q - 1]) for q in pool})
@@ -61,7 +62,7 @@ def select_receivers(state, real, config, jammers):
 def select_jammers(state, real, config, current_jammers=()):
     """(jammer ids, {relay id: metric}); the current jammers replay their
     peeks."""
-    real, lanes = _lane_axis(real), Lanes.of([config])
+    real, lanes = real.index_lanes(None), Lanes.of([config])
     peeks = _peek(state)
     Delta = _eav_interference(real.re_stack, lanes,
                               peeks.found & id_mask(current_jammers, config.Q),
@@ -81,7 +82,7 @@ def jam_set_scores(real, config, replays, jam_sets):
     zeros = np.zeros(found.shape)
     records = Records(found=found, snapshot=snapshot, sinr=zeros, slot=zeros,
                       forward=np.zeros_like(found))
-    return _jam_set_scores(_lane_axis(real), Lanes.of([config]), records,
+    return _jam_set_scores(real.index_lanes(None), Lanes.of([config]), records,
                            np.asarray(jam_sets, dtype=int).reshape(len(jam_sets), -1) - 1)[0]
 
 
@@ -590,7 +591,15 @@ def test_oracle_matches_receive_major_reference(overrides):
     for state, real in oracle_slots(config):
         score, rx, jam = reference_oracle(state, real, config)
         # before the oracle runs: it pushes reception records
-        best = jam_set_scores(real, config, peek_all(state), jam_sets).max()
+        peeks = peek_all(state)
+        scores = jam_set_scores(real, config, peeks, jam_sets)
+        # every set's score is the rate report of that set, bit for bit
+        for members, set_score in zip(jam_sets.tolist(), scores):
+            set_replays = {q: peeks[q] for q in members if q in peeks}
+            set_report, _ = slot_rate_report(real, config, set_replays,
+                                             tuple(members), tuple(members))
+            assert set_score == set_report.secrecy_rate
+        best = scores.max()
         silent += int((state.buffers.occupancy() == 0).sum())
         outcome, _ = exhaustive_oracle(state, real, config)
         assert outcome.receiving_relays == rx
@@ -747,7 +756,7 @@ def test_reception_matches_scalar_link_ops():
     state2, _ = make_instance(config, seed=88)
     replays2 = _resolve_replays(state2, id_mask(jammers, 4), config,
                                 forward_only=False)
-    _receive_and_store(state2, _lane_axis(real), Lanes.of([config]),
+    _receive_and_store(state2, real.index_lanes(None), Lanes.of([config]),
                        id_mask(receivers, 4), replays2)
 
     p_tx, p_rel = power_split(config)
