@@ -12,6 +12,7 @@ which applies the same rules to arrays.
 
 from __future__ import annotations
 
+import copy
 import enum
 from dataclasses import dataclass
 
@@ -157,6 +158,15 @@ class BufferBank:
         self.evictions = np.zeros(cells[:2], dtype=np.int64)
         # flat index of each relay's first cell
         self._first = np.arange(lanes * relays).reshape(cells[:2]) * cells[2]
+
+    def index_lanes(self, index: slice) -> BufferBank:
+        """The buffers of the contiguous lane range ``index``, on views of
+        these arrays."""
+        bank = copy.copy(self)
+        for name in ("snapshot", "sinr", "slot", "forward", "valid", "evictions"):
+            setattr(bank, name, getattr(self, name)[index])
+        bank._first = self._first[:len(bank.valid)]
+        return bank
 
     def occupancy(self) -> np.ndarray:
         """(B, Q) record counts."""

@@ -1,9 +1,10 @@
 """Per-slot relay/jammer role assignment on lanes: the joint receive/jam
 policy, the conventional baselines, and the exhaustive assignment oracle.
 
-The engine advances B independent slot sequences of one policy, its lanes, in
-lockstep.  Every array carries the lane axis first.  Lane b has its own noise
-variance, power split and threshold (:class:`Lanes`) and its own buffers (a
+The engine advances B independent slot sequences, its lanes, in lockstep as
+one lane set; each policy's lanes are a contiguous range of it.  Every array
+carries the lane axis first.  Lane b has its own noise variance, power split
+and threshold (:class:`Lanes`) and its own buffers (a
 :class:`~relaysec.buffers.BufferBank`); the other config fields are shared.
 Relays are indexed 0..Q-1 here (relay id q is index q - 1), and a role set
 is a (B, Q) boolean mask, so ascending ids are index order.  Every tie-break
@@ -23,13 +24,17 @@ Role semantics shared by the whole simulator:
 A transmitter with an empty buffer stays silent for the slot and contributes
 nothing anywhere (counted in the diagnostics).
 
-The policies differ only in how they pick those roles; :func:`_serve` serves
-them for every policy: buffer replays, reception and storage.
+The policies differ only in how they pick those roles.  A ``LANE_STEPS``
+entry picks them for its policy's lane range, from the buffers as the slot
+found them, and changes no state; :func:`_serve` then serves the roles of
+every lane at once: buffer replays (per lane, peek-and-jam for the
+``JAMMING_POLICIES``, consume-forward for the rest), reception and storage.
 
 The one-lane views (:func:`fresh_state`, the ``POLICIES`` steps and
 :func:`slot_rate_report`) take one realization without lane axis and one
 config, give roles as tuples of relay ids and records as
-:class:`~relaysec.buffers.BufferedSignal`, and run the lane code on one lane.
+:class:`~relaysec.buffers.BufferedSignal`, and run the lane code on one lane:
+a ``POLICIES`` step picks, then serves.
 
 This module owns the selection metrics and the slot machinery that feeds
 realizations and buffers into the formula kernels: the rate formulas live in
@@ -72,9 +77,12 @@ class LaneOutcome:
     """One slot's roles in every lane, as (B, Q) masks.  ``replays`` holds
     the record each transmitter replayed, ``sinr`` the reception SINR each
     receiver stored (0 elsewhere), ``objective`` the oracle's slot secrecy
-    rate per lane.  ``factors`` (the replays' stored-signal factors) and
-    ``delta`` (the jammers' jamming covariance through the slot's
-    ``re_stack``) are computed with ``lanes`` on first read, once."""
+    rate on oracle lanes (NaN on the others, None without an oracle lane).
+    ``re_stack`` and ``ru_stack`` are the slot's relay->eavesdropper and
+    relay->user channels, which the next ``bf-rjfs`` slot reads.
+    ``factors`` (the replays' stored-signal factors) and ``delta`` (the
+    jammers' jamming covariance through ``re_stack``) are computed with
+    ``lanes`` on first read, once."""
 
     receivers: np.ndarray
     transmitters: np.ndarray
@@ -82,6 +90,7 @@ class LaneOutcome:
     replays: Records
     sinr: np.ndarray
     re_stack: np.ndarray
+    ru_stack: np.ndarray
     lanes: Lanes
     objective: np.ndarray | None = None
 
@@ -122,13 +131,23 @@ class DiagCounters:
 
 @dataclass
 class PolicyState:
-    """Single-owner state of a batch of lanes: buffers, per-lane counters
-    and the previous ``bf-rjfs`` slot's (realization, LaneOutcome).  Every
-    policy step advances it in place."""
+    """Single-owner state of a lane set: buffers, per-lane counters and the
+    last served slot's LaneOutcome, which :func:`_serve` advances in place.
+    A lane range's state (:meth:`index_lanes`) views these arrays and shares
+    the last slot, whose lanes ``at`` it covers."""
 
     buffers: BufferBank
     diag: DiagCounters
-    last_slot: tuple | None = None
+    last_slot: LaneOutcome | None = None
+    at: slice = dataclasses.field(default_factory=lambda: slice(None))
+
+    def index_lanes(self, index: slice) -> PolicyState:
+        """The state of the contiguous lane range ``index`` of a lane set."""
+        return PolicyState(
+            buffers=self.buffers.index_lanes(index),
+            diag=DiagCounters(**{f.name: getattr(self.diag, f.name)[index]
+                                 for f in dataclasses.fields(DiagCounters)}),
+            last_slot=self.last_slot, at=index)
 
 
 def fresh_state(config: SystemConfig, lanes: int = 1) -> PolicyState:
@@ -324,10 +343,11 @@ def select_receiving_relays(state: PolicyState, realization, lanes: Lanes,
     return _top(metrics, config.T, allowed=pool), metrics
 
 
-def select_jamming_relays(state: PolicyState, realization, lanes: Lanes,
-                          Delta: np.ndarray | None = None) -> tuple:
+def select_jamming_relays(state: PolicyState, H_nr: np.ndarray, H_ne: np.ndarray,
+                          lanes: Lanes, Delta: np.ndarray | None = None) -> tuple:
     """Pick each lane's K relays that will jam (and serve the users) next
-    slot.
+    slot, through the relay->user channels ``H_nr`` (B, Q, M, N_r, N_k) and
+    relay->eavesdropper channels ``H_ne`` (B, Q, N, N_e, N_k).
 
     Every relay is a candidate; disjointness from the receivers is restored
     when the next slot's receive pool excludes the picked set.  A candidate n
@@ -347,9 +367,7 @@ def select_jamming_relays(state: PolicyState, realization, lanes: Lanes,
     if Delta is None:
         Delta = np.zeros((len(own.found), config.N_e, config.N_e), dtype=complex)
     snap_grams = gram(own.snapshot)                  # zero for empty buffers
-    H_nr = realization.ru_stack                      # (B, Q, M, N_r, N_k)
     gamma_n = np.einsum("xcuab,xcbd,xcued->xcae", H_nr, snap_grams, H_nr.conj())
-    H_ne = realization.re_stack                      # (B, Q, N, N_e, N_k)
     leak = _col(lanes.snr_rel / config.N_k, 4) * np.einsum(
         "xceab,xcbd,xcefd->xcaf", H_ne, snap_grams, H_ne.conj())
     gamma_e = np.linalg.solve(rates._eye(config.N_e) + Delta[:, None], leak)
@@ -370,21 +388,23 @@ def select_jamming_relays(state: PolicyState, realization, lanes: Lanes,
 
 
 def _resolve_replays(state: PolicyState, transmitters: np.ndarray,
-                     config: SystemConfig, forward_only: bool) -> Records:
+                     config: SystemConfig, jamming: np.ndarray) -> Records:
     """Pick the record each transmitter sends this slot.
 
-    Joint policies replay via peek (reusable jamming signal) unless
-    ``consume_on_jam``; the conventional baselines deliver and consume their
-    oldest forward-class record.
+    In the ``jamming`` (B,) lanes, those of the joint policies, transmitters
+    replay via peek (reusable jamming signal) unless ``consume_on_jam``; in
+    the others, those of the conventional baselines, they deliver and
+    consume their oldest forward-class record.
     """
     bank = state.buffers
-    if forward_only:
-        cell, found = bank.pop_forward(transmitters)
-    else:
-        cell, found = bank.peek_jamming()
-        found = found & transmitters
-        if config.consume_on_jam:
-            bank.remove(found, cell)
+    cell, found = bank.peek_jamming()
+    found = found & transmitters & jamming[:, None]
+    if config.consume_on_jam:
+        bank.remove(found, cell)
+    if not jamming.all():
+        forwarding = transmitters & ~jamming[:, None]
+        popped, delivered = bank.pop_forward(forwarding)
+        cell, found = np.where(forwarding, popped, cell), found | delivered
     state.diag.silent_transmitters += (transmitters & ~found).sum(axis=1)
     return bank.take(cell, found)
 
@@ -434,20 +454,23 @@ def _receive_and_store(state: PolicyState, realization, lanes: Lanes,
 
 
 def _serve(state: PolicyState, realization, lanes: Lanes, receivers: np.ndarray,
-           transmitters: np.ndarray, jamming: bool,
+           transmitters: np.ndarray, jamming: np.ndarray,
            objective: np.ndarray | None = None) -> LaneOutcome:
-    """Serve one slot's roles: the transmitters replay from their buffers
-    (``jamming``: a peeked record that also jams the eavesdroppers;
-    otherwise a consumed forward-class record), then the receivers classify
-    and store what they hear."""
-    replays = _resolve_replays(state, transmitters, lanes.config,
-                               forward_only=not jamming)
+    """Serve one slot's roles in every lane: the transmitters replay from
+    their buffers (in the ``jamming`` (B,) lanes a peeked record that also
+    jams the eavesdroppers, elsewhere a consumed forward-class record), then
+    the receivers classify and store what they hear.  The outcome becomes
+    the state's last slot."""
+    state.last_slot = None      # only the picks read it, so free it first
+    replays = _resolve_replays(state, transmitters, lanes.config, jamming)
     sinr = _receive_and_store(state, realization, lanes, receivers, replays)
-    return LaneOutcome(
+    outcome = LaneOutcome(
         receivers=receivers, transmitters=transmitters,
-        jammers=transmitters if jamming else np.zeros_like(transmitters),
-        replays=replays, sinr=sinr, re_stack=realization.re_stack, lanes=lanes,
-        objective=objective)
+        jammers=transmitters & jamming[:, None], replays=replays, sinr=sinr,
+        re_stack=realization.re_stack, ru_stack=realization.ru_stack,
+        lanes=lanes, objective=objective)
+    state.last_slot = outcome
+    return outcome
 
 
 def lane_rates(realization, lanes: Lanes, outcome: LaneOutcome) -> tuple:
@@ -484,7 +507,8 @@ def slot_rate_report(realization, config: SystemConfig, replays: dict,
         receivers=np.zeros_like(found),
         transmitters=_ids_mask(transmitters, config.Q),
         jammers=_ids_mask(jammers, config.Q), replays=records, sinr=zeros,
-        re_stack=realization.re_stack, lanes=lanes)
+        re_stack=realization.re_stack, ru_stack=realization.ru_stack,
+        lanes=lanes)
     user, eav, secrecy, clamps = lane_rates(realization, lanes, outcome)
     report = rates.RateReport(user_rates=tuple(user[0].tolist()),
                               eav_rates=tuple(eav[0].tolist()),
@@ -498,38 +522,40 @@ def _ids_mask(ids, Q: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # policies: each takes (state, lane realization, Lanes, per-lane rngs or None)
+# of its lane range and returns (receivers, transmitters, objective or None)
 
 
-def _bf_rjfs(state: PolicyState, realization, lanes: Lanes, rngs=None) -> LaneOutcome:
+def _bf_rjfs(state: PolicyState, realization, lanes: Lanes, rngs=None) -> tuple:
     """One slot of the joint receive/jam function selection.
 
     Slot 0 seeds the jammer set from the source-channel determinant ranking
     (best first unless ``worst_sinr_seeding``); afterwards the jammers are
-    chosen with the jam-side metric on the previous slot's channels against
-    the jamming covariance its outcome carries, and against the buffers as
-    that slot left them.  Receivers are selected from the remaining pool,
-    and reception records are classified and buffered.
+    chosen with the jam-side metric on the last served slot's channels
+    against the jamming covariance its outcome carries (both read at the
+    state's lanes ``at``), and against the buffers as that slot left them.
+    Receivers are selected from the remaining pool.
     """
     config = lanes.config
     if state.last_slot is not None:
-        last, served = state.last_slot
-        jammers, _ = select_jamming_relays(state, last, lanes, served.delta)
+        served, at = state.last_slot, state.at
+        jammers, _ = select_jamming_relays(state, served.ru_stack[at],
+                                           served.re_stack[at], lanes,
+                                           served.delta[at])
     elif realization.slot == 0:
         ranking = initial_ranking(realization)
         picked = (ranking[:, config.Q - config.K:] if config.worst_sinr_seeding
                   else ranking[:, :config.K])
         jammers = _mask(picked, config.Q)
     else:
-        jammers, _ = select_jamming_relays(state, realization, lanes)
+        jammers, _ = select_jamming_relays(state, realization.ru_stack,
+                                           realization.re_stack, lanes)
 
     receivers, _ = select_receiving_relays(state, realization, lanes, jammers)
-    outcome = _serve(state, realization, lanes, receivers, jammers, jamming=True)
-    state.last_slot = (realization, outcome)
-    return outcome
+    return receivers, jammers, None
 
 
 def _conventional_bf(state: PolicyState, realization, lanes: Lanes,
-                     rngs=None) -> LaneOutcome:
+                     rngs=None) -> tuple:
     """Buffer-aided forwarding without jamming: the T strongest source links
     receive; of the rest, the T relays with the strongest aggregate
     relay-to-user channels deliver a stored forward-class record."""
@@ -537,12 +563,11 @@ def _conventional_bf(state: PolicyState, realization, lanes: Lanes,
     receivers = _top(source_link_power(realization.su_stack), T)
     tx_vals = source_link_power(realization.ru_stack).sum(axis=2)
     transmitters = _top(tx_vals, T, allowed=~receivers)
-    return _serve(state, realization, lanes, receivers, transmitters,
-                  jamming=False)
+    return receivers, transmitters, None
 
 
 def _max_link(state: PolicyState, realization, lanes: Lanes,
-              rngs=None) -> LaneOutcome:
+              rngs=None) -> tuple:
     """Strongest-link scheduling: merge all source->relay links (non-full
     buffers preferred) and relay->user links (non-empty buffers only), then
     greedily fill T receive and up to T transmit roles in descending link
@@ -571,12 +596,11 @@ def _max_link(state: PolicyState, realization, lanes: Lanes,
             elif kind == "tx" and n_tx < config.T:
                 transmitters[b, q] = True
                 n_tx += 1
-    return _serve(state, realization, lanes, receivers, transmitters,
-                  jamming=False)
+    return receivers, transmitters, None
 
 
 def _max_ratio(state: PolicyState, realization, lanes: Lanes,
-               rngs=None) -> LaneOutcome:
+               rngs=None) -> tuple:
     """Rank relays by legitimate-power-to-eavesdropper-leakage ratio; the top
     T receive, and of the rest the top T by the transmit-side analogue of the
     same ratio deliver."""
@@ -590,20 +614,20 @@ def _max_ratio(state: PolicyState, realization, lanes: Lanes,
     receivers = _top(source_link_power(realization.su_stack) / (leak + floor),
                      config.T)
     transmitters = _top(delivered / (leak + floor), config.T, allowed=~receivers)
-    return _serve(state, realization, lanes, receivers, transmitters,
-                  jamming=False)
+    return receivers, transmitters, None
 
 
-def _random(state: PolicyState, realization, lanes: Lanes, rngs) -> LaneOutcome:
+def _random(state: PolicyState, realization, lanes: Lanes, rngs) -> tuple:
     """Uniformly random disjoint receive and jam sets (lower baseline): one
-    permutation of the relays per lane, from that lane's rng."""
+    permutation of the relays per lane, from that lane's rng; lanes handed
+    the same rng share one draw."""
     if rngs is None or any(rng is None for rng in rngs):
         raise ValueError("the random policy needs an rng substream")
     config = lanes.config
-    perms = np.stack([rng.permutation(config.Q) for rng in rngs])
-    return _serve(state, realization, lanes, _mask(perms[:, :config.T], config.Q),
-                  _mask(perms[:, config.T:config.T + config.K], config.Q),
-                  jamming=True)
+    drawn = {rng: rng.permutation(config.Q) for rng in dict.fromkeys(rngs)}
+    perms = np.stack([drawn[rng] for rng in rngs])
+    return (_mask(perms[:, :config.T], config.Q),
+            _mask(perms[:, config.T:config.T + config.K], config.Q), None)
 
 
 _ORACLE_GUARD = 100_000
@@ -662,7 +686,7 @@ def _jam_set_scores(realization, lanes: Lanes, replays: Records,
     return rates.secrecy_rate(user_rates, eav_rates)
 
 
-def _oracle(state: PolicyState, realization, lanes: Lanes, rngs=None) -> LaneOutcome:
+def _oracle(state: PolicyState, realization, lanes: Lanes, rngs=None) -> tuple:
     """Take the disjoint (receive, jam) assignment with the highest slot
     secrecy rate under the current buffers.
 
@@ -686,8 +710,7 @@ def _oracle(state: PolicyState, realization, lanes: Lanes, rngs=None) -> LaneOut
     receivers = receive_mask[np.where(best, rank, len(rank)).argmin(axis=1)]
     clear = ~(receivers @ jam_mask.T)
     jammers = jam_mask[np.argmax(best & clear, axis=1)]
-    return _serve(state, realization, lanes, receivers, jammers, jamming=True,
-                  objective=top)
+    return receivers, jammers, top
 
 
 LANE_STEPS = {
@@ -698,21 +721,29 @@ LANE_STEPS = {
     "random": _random,
     "oracle": _oracle,
 }
+# the policies whose transmitters replay by peek and jam; the others deliver
+# forward-class records
+JAMMING_POLICIES = frozenset({"bf-rjfs", "random", "oracle"})
 
 
-def _one_lane(step):
+def _one_lane(name: str):
+    step, jamming = LANE_STEPS[name], np.array([name in JAMMING_POLICIES])
+
     def one_lane(state: PolicyState, realization, config: SystemConfig, rng=None):
-        outcome = step(state, realization.index_lanes(None), Lanes.of([config]), [rng])
+        realization, lanes = realization.index_lanes(None), Lanes.of([config])
+        receivers, transmitters, objective = step(state, realization, lanes, [rng])
+        outcome = _serve(state, realization, lanes, receivers, transmitters,
+                         jamming, objective)
         return outcome.view(0), state
 
     one_lane.__doc__ = (
         "One-lane view, on a realization without lane axis, one config and "
         "its rng (None unless the policy draws), returning (SelectionOutcome, "
-        "state), of:\n\n    " + step.__doc__)
+        "state), of a step that picks, then serves:\n\n    " + step.__doc__)
     return one_lane
 
 
-POLICIES = {name: _one_lane(step) for name, step in LANE_STEPS.items()}
+POLICIES = {name: _one_lane(name) for name in LANE_STEPS}
 bf_rjfs_step = POLICIES["bf-rjfs"]
 policy_conventional_bf = POLICIES["conventional-bf"]
 policy_max_link = POLICIES["max-link"]

@@ -6,17 +6,19 @@ slot) through :func:`relaysec.channel.substream`, trials are aggregated in
 trial-index order, and no timestamps enter the outputs, so a sweep produces
 byte-identical files across reruns and across worker counts.
 
-The engine runs the slot sequences of one policy, its lanes, together on
-(B, ...) stacks (see :mod:`relaysec.selection`).  A lane is a trial of a
-cell or a calibration pre-run with its own noise variance, power split and
-threshold, and it gives the same numbers in any batch, alone included.  A
-channel realization depends only on (seed, trial, slot) and the antenna
-shapes, so every cell of a sweep runs trial t on the same draws: each slot
-draws once per trial and every cell's lane of that trial reads it.  One
-routine, :func:`_run_cells`, runs a sweep at every worker count: the
-calibration pre-runs first, then the trials in contiguous chunks, each chunk
-one task that runs every cell, one batch per policy; only the ``map`` it is
-handed differs.
+The engine runs the slot sequences of a task, its lanes, together on
+(B, ...) stacks as one lane set (see :mod:`relaysec.selection`).  A lane is
+a trial of a cell or a calibration pre-run with its own noise variance,
+power split and threshold, and it gives the same numbers in any lane set,
+alone included.  Each policy's step picks the roles of its own contiguous
+range of lanes; one serve and one rate report per slot then cover every
+lane of every policy.  A channel realization depends only on (seed, trial,
+slot) and the antenna shapes, so every cell of a sweep runs trial t on the
+same draws: each slot draws once per trial and every cell's lane of that
+trial reads it.  One routine, :func:`_run_cells`, runs a sweep at every
+worker count: the calibration pre-runs first, then the trials in contiguous
+chunks, each chunk one task that runs every cell as one lane set; only the
+``map`` it is handed differs.
 
 The printed rate formulas carry an implicit unit noise floor, so all powers
 passed into the matrix-rate builders are divided by the one noise variance
@@ -44,15 +46,19 @@ from .errors import ConfigError, NumericError
 from .rates import RateReport
 # slot_rate_report is not called here; relaysec.sim.slot_rate_report stays a
 # name that bench/tracing.py wraps
-from .selection import (LANE_STEPS, POLICIES, DiagCounters, Lanes, fresh_state,
-                        lane_rates, slot_rate_report)  # noqa: F401
+from .selection import (JAMMING_POLICIES, LANE_STEPS, POLICIES, DiagCounters,
+                        Lanes, PolicyState, _serve, fresh_state, lane_rates,
+                        slot_rate_report)  # noqa: F401
 
 POLICY_ORDER = tuple(POLICIES)
 
 _CALIBRATION_SLOTS = 200
-# lanes per batch, which bounds a batch's arrays; an oracle lane counts once
-# per jam set it scores.  A trial batch holds at least one trial of each cell
-# of its policy, so one wider than this runs as one batch of that width.
+# lanes of one policy in a task, which bounds the arrays of the policy's step
+# (the oracle's (B, S, ...) jam-set stacks stay per policy); an oracle lane
+# counts once per jam set it scores.  A task's lane set, which the serve and
+# the rate report cover at once, holds up to this many lanes of each of its
+# policies.  A trial task holds at least one trial of each cell, so a policy
+# with more cells than this runs one lane per cell.
 _MAX_LANES = 256
 _Z95 = 1.959963984540054
 
@@ -129,61 +135,89 @@ def _stream_keys(policy: str, config: SystemConfig, trial, slot: int) -> tuple:
     return (STREAM_CHANNEL, trial, slot), (STREAM_POLICY, trial, slot)
 
 
-def _lockstep(batches, slots: int, score: bool = True):
-    """Run batches of lanes in lockstep and yield, after each slot, one
-    (outcome, state, rates) per batch.
+def _lockstep(batches, slots: int, each, score: bool = True) -> PolicyState:
+    """Run batches of lanes in lockstep as one lane set, hand each slot's
+    (outcome, state, rates) to ``each``, and return the final state.
 
     A batch is (policy, configs, trials): its lane b runs ``configs[b]``
     (they may differ only in eta, sigma2 and sinr_threshold) as trial
     ``trials[b]``, or as a calibration pre-run where that is None.  All
-    batches share the shape fields and the seed.  Each slot draws every
-    distinct channel stream of its lanes once, so every lane of a trial, in
-    any batch, runs on one shared realization.  ``rates`` is what
-    :func:`~relaysec.selection.lane_rates` returns, or None unless ``score``.
+    batches share the shape fields and the seed.  The lane set holds the
+    batches' lanes in batch order, and each batch's policy picks the roles
+    of its own range of them; one serve covers every lane, and so does
+    :func:`~relaysec.selection.lane_rates`, whose result is ``rates``, or
+    None unless ``score``.  Each slot draws every distinct channel stream and
+    every distinct policy stream of its lanes once, so every lane of a trial
+    runs on one shared realization and every ``random`` lane of it on one
+    permutation.  Once ``each`` returns, only the state's last slot keeps the
+    slot's outcome, until the next slot's serve replaces it.
     """
     for policy, _, _ in batches:
         if policy not in POLICIES:
             raise ConfigError(f"unknown policy {policy!r}")
-    runs = [(LANE_STEPS[policy], Lanes.of(configs),
-             fresh_state(configs[0], len(configs)))
-            for policy, configs, _ in batches]
-    config = batches[0][1][0]
+    configs = [cfg for _, group, _ in batches for cfg in group]
+    lanes, state = Lanes.of(configs), fresh_state(configs[0], len(configs))
+    jamming = np.array([policy in JAMMING_POLICIES
+                        for policy, group, _ in batches for _ in group])
+    ranges, start = [], 0
+    for policy, group, _ in batches:
+        at = slice(start, start + len(group))
+        # a range's state views the set's arrays, which stay put
+        ranges.append((LANE_STEPS[policy], at, state.index_lanes(at),
+                       Lanes.of(group), policy == "random"))
+        start = at.stop
+    config = configs[0]
     for slot in range(slots):
-        keyed = [[_stream_keys(policy, cfg, trial, slot)
-                  for cfg, trial in zip(configs, trials)]
-                 for policy, configs, trials in batches]
+        keys = [_stream_keys(policy, cfg, trial, slot)
+                for policy, group, trials in batches
+                for cfg, trial in zip(group, trials)]
         streams = {}        # channel key -> lane of the slot's draw
-        rows = [[streams.setdefault(channel, len(streams)) for channel, _ in keys]
-                for keys in keyed]
+        rows = [streams.setdefault(channel, len(streams)) for channel, _ in keys]
         drawn = gen_network_realization(
             config, slot, [substream(config.seed, *key) for key in streams])
-        scored = []
-        for (policy, _, _), (step, lanes, state), keys, lane_rows in zip(
-                batches, runs, keyed, rows):
-            realization = (drawn if lane_rows == list(range(len(streams)))
-                           else drawn.index_lanes(lane_rows))
-            rngs = ([substream(config.seed, *drawn_key) for _, drawn_key in keys]
-                    if policy == "random" else None)
-            outcome = step(state, realization, lanes, rngs)
-            rates = None
-            if score:
-                rates = lane_rates(realization, lanes, outcome)
-                state.diag.clamp_events += rates[3]
-            scored.append((outcome, state, rates))
-        yield scored
+        realization = (drawn if rows == list(range(len(streams)))
+                       else drawn.index_lanes(rows))
+        receivers = np.zeros((len(configs), config.Q), dtype=bool)
+        transmitters = np.zeros_like(receivers)
+        objective = None
+        for step, at, part, part_lanes, draws in ranges:
+            rngs = None
+            if draws:
+                drawn_keys = [key for _, key in keys[at]]
+                generators = {key: substream(config.seed, *key)
+                              for key in dict.fromkeys(drawn_keys)}
+                rngs = [generators[key] for key in drawn_keys]
+            receivers[at], transmitters[at], best = step(
+                dataclasses.replace(part, last_slot=state.last_slot),
+                realization if len(ranges) == 1 else realization.index_lanes(at),
+                part_lanes, rngs)
+            if best is not None:
+                if objective is None:
+                    objective = np.full(len(configs), np.nan)
+                objective[at] = best
+        outcome = _serve(state, realization, lanes, receivers, transmitters,
+                         jamming, objective)
+        rates = None
+        if score:
+            rates = lane_rates(realization, lanes, outcome)
+            state.diag.clamp_events += rates[3]
+        each(outcome, state, rates)
+        # only the state's last slot keeps the outcome through the next draw
+        del outcome, rates
+    return state
 
 
-def _lane(policy: str, config: SystemConfig, trial: int, slots: int):
-    """Yield the rates of each slot of one trial lane run alone.  A
-    NumericError names the policy, the trial and the slot."""
-    slot = 0
+def _lane(policy: str, config: SystemConfig, trial: int, slots: int) -> list:
+    """The rates of each slot of one trial lane run alone.  A NumericError
+    names the policy, the trial and the slot."""
+    scored = []
     try:
-        for [(_, _, rates)] in _lockstep([(policy, [config], (trial,))], slots):
-            yield rates
-            slot += 1
+        _lockstep([(policy, [config], (trial,))], slots,
+                  lambda outcome, state, rates: scored.append(rates))
     except NumericError as exc:
         raise NumericError(
-            f"policy {policy!r} trial {trial} slot {slot}: {exc}") from exc
+            f"policy {policy!r} trial {trial} slot {len(scored)}: {exc}") from exc
+    return scored
 
 
 def run_trial(config: SystemConfig, policy: str, trial_index: int,
@@ -212,58 +246,49 @@ def _trial_chunk(cells, trials, slots: int) -> list:
     DiagCounters summed over them) of each of ``cells``, (policy, config)
     pairs of one sweep with resolved thresholds.
 
-    The cells of a policy run as the lanes of one batch, cell-major, and
-    every batch runs on the slot's one draw per trial.  A NumericError names
-    the failing lane with the smallest trial index, ties going to cell
-    order."""
+    Every cell runs in one lane set, the cells of a policy as one range,
+    cell-major, on the slot's one draw per trial.  A NumericError names the
+    failing lane with the smallest trial index, ties going to cell order."""
     groups = _by_policy(cells)
     batches = [(policy, [cells[i][1] for i in members for _ in trials],
                 [trial for _ in members for trial in trials])
                for policy, members in groups.items()]
-    warmup = cells[0][1].warmup_slots
-    totals = [0.0] * len(batches)
+    secrecy = []
     try:
-        for slot, scored in enumerate(_lockstep(batches, slots)):
-            if slot >= warmup:
-                totals = [total + rates[2]
-                          for total, (_, _, rates) in zip(totals, scored)]
+        state = _lockstep(batches, slots,
+                          lambda outcome, state, rates: secrecy.append(rates[2]))
     except NumericError:
-        # alone, a lane fails where it fails in a batch
+        # alone, a lane fails where it fails in a lane set
         for trial in trials:
             for policy, config in cells:
-                for _ in _lane(policy, config, trial, slots):
-                    pass
+                _lane(policy, config, trial, slots)
         raise
+    warmup = cells[0][1].warmup_slots
+    means = (sum(secrecy[warmup:], 0.0) / (slots - warmup)).reshape(len(cells), -1)
+    diag = {f.name: getattr(state.diag, f.name).reshape(len(cells), -1)
+            for f in dataclasses.fields(DiagCounters)}
     rows = [None] * len(cells)
-    for members, total, (_, state, _) in zip(groups.values(), totals, scored):
-        means = (total / (slots - warmup)).reshape(len(members), -1)
-        diag = {f.name: getattr(state.diag, f.name).reshape(len(members), -1)
-                for f in dataclasses.fields(DiagCounters)}
-        for row, i in enumerate(members):
-            rows[i] = (means[row], DiagCounters(
-                **{name: int(counts[row].sum()) for name, counts in diag.items()}))
+    for row, i in enumerate(chain.from_iterable(groups.values())):
+        rows[i] = (means[row], DiagCounters(
+            **{name: int(counts[row].sum()) for name, counts in diag.items()}))
     return rows
 
 
 def _calibrate_lanes(cells) -> list:
     """The :func:`calibrate_threshold` of each of ``cells``, (policy, config)
-    pairs whose pre-runs run as lanes, one batch per policy."""
+    pairs whose pre-runs run as the lanes of one lane set."""
     groups = _by_policy(cells)
     batches = [(policy, [cells[i][1].replace(sinr_threshold=0.0) for i in members],
                 (None,) * len(members))
                for policy, members in groups.items()]
-    stored = [[] for _ in batches]
-    received = [[] for _ in batches]
-    for scored in _lockstep(batches, _CALIBRATION_SLOTS, score=False):
-        for k, (outcome, _, _) in enumerate(scored):
-            stored[k].append(outcome.sinr)
-            received[k].append(outcome.receivers)
+    stored = []         # each slot's (reception SINRs, receiver masks)
+    _lockstep(batches, _CALIBRATION_SLOTS, lambda outcome, state, rates:
+              stored.append((outcome.sinr, outcome.receivers)), score=False)
     thresholds = [None] * len(cells)
-    for members, sinrs, masks in zip(groups.values(), stored, received):
-        sinrs, masks = np.stack(sinrs, axis=1), np.stack(masks, axis=1)
-        for i, lane_sinrs, mask in zip(members, sinrs, masks):
-            thresholds[i] = (float(statistics.median(lane_sinrs[mask].tolist()))
-                             if mask.any() else 0.0)
+    for i, sinrs, mask in zip(chain.from_iterable(groups.values()),
+                              *(np.stack(arrays, axis=1) for arrays in zip(*stored))):
+        thresholds[i] = (float(statistics.median(sinrs[mask].tolist()))
+                         if mask.any() else 0.0)
     return thresholds
 
 

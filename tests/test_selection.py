@@ -67,7 +67,8 @@ def select_jammers(state, real, config, current_jammers=()):
     Delta = _eav_interference(real.re_stack, lanes,
                               peeks.found & id_mask(current_jammers, config.Q),
                               _factors(lanes, peeks))
-    chosen, metrics = select_jamming_relays(state, real, lanes, Delta)
+    chosen, metrics = select_jamming_relays(state, real.ru_stack, real.re_stack,
+                                            lanes, Delta)
     return mask_ids(chosen), {q + 1: float(m) for q, m in enumerate(metrics[0])}
 
 
@@ -279,9 +280,10 @@ def test_bf_rjfs_slot0_seeds_best_ranking():
     # the next slot picks its jammers on this slot's channels and served
     # outcome: its jammers, and their replays (none yet: the buffers started
     # empty)
-    last, served = new_state.last_slot
-    np.testing.assert_array_equal(last.su_stack[0], real.su_stack)
-    assert last.slot == 0 and mask_ids(served.jammers) == outcome.jamming_relays
+    served = new_state.last_slot
+    np.testing.assert_array_equal(served.ru_stack[0], real.ru_stack)
+    np.testing.assert_array_equal(served.re_stack[0], real.re_stack)
+    assert mask_ids(served.jammers) == outcome.jamming_relays
     assert not served.replays.found.any()
 
 
@@ -749,13 +751,13 @@ def test_reception_matches_scalar_link_ops():
     state, real = make_instance(config, seed=88)
     jammers = (1, 2)
     resolved = _resolve_replays(state, id_mask(jammers, 4), config,
-                                forward_only=False)
+                                jamming=np.array([True]))
     replays = {q: resolved.record(0, q - 1) for q in jammers
                if resolved.found[0, q - 1]}
     receivers = (3, 4)
     state2, _ = make_instance(config, seed=88)
     replays2 = _resolve_replays(state2, id_mask(jammers, 4), config,
-                                forward_only=False)
+                                jamming=np.array([True]))
     _receive_and_store(state2, real.index_lanes(None), Lanes.of([config]),
                        id_mask(receivers, 4), replays2)
 

@@ -10,7 +10,7 @@ import pytest
 
 import relaysec.selection
 import relaysec.sim
-from relaysec.channel import STREAM_CHANNEL, gen_network_realization
+from relaysec.channel import STREAM_CHANNEL, STREAM_POLICY, gen_network_realization
 from relaysec.config import SystemConfig, load_config, parse_config, power_split
 from relaysec.errors import ConfigError, NumericError
 from relaysec.selection import DiagCounters
@@ -239,13 +239,13 @@ def test_pool_error_reaches_caller_and_cancels_queued_cells(monkeypatch, tmp_pat
     inject_trial_error(monkeypatch)
     real_lockstep = relaysec.sim._lockstep
 
-    def lockstep(batches, slots, score=True):
+    def lockstep(batches, *args, **kwargs):
         trial = batches[0][2][0]
         if trial is not None:      # leaves a file per started trial chunk
             (tmp_path / str(trial)).touch()
             if trial:
                 time.sleep(0.2)
-        return real_lockstep(batches, slots, score)
+        return real_lockstep(batches, *args, **kwargs)
 
     # one trial of the 3 cells per chunk, so that the sweep has more chunks
     # than the pool holds queued; the pool is handed _trial_chunk, which
@@ -277,12 +277,12 @@ def test_threshold_error_reaches_caller_and_cancels_queued_calibrations(
     snrs = tuple(float(snr) for snr in range(24))
     order = [cfg.with_snr_db(snr).sigma2 for snr in snrs]
 
-    def lockstep(batches, slots, score=True):
+    def lockstep(batches, *args, **kwargs):
         index = order.index(batches[0][1][0].sigma2)
         (tmp_path / str(index)).touch()     # a file per started calibration
         if index:
             time.sleep(0.2)
-        return real_lockstep(batches, slots, score)
+        return real_lockstep(batches, *args, **kwargs)
 
     # one calibration lane per task, so that the sweep has more tasks than
     # the pool holds queued
@@ -523,43 +523,65 @@ _LANE_CONFIGS = {
 }
 
 
-def _lane_slot(outcome, state, rates, b):
+def _lane_slot(outcome, state, rates, b, oracle):
     """Everything a lane's slot produced, as bytes: roles, replayed records,
-    stored SINRs, stored-signal factors, jamming covariance, rates, clamps,
-    the buffers and the counters."""
+    stored SINRs, stored-signal factors, jamming covariance, the objective
+    (``oracle`` lanes only), rates, clamps, the buffers and the counters."""
     bank, replays = state.buffers, outcome.replays
     return pickle.dumps((
         outcome.receivers[b], outcome.transmitters[b], outcome.jammers[b],
         replays.found[b], replays.snapshot[b], replays.sinr[b], replays.slot[b],
         replays.forward[b], outcome.sinr[b], outcome.factors[b], outcome.delta[b],
-        None if outcome.objective is None else outcome.objective[b],
+        outcome.objective[b] if oracle else None,
         [r[b] for r in rates],
         bank.valid[b], bank.snapshot[b], bank.sinr[b], bank.slot[b],
         bank.forward[b], bank.evictions[b],
         [getattr(state.diag, f.name)[b] for f in dataclasses.fields(DiagCounters)]))
 
 
+def _slot_bytes(batches, slots):
+    """``_lane_slot`` of every lane of the lane set of ``batches``, per slot."""
+    oracle = [policy == "oracle" for policy, configs, _ in batches for _ in configs]
+    produced = []
+    relaysec.sim._lockstep(batches, slots, lambda *served: produced.append(
+        [_lane_slot(*served, b, is_oracle) for b, is_oracle in enumerate(oracle)]))
+    return produced
+
+
 @pytest.mark.parametrize("name", _LANE_CONFIGS)
-@pytest.mark.parametrize("policy", relaysec.sim.POLICY_ORDER)
+@pytest.mark.parametrize("policy", relaysec.sim.POLICY_ORDER + ("every policy",))
 def test_lanes_are_batch_invariant(policy, name):
     # a lane gives the same bits alone and in a batch with other trials of
     # its cell, lanes of other cells (other sigma2, eta and threshold) and a
     # calibration pre-run; this keeps outputs equal across worker counts and
-    # cells independent
+    # cells independent.  One lane set may hold every policy, each on its
+    # own lane range, served and scored at once: the peek rule on the joint
+    # policies' lanes, the consume-forward rule on the baselines', the
+    # objective on the oracle's, and one permutation draw for the random
+    # lanes of a trial
     base = _LANE_CONFIGS[name]
     cells = [base.replace(eta=1.0, sinr_threshold=0.3).with_snr_db(10.0),
              base.replace(eta=0.5, sinr_threshold=0.1).with_snr_db(0.0),
              base.replace(eta=1.5, sinr_threshold=0.0).with_snr_db(20.0)]
-    # the last lane shares trial 0's draw with the first
-    configs = [cells[0], cells[0], cells[1], cells[2], cells[2]]
-    trials = (0, 5, 1, None, 0)
+    if policy == "every policy":
+        # max-link's second lane is a calibration pre-run
+        batches = [(each, [cells[i % 3], cells[(i + 1) % 3]],
+                    (i % 2, None if each == "max-link" else 3))
+                   for i, each in enumerate(relaysec.sim.POLICY_ORDER)]
+        batches.append(("random", [cells[2], cells[2]], (0, 0)))
+    else:
+        # the last lane shares trial 0's draw with the first
+        batches = [(policy, [cells[0], cells[0], cells[1], cells[2], cells[2]],
+                    (0, 5, 1, None, 0))]
     slots = 12
-    batch = relaysec.sim._lockstep([(policy, configs, trials)], slots)
-    alone = [relaysec.sim._lockstep([(policy, [cfg], (trial,))], slots)
+    together = _slot_bytes(batches, slots)
+    alone = [_slot_bytes([(each, [cfg], (trial,))], slots)
+             for each, configs, trials in batches
              for cfg, trial in zip(configs, trials)]
-    for slot, ([together], *singles) in enumerate(zip(batch, *alone)):
-        for b, [single] in enumerate(singles):
-            assert _lane_slot(*together, b) == _lane_slot(*single, 0), (slot, b)
+    assert len(together) == slots
+    for b, single in enumerate(alone):
+        for slot in range(slots):
+            assert together[slot][b] == single[slot][0], (slot, b)
 
 
 def test_lanes_of_a_batch_differ_only_in_cell_fields():
@@ -592,7 +614,8 @@ def test_sub_grid_cells_equal_full_sweep_cells(workers):
 
 
 def test_one_channel_draw_per_trial_slot_per_sweep(monkeypatch):
-    # 2 policies x 2 SNRs x 2 etas share each (trial, slot) draw
+    # 2 policies x 2 SNRs x 2 etas share each (trial, slot) channel draw,
+    # and the 4 random cells each (trial, slot) permutation draw
     real_substream = relaysec.sim.substream
     keys = []
 
@@ -604,9 +627,10 @@ def test_one_channel_draw_per_trial_slot_per_sweep(monkeypatch):
     sweep = SweepSpec(policies=("bf-rjfs", "random"), snr_db_grid=(0.0, 10.0),
                       eta_grid=(0.5, 1.5), trials=7, slots_per_trial=3)
     monte_carlo(small_config(seed=9), sweep)
-    channel = [key for key in keys if key[0] == STREAM_CHANNEL]
-    assert sorted(channel) == [(STREAM_CHANNEL, trial, slot)
-                               for trial in range(7) for slot in range(3)]
+    for stream in (STREAM_CHANNEL, STREAM_POLICY):
+        drawn = [key for key in keys if key[0] == stream]
+        assert sorted(drawn) == [(stream, trial, slot)
+                                 for trial in range(7) for slot in range(3)]
 
 
 def test_bf_rjfs_scored_trial_computes_each_slot_delta_once(monkeypatch):
