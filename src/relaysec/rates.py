@@ -53,7 +53,7 @@ def _eye(n: int) -> np.ndarray:
 
 def _dets_identity_plus(Gammas: np.ndarray) -> np.ndarray:
     Gammas = np.asarray(Gammas)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         dets = np.atleast_1d(np.linalg.det(_eye(Gammas.shape[-1]) + Gammas))
     if not np.isfinite(dets).all():
         raise NumericError("non-finite determinant")

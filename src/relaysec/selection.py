@@ -2,7 +2,7 @@
 policy, the conventional baselines, and the exhaustive assignment oracle.
 
 The engine advances B independent slot sequences, its lanes, in lockstep as
-one lane set; each policy's lanes are a contiguous range of it.  Every array
+one lane set; each run of one policy's lanes is a range of it.  Every array
 carries the lane axis first.  Lane b has its own noise variance, power split
 and threshold (:class:`Lanes`) and its own buffers (a
 :class:`~relaysec.buffers.BufferBank`); the other config fields are shared.
@@ -76,13 +76,11 @@ class SelectionOutcome:
 class LaneOutcome:
     """One slot's roles in every lane, as (B, Q) masks.  ``replays`` holds
     the record each transmitter replayed, ``sinr`` the reception SINR each
-    receiver stored (0 elsewhere), ``objective`` the oracle's slot secrecy
-    rate on oracle lanes (NaN on the others, None without an oracle lane).
-    ``re_stack`` and ``ru_stack`` are the slot's relay->eavesdropper and
-    relay->user channels, which the next ``bf-rjfs`` slot reads.
-    ``factors`` (the replays' stored-signal factors) and ``delta`` (the
-    jammers' jamming covariance through ``re_stack``) are computed with
-    ``lanes`` on first read, once."""
+    receiver stored (0 elsewhere).  ``re_stack`` and ``ru_stack`` are the
+    slot's relay->eavesdropper and relay->user channels, which the next
+    ``bf-rjfs`` slot reads.  ``factors`` (the replays' stored-signal
+    factors) and ``delta`` (the jammers' jamming covariance through
+    ``re_stack``) are computed with ``lanes`` on first read, once."""
 
     receivers: np.ndarray
     transmitters: np.ndarray
@@ -92,7 +90,6 @@ class LaneOutcome:
     re_stack: np.ndarray
     ru_stack: np.ndarray
     lanes: Lanes
-    objective: np.ndarray | None = None
 
     @functools.cached_property
     def factors(self) -> np.ndarray:
@@ -105,7 +102,7 @@ class LaneOutcome:
         return _eav_interference(self.re_stack, self.lanes,
                                  self.replays.found & self.jammers, self.factors)
 
-    def view(self, lane: int) -> SelectionOutcome:
+    def view(self, lane: int, objective: float | None = None) -> SelectionOutcome:
         def ids(mask):
             return tuple((np.flatnonzero(mask[lane]) + 1).tolist())
 
@@ -116,7 +113,7 @@ class LaneOutcome:
             transmitting_relays=transmitters,
             replays={q: self.replays.record(lane, q - 1) for q in transmitters
                      if self.replays.found[lane, q - 1]},
-            objective=None if self.objective is None else float(self.objective[lane]))
+            objective=objective)
 
 
 @dataclass
@@ -454,8 +451,7 @@ def _receive_and_store(state: PolicyState, realization, lanes: Lanes,
 
 
 def _serve(state: PolicyState, realization, lanes: Lanes, receivers: np.ndarray,
-           transmitters: np.ndarray, jamming: np.ndarray,
-           objective: np.ndarray | None = None) -> LaneOutcome:
+           transmitters: np.ndarray, jamming: np.ndarray) -> LaneOutcome:
     """Serve one slot's roles in every lane: the transmitters replay from
     their buffers (in the ``jamming`` (B,) lanes a peeked record that also
     jams the eavesdroppers, elsewhere a consumed forward-class record), then
@@ -468,7 +464,7 @@ def _serve(state: PolicyState, realization, lanes: Lanes, receivers: np.ndarray,
         receivers=receivers, transmitters=transmitters,
         jammers=transmitters & jamming[:, None], replays=replays, sinr=sinr,
         re_stack=realization.re_stack, ru_stack=realization.ru_stack,
-        lanes=lanes, objective=objective)
+        lanes=lanes)
     state.last_slot = outcome
     return outcome
 
@@ -522,7 +518,8 @@ def _ids_mask(ids, Q: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # policies: each takes (state, lane realization, Lanes, per-lane rngs or None)
-# of its lane range and returns (receivers, transmitters, objective or None)
+# of its lane range and returns (receivers, transmitters, objective or None);
+# only the one-lane view reads the oracle's objective
 
 
 def _bf_rjfs(state: PolicyState, realization, lanes: Lanes, rngs=None) -> tuple:
@@ -731,10 +728,10 @@ def _one_lane(name: str):
 
     def one_lane(state: PolicyState, realization, config: SystemConfig, rng=None):
         realization, lanes = realization.index_lanes(None), Lanes.of([config])
-        receivers, transmitters, objective = step(state, realization, lanes, [rng])
+        receivers, transmitters, best = step(state, realization, lanes, [rng])
         outcome = _serve(state, realization, lanes, receivers, transmitters,
-                         jamming, objective)
-        return outcome.view(0), state
+                         jamming)
+        return outcome.view(0, None if best is None else float(best[0])), state
 
     one_lane.__doc__ = (
         "One-lane view, on a realization without lane axis, one config and "

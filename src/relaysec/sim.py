@@ -10,8 +10,8 @@ The engine runs the slot sequences of a task, its lanes, together on
 (B, ...) stacks as one lane set (see :mod:`relaysec.selection`).  A lane is
 a trial of a cell or a calibration pre-run with its own noise variance,
 power split and threshold, and it gives the same numbers in any lane set,
-alone included.  Each policy's step picks the roles of its own contiguous
-range of lanes; one serve and one rate report per slot then cover every
+alone included.  Each policy's step picks the roles of each contiguous run
+of its lanes; one serve and one rate report per slot then cover every
 lane of every policy.  A channel realization depends only on (seed, trial,
 slot) and the antenna shapes, so every cell of a sweep runs trial t on the
 same draws: each slot draws once per trial and every cell's lane of that
@@ -33,8 +33,9 @@ import dataclasses
 import math
 import statistics
 import struct
+from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, groupby, repeat
 
 import numpy as np
 
@@ -89,6 +90,13 @@ class SweepSpec:
         for eta in self.eta_grid:
             if not (0.0 <= eta <= 2.0):
                 raise ConfigError(f"eta grid value {eta} outside [0, 2]")
+        # a repeated policy or grid key would repeat a CSV row and its
+        # manifest key
+        for name, keys in (("policy list", self.policies),
+                           ("snr grid", [_fmt(x) for x in self.snr_db_grid]),
+                           ("eta grid", [_fmt(x) for x in self.eta_grid])):
+            if len(set(keys)) < len(keys):
+                raise ConfigError(f"{name} repeats a value: {','.join(keys)}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.slots_per_trial < 1:
@@ -135,16 +143,16 @@ def _stream_keys(policy: str, config: SystemConfig, trial, slot: int) -> tuple:
     return (STREAM_CHANNEL, trial, slot), (STREAM_POLICY, trial, slot)
 
 
-def _lockstep(batches, slots: int, each, score: bool = True) -> PolicyState:
-    """Run batches of lanes in lockstep as one lane set, hand each slot's
+def _lockstep(lanes, slots: int, each, score: bool = True) -> PolicyState:
+    """Run ``lanes`` in lockstep as one lane set, hand each slot's
     (outcome, state, rates) to ``each``, and return the final state.
 
-    A batch is (policy, configs, trials): its lane b runs ``configs[b]``
-    (they may differ only in eta, sigma2 and sinr_threshold) as trial
-    ``trials[b]``, or as a calibration pre-run where that is None.  All
-    batches share the shape fields and the seed.  The lane set holds the
-    batches' lanes in batch order, and each batch's policy picks the roles
-    of its own range of them; one serve covers every lane, and so does
+    A lane is (policy, config, trial): it runs ``config`` (the lanes' configs
+    may differ only in eta, sigma2 and sinr_threshold) as trial ``trial``,
+    or as a calibration pre-run where that is None.  All lanes share the
+    shape fields and the seed.  The lane set holds the lanes in list order,
+    and each maximal run of one policy is a range whose policy picks that
+    range's roles; one serve covers every lane, and so does
     :func:`~relaysec.selection.lane_rates`, whose result is ``rates``, or
     None unless ``score``.  Each slot draws every distinct channel stream and
     every distinct policy stream of its lanes once, so every lane of a trial
@@ -152,25 +160,21 @@ def _lockstep(batches, slots: int, each, score: bool = True) -> PolicyState:
     permutation.  Once ``each`` returns, only the state's last slot keeps the
     slot's outcome, until the next slot's serve replaces it.
     """
-    for policy, _, _ in batches:
+    configs = [config for _, config, _ in lanes]
+    lane_set, state = Lanes.of(configs), fresh_state(configs[0], len(configs))
+    jamming = np.array([policy in JAMMING_POLICIES for policy, _, _ in lanes])
+    ranges, start = [], 0
+    for policy, run in groupby(policy for policy, _, _ in lanes):
         if policy not in POLICIES:
             raise ConfigError(f"unknown policy {policy!r}")
-    configs = [cfg for _, group, _ in batches for cfg in group]
-    lanes, state = Lanes.of(configs), fresh_state(configs[0], len(configs))
-    jamming = np.array([policy in JAMMING_POLICIES
-                        for policy, group, _ in batches for _ in group])
-    ranges, start = [], 0
-    for policy, group, _ in batches:
-        at = slice(start, start + len(group))
+        at = slice(start, start + len(list(run)))
         # a range's state views the set's arrays, which stay put
         ranges.append((LANE_STEPS[policy], at, state.index_lanes(at),
-                       Lanes.of(group), policy == "random"))
+                       Lanes.of(configs[at]), policy == "random"))
         start = at.stop
     config = configs[0]
     for slot in range(slots):
-        keys = [_stream_keys(policy, cfg, trial, slot)
-                for policy, group, trials in batches
-                for cfg, trial in zip(group, trials)]
+        keys = [_stream_keys(policy, cfg, trial, slot) for policy, cfg, trial in lanes]
         streams = {}        # channel key -> lane of the slot's draw
         rows = [streams.setdefault(channel, len(streams)) for channel, _ in keys]
         drawn = gen_network_realization(
@@ -179,7 +183,6 @@ def _lockstep(batches, slots: int, each, score: bool = True) -> PolicyState:
                        else drawn.index_lanes(rows))
         receivers = np.zeros((len(configs), config.Q), dtype=bool)
         transmitters = np.zeros_like(receivers)
-        objective = None
         for step, at, part, part_lanes, draws in ranges:
             rngs = None
             if draws:
@@ -187,19 +190,15 @@ def _lockstep(batches, slots: int, each, score: bool = True) -> PolicyState:
                 generators = {key: substream(config.seed, *key)
                               for key in dict.fromkeys(drawn_keys)}
                 rngs = [generators[key] for key in drawn_keys]
-            receivers[at], transmitters[at], best = step(
+            receivers[at], transmitters[at], _ = step(
                 dataclasses.replace(part, last_slot=state.last_slot),
                 realization if len(ranges) == 1 else realization.index_lanes(at),
                 part_lanes, rngs)
-            if best is not None:
-                if objective is None:
-                    objective = np.full(len(configs), np.nan)
-                objective[at] = best
-        outcome = _serve(state, realization, lanes, receivers, transmitters,
-                         jamming, objective)
+        outcome = _serve(state, realization, lane_set, receivers, transmitters,
+                         jamming)
         rates = None
         if score:
-            rates = lane_rates(realization, lanes, outcome)
+            rates = lane_rates(realization, lane_set, outcome)
             state.diag.clamp_events += rates[3]
         each(outcome, state, rates)
         # only the state's last slot keeps the outcome through the next draw
@@ -212,7 +211,7 @@ def _lane(policy: str, config: SystemConfig, trial: int, slots: int) -> list:
     names the policy, the trial and the slot."""
     scored = []
     try:
-        _lockstep([(policy, [config], (trial,))], slots,
+        _lockstep([(policy, config, trial)], slots,
                   lambda outcome, state, rates: scored.append(rates))
     except NumericError as exc:
         raise NumericError(
@@ -232,30 +231,18 @@ def run_trial(config: SystemConfig, policy: str, trial_index: int,
                                                slots)]
 
 
-def _by_policy(cells) -> dict:
-    """{policy: indices of its cells} of (policy, config) ``cells``, both in
-    order of appearance."""
-    groups = {}
-    for i, (policy, _) in enumerate(cells):
-        groups.setdefault(policy, []).append(i)
-    return groups
-
-
 def _trial_chunk(cells, trials, slots: int) -> list:
     """(mean secrecy rate over the retained slots of each of ``trials``,
     DiagCounters summed over them) of each of ``cells``, (policy, config)
     pairs of one sweep with resolved thresholds.
 
-    Every cell runs in one lane set, the cells of a policy as one range,
-    cell-major, on the slot's one draw per trial.  A NumericError names the
-    failing lane with the smallest trial index, ties going to cell order."""
-    groups = _by_policy(cells)
-    batches = [(policy, [cells[i][1] for i in members for _ in trials],
-                [trial for _ in members for trial in trials])
-               for policy, members in groups.items()]
+    Every cell runs in one lane set, cell-major, on the slot's one draw per
+    trial.  A NumericError names the failing lane with the smallest trial
+    index, ties going to cell order."""
     secrecy = []
     try:
-        state = _lockstep(batches, slots,
+        state = _lockstep([(policy, config, trial) for policy, config in cells
+                           for trial in trials], slots,
                           lambda outcome, state, rates: secrecy.append(rates[2]))
     except NumericError:
         # alone, a lane fails where it fails in a lane set
@@ -267,29 +254,22 @@ def _trial_chunk(cells, trials, slots: int) -> list:
     means = (sum(secrecy[warmup:], 0.0) / (slots - warmup)).reshape(len(cells), -1)
     diag = {f.name: getattr(state.diag, f.name).reshape(len(cells), -1)
             for f in dataclasses.fields(DiagCounters)}
-    rows = [None] * len(cells)
-    for row, i in enumerate(chain.from_iterable(groups.values())):
-        rows[i] = (means[row], DiagCounters(
-            **{name: int(counts[row].sum()) for name, counts in diag.items()}))
-    return rows
+    return [(means[i], DiagCounters(
+        **{name: int(counts[i].sum()) for name, counts in diag.items()}))
+        for i in range(len(cells))]
 
 
 def _calibrate_lanes(cells) -> list:
     """The :func:`calibrate_threshold` of each of ``cells``, (policy, config)
     pairs whose pre-runs run as the lanes of one lane set."""
-    groups = _by_policy(cells)
-    batches = [(policy, [cells[i][1].replace(sinr_threshold=0.0) for i in members],
-                (None,) * len(members))
-               for policy, members in groups.items()]
     stored = []         # each slot's (reception SINRs, receiver masks)
-    _lockstep(batches, _CALIBRATION_SLOTS, lambda outcome, state, rates:
+    _lockstep([(policy, config.replace(sinr_threshold=0.0), None)
+               for policy, config in cells], _CALIBRATION_SLOTS,
+              lambda outcome, state, rates:
               stored.append((outcome.sinr, outcome.receivers)), score=False)
-    thresholds = [None] * len(cells)
-    for i, sinrs, mask in zip(chain.from_iterable(groups.values()),
-                              *(np.stack(arrays, axis=1) for arrays in zip(*stored))):
-        thresholds[i] = (float(statistics.median(sinrs[mask].tolist()))
-                         if mask.any() else 0.0)
-    return thresholds
+    return [float(statistics.median(sinrs[mask].tolist())) if mask.any() else 0.0
+            for sinrs, mask in zip(*(np.stack(arrays, axis=1)
+                                     for arrays in zip(*stored)))]
 
 
 def calibrate_threshold(config: SystemConfig, policy: str) -> float:
@@ -354,8 +334,8 @@ def _run_cells(map_, cells: list, sweep: SweepSpec) -> list:
     resolved = [(policy, cfg if cfg.sinr_threshold is not None
                  else cfg.replace(sinr_threshold=next(thresholds)))
                 for policy, _, _, cfg in cells]
-    trial_sets = max(len(members) * _jam_sets(resolved[members[0]][1], policy)
-                     for policy, members in _by_policy(resolved).items())
+    trial_sets = max(count * _jam_sets(resolved[0][1], policy) for policy, count
+                     in Counter(policy for policy, _ in resolved).items())
     chunks = list(map_(_trial_chunk, repeat(resolved),
                        _chunks(range(sweep.trials), sweep.workers,
                                max(1, _MAX_LANES // trial_sets)),

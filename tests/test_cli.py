@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 from relaysec.cli import _parse_grid, main
@@ -93,6 +95,23 @@ def test_cli_sweep_axis_in_config_rejected(tmp_path, capsys, line, flag):
     assert code == 2
     assert flag in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_repeated_grid_value(tmp_path, capsys):
+    code, out = run_cli(tmp_path, "--snr", "10,10")
+    assert code == 2
+    assert "config error: snr grid repeats a value: 10,10" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_determinant_overflow_is_a_numeric_error(tmp_path, capsys):
+    # the overflowing determinant is reported as a numeric error, without a
+    # numpy warning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, _ = run_cli(tmp_path, "--snr=1000")
+    assert code == 3
+    assert "numeric error: " in capsys.readouterr().err
 
 
 def test_cli_unknown_policy(tmp_path, capsys):

@@ -239,13 +239,13 @@ def test_pool_error_reaches_caller_and_cancels_queued_cells(monkeypatch, tmp_pat
     inject_trial_error(monkeypatch)
     real_lockstep = relaysec.sim._lockstep
 
-    def lockstep(batches, *args, **kwargs):
-        trial = batches[0][2][0]
+    def lockstep(lanes, *args, **kwargs):
+        trial = lanes[0][2]
         if trial is not None:      # leaves a file per started trial chunk
             (tmp_path / str(trial)).touch()
             if trial:
                 time.sleep(0.2)
-        return real_lockstep(batches, *args, **kwargs)
+        return real_lockstep(lanes, *args, **kwargs)
 
     # one trial of the 3 cells per chunk, so that the sweep has more chunks
     # than the pool holds queued; the pool is handed _trial_chunk, which
@@ -277,12 +277,12 @@ def test_threshold_error_reaches_caller_and_cancels_queued_calibrations(
     snrs = tuple(float(snr) for snr in range(24))
     order = [cfg.with_snr_db(snr).sigma2 for snr in snrs]
 
-    def lockstep(batches, *args, **kwargs):
-        index = order.index(batches[0][1][0].sigma2)
+    def lockstep(lanes, *args, **kwargs):
+        index = order.index(lanes[0][1].sigma2)
         (tmp_path / str(index)).touch()     # a file per started calibration
         if index:
             time.sleep(0.2)
-        return real_lockstep(batches, *args, **kwargs)
+        return real_lockstep(lanes, *args, **kwargs)
 
     # one calibration lane per task, so that the sweep has more tasks than
     # the pool holds queued
@@ -418,6 +418,17 @@ def test_sweep_validation():
         SweepSpec(policies=("bf-rjfs",), eta_grid=(2.5,))
     with pytest.raises(ConfigError):
         SweepSpec(policies=("bf-rjfs",), trials=0)
+    # a repeated policy, or two grid values with one manifest key, would
+    # write a CSV row and a manifest key twice
+    with pytest.raises(ConfigError, match="policy list repeats"):
+        SweepSpec(policies=("random", "bf-rjfs", "random"))
+    with pytest.raises(ConfigError, match="snr grid repeats"):
+        SweepSpec(policies=("random",), snr_db_grid=(10.0, 10))
+    with pytest.raises(ConfigError, match="snr grid repeats"):
+        SweepSpec(policies=("random",), snr_db_grid=(10.0, 10.0 + 1e-12))
+    with pytest.raises(ConfigError, match="eta grid repeats"):
+        SweepSpec(policies=("random",), eta_grid=(0.5, 1.0, 0.5))
+    SweepSpec(policies=("random",), snr_db_grid=(10.0, 10.001))
 
 
 # ---------------------------------------------------------------------------
@@ -523,16 +534,15 @@ _LANE_CONFIGS = {
 }
 
 
-def _lane_slot(outcome, state, rates, b, oracle):
+def _lane_slot(outcome, state, rates, b):
     """Everything a lane's slot produced, as bytes: roles, replayed records,
-    stored SINRs, stored-signal factors, jamming covariance, the objective
-    (``oracle`` lanes only), rates, clamps, the buffers and the counters."""
+    stored SINRs, stored-signal factors, jamming covariance, rates, clamps,
+    the buffers and the counters."""
     bank, replays = state.buffers, outcome.replays
     return pickle.dumps((
         outcome.receivers[b], outcome.transmitters[b], outcome.jammers[b],
         replays.found[b], replays.snapshot[b], replays.sinr[b], replays.slot[b],
         replays.forward[b], outcome.sinr[b], outcome.factors[b], outcome.delta[b],
-        outcome.objective[b] if oracle else None,
         [r[b] for r in rates],
         bank.valid[b], bank.snapshot[b], bank.sinr[b], bank.slot[b],
         bank.forward[b], bank.evictions[b],
@@ -540,11 +550,13 @@ def _lane_slot(outcome, state, rates, b, oracle):
 
 
 def _slot_bytes(batches, slots):
-    """``_lane_slot`` of every lane of the lane set of ``batches``, per slot."""
-    oracle = [policy == "oracle" for policy, configs, _ in batches for _ in configs]
+    """``_lane_slot`` of every lane of the lane set of ``batches``, (policy,
+    configs, trials) runs of lanes, per slot."""
+    lanes = [(policy, cfg, trial) for policy, configs, trials in batches
+             for cfg, trial in zip(configs, trials)]
     produced = []
-    relaysec.sim._lockstep(batches, slots, lambda *served: produced.append(
-        [_lane_slot(*served, b, is_oracle) for b, is_oracle in enumerate(oracle)]))
+    relaysec.sim._lockstep(lanes, slots, lambda *served: produced.append(
+        [_lane_slot(*served, b) for b in range(len(lanes))]))
     return produced
 
 
@@ -556,9 +568,9 @@ def test_lanes_are_batch_invariant(policy, name):
     # calibration pre-run; this keeps outputs equal across worker counts and
     # cells independent.  One lane set may hold every policy, each on its
     # own lane range, served and scored at once: the peek rule on the joint
-    # policies' lanes, the consume-forward rule on the baselines', the
-    # objective on the oracle's, and one permutation draw for the random
-    # lanes of a trial
+    # policies' lanes, the consume-forward rule on the baselines', and one
+    # permutation draw for the random lanes of a trial.  The second random
+    # range is not next to the first, so one policy runs as two ranges
     base = _LANE_CONFIGS[name]
     cells = [base.replace(eta=1.0, sinr_threshold=0.3).with_snr_db(10.0),
              base.replace(eta=0.5, sinr_threshold=0.1).with_snr_db(0.0),
