@@ -105,9 +105,10 @@ class RelayBuffer:
         raise ValueError("record not present in buffer")
 
 
-# A cell's key when it holds no record, and the offset that ranks FORWARD
-# records after every JAM record in peek_jamming.
-_EMPTY = np.iinfo(np.int64).max
+# A cell's key when it holds no record (_FREE where a push looks for a cell
+# to write), and the offset that ranks FORWARD records after every JAM record
+# in peek_jamming.
+_EMPTY, _FREE = np.iinfo(np.int64).max, np.iinfo(np.int64).min
 _AFTER_JAM = 2**62
 
 
@@ -137,8 +138,8 @@ def _signal(snapshot, sinr, slot, forward) -> BufferedSignal:
 class BufferBank:
     """The buffers of Q relays in each of B lanes, as slot-keyed arrays.
 
-    Each relay has ``capacity + 1`` cells; a cell holds a record when
-    ``valid`` is set.  The caller pushes each relay's records in increasing
+    Each relay has ``capacity`` cells; a cell holds a record when ``valid``
+    is set.  The caller pushes each relay's records in increasing
     slot order (the engine pushes a slot's records in that slot), so the
     oldest record is the valid cell with the smallest slot, and every
     :class:`RelayBuffer` operation is a masked argmin over the cell axis.
@@ -149,7 +150,7 @@ class BufferBank:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        cells = (lanes, relays, capacity + 1)
+        cells = (lanes, relays, capacity)
         self.snapshot = np.zeros(cells + tuple(snapshot_shape), dtype=complex)
         self.sinr = np.zeros(cells)
         self.slot = np.zeros(cells, dtype=np.int64)
@@ -217,21 +218,15 @@ class BufferBank:
              slot, forward: np.ndarray) -> None:
         """Store a record in every relay of the (B, Q) mask ``relays`` from the
         (B, Q, ...) arrays; ``slot`` is one slot or a (B, Q) array.  A relay
-        past capacity evicts its oldest record and counts the eviction."""
-        cells = self.valid.shape[-1]
+        at capacity overwrites its oldest record and counts the eviction."""
         first = self._first[relays]
-        rows = first[:, None] + np.arange(cells)       # every cell of each relay
-        held = self._flat(self.valid)[rows]
-        at = first + held.argmin(axis=-1)     # a free cell: at most capacity are valid
+        rows = first[:, None] + np.arange(self.capacity)   # every cell of each relay
+        # a free cell, else the oldest record's
+        at = first + np.where(self._flat(self.valid)[rows], self._flat(self.slot)[rows],
+                              _FREE).argmin(axis=-1)
+        self.evictions.reshape(-1)[first // self.capacity] += self._flat(self.valid)[at]
         self._flat(self.snapshot)[at] = snapshot[relays]
         self._flat(self.sinr)[at] = sinr[relays]
         self._flat(self.slot)[at] = slot[relays] if np.ndim(slot) else slot
         self._flat(self.forward)[at] = forward[relays]
         self._flat(self.valid)[at] = True
-        full = held.sum(axis=-1) == self.capacity
-        if full.any():
-            rows = rows[full]
-            stamps = np.where(self._flat(self.valid)[rows], self._flat(self.slot)[rows],
-                              _EMPTY)
-            self._flat(self.valid)[rows[:, 0] + stamps.argmin(axis=-1)] = False
-            self.evictions.reshape(-1)[first[full] // cells] += 1

@@ -14,8 +14,8 @@ determinant; the imaginary part is not checked.  Every log-determinant raises
 :class:`~relaysec.errors.NumericError` on a non-finite determinant.
 Rate-valued results clamp at zero from below and report the clamp (a
 nonpositive real part counts as a clamp to zero); metric-valued results raise
-``NumericError`` when the real part is nonpositive, unless a batched caller
-asks for ``-inf`` instead.
+``NumericError`` when the real part is nonpositive, while batched metric
+log-dets give ``-inf`` there.
 """
 
 from __future__ import annotations
@@ -66,22 +66,20 @@ def logdet_identity_plus(Gamma: np.ndarray, base: float = 2.0) -> float:
     Raises NumericError when the determinant's real part is nonpositive, the
     one case where the real-part reading has no defined logarithm.
     """
-    return float(logdet_identity_plus_stack(np.asarray(Gamma)[None], base)[0])
+    value = float(logdet_identity_plus_stack(np.asarray(Gamma)[None], base)[0])
+    if value == -math.inf:
+        raise NumericError("nonpositive real det(I + Gamma)")
+    return value
 
 
-def logdet_identity_plus_stack(Gammas: np.ndarray, base: float = 2.0,
-                               nonpositive: str = "raise") -> np.ndarray:
-    """Vectorized :func:`logdet_identity_plus` over a (..., n, n) stack.
-
-    ``nonpositive`` controls entries whose determinant real part is <= 0:
-    ``"raise"`` matches the scalar op, ``"neginf"`` maps them to -inf so
-    ranking callers can push degenerate candidates to the bottom.
+def logdet_identity_plus_stack(Gammas: np.ndarray, base: float = 2.0) -> np.ndarray:
+    """Vectorized :func:`logdet_identity_plus` over a (..., n, n) stack, except
+    that an entry whose determinant real part is <= 0 maps to -inf, so that
+    ranking callers push degenerate candidates to the bottom.
     """
     real = _dets_identity_plus(Gammas).real
     bad = real <= 0.0
     if bad.any():
-        if nonpositive == "raise":
-            raise NumericError("nonpositive real det(I + Gamma) in batch")
         out = np.full(real.shape, -np.inf)
         np.log(real, out=out, where=~bad)
         return out / math.log(base)

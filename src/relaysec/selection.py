@@ -336,7 +336,7 @@ def select_receiving_relays(state: PolicyState, realization, lanes: Lanes,
     if config.selection_noise_floor:
         D_m = D_m + _col(config.N_i * lanes.sigma2, 4) * np.eye(config.N_i)
     gammas = np.linalg.solve(np.eye(config.N_i) + D_m, gram(realization.su_stack))
-    metrics = rates.logdet_identity_plus_stack(gammas, config.log_base, "neginf")
+    metrics = rates.logdet_identity_plus_stack(gammas, config.log_base)
     return _top(metrics, config.T, allowed=pool), metrics
 
 
@@ -370,7 +370,7 @@ def select_jamming_relays(state: PolicyState, H_nr: np.ndarray, H_ne: np.ndarray
     gamma_e = np.linalg.solve(rates._eye(config.N_e) + Delta[:, None], leak)
     # N_e == N_r whenever K > 0, so both metrics share one log-det call
     ld_n, ld_e = rates.logdet_identity_plus_stack(
-        np.stack([gamma_n, gamma_e]), config.log_base, "neginf")
+        np.stack([gamma_n, gamma_e]), config.log_base)
     # degenerate determinants rank the candidate last, not crash a trial
     with np.errstate(invalid="ignore"):
         scores = np.where(np.isfinite(ld_n) & np.isfinite(ld_e), ld_n - ld_e,

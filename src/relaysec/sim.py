@@ -158,7 +158,10 @@ def _lockstep(lanes, slots: int, each, score: bool = True) -> PolicyState:
     every distinct policy stream of its lanes once, so every lane of a trial
     runs on one shared realization and every ``random`` lane of it on one
     permutation.  Once ``each`` returns, only the state's last slot keeps the
-    slot's outcome, until the next slot's serve replaces it.
+    slot's outcome, until the next slot's serve replaces it.  A NumericError
+    names its lane, ``policy 'p' trial t`` or ``policy 'p' calibration snr S
+    eta E``, and slot; a larger set reruns its lanes alone (by trial, then
+    list order) to find it, and re-raises its own error if none fails alone.
     """
     configs = [config for _, config, _ in lanes]
     lane_set, state = Lanes.of(configs), fresh_state(configs[0], len(configs))
@@ -173,62 +176,62 @@ def _lockstep(lanes, slots: int, each, score: bool = True) -> PolicyState:
                        Lanes.of(configs[at]), policy == "random"))
         start = at.stop
     config = configs[0]
-    for slot in range(slots):
-        keys = [_stream_keys(policy, cfg, trial, slot) for policy, cfg, trial in lanes]
-        streams = {}        # channel key -> lane of the slot's draw
-        rows = [streams.setdefault(channel, len(streams)) for channel, _ in keys]
-        drawn = gen_network_realization(
-            config, slot, [substream(config.seed, *key) for key in streams])
-        realization = (drawn if rows == list(range(len(streams)))
-                       else drawn.index_lanes(rows))
-        receivers = np.zeros((len(configs), config.Q), dtype=bool)
-        transmitters = np.zeros_like(receivers)
-        for step, at, part, part_lanes, draws in ranges:
-            rngs = None
-            if draws:
-                drawn_keys = [key for _, key in keys[at]]
-                generators = {key: substream(config.seed, *key)
-                              for key in dict.fromkeys(drawn_keys)}
-                rngs = [generators[key] for key in drawn_keys]
-            receivers[at], transmitters[at], _ = step(
-                dataclasses.replace(part, last_slot=state.last_slot),
-                realization if len(ranges) == 1 else realization.index_lanes(at),
-                part_lanes, rngs)
-        outcome = _serve(state, realization, lane_set, receivers, transmitters,
-                         jamming)
-        rates = None
-        if score:
-            rates = lane_rates(realization, lane_set, outcome)
-            state.diag.clamp_events += rates[3]
-        each(outcome, state, rates)
-        # only the state's last slot keeps the outcome through the next draw
-        del outcome, rates
-    return state
-
-
-def _lane(policy: str, config: SystemConfig, trial: int, slots: int) -> list:
-    """The rates of each slot of one trial lane run alone.  A NumericError
-    names the policy, the trial and the slot."""
-    scored = []
     try:
-        _lockstep([(policy, config, trial)], slots,
-                  lambda outcome, state, rates: scored.append(rates))
+        for slot in range(slots):
+            keys = [_stream_keys(*lane, slot) for lane in lanes]
+            streams = {}        # channel key -> lane of the slot's draw
+            rows = [streams.setdefault(channel, len(streams)) for channel, _ in keys]
+            drawn = gen_network_realization(
+                config, slot, [substream(config.seed, *key) for key in streams])
+            realization = (drawn if rows == list(range(len(streams)))
+                           else drawn.index_lanes(rows))
+            receivers = np.zeros((len(configs), config.Q), dtype=bool)
+            transmitters = np.zeros_like(receivers)
+            for step, at, part, part_lanes, draws in ranges:
+                rngs = None
+                if draws:
+                    drawn_keys = [key for _, key in keys[at]]
+                    generators = {key: substream(config.seed, *key)
+                                  for key in dict.fromkeys(drawn_keys)}
+                    rngs = [generators[key] for key in drawn_keys]
+                receivers[at], transmitters[at], _ = step(
+                    dataclasses.replace(part, last_slot=state.last_slot),
+                    realization if len(ranges) == 1 else realization.index_lanes(at),
+                    part_lanes, rngs)
+            outcome = _serve(state, realization, lane_set, receivers, transmitters,
+                             jamming)
+            rates = None
+            if score:
+                rates = lane_rates(realization, lane_set, outcome)
+                state.diag.clamp_events += rates[3]
+            each(outcome, state, rates)
+            # only the state's last slot keeps the outcome through the next draw
+            del outcome, rates
     except NumericError as exc:
-        raise NumericError(
-            f"policy {policy!r} trial {trial} slot {len(scored)}: {exc}") from exc
-    return scored
+        if len(lanes) > 1:      # alone, a lane fails where it fails in a set
+            for lane in sorted(lanes, key=lambda lane: lane[2] or 0):
+                _lockstep([lane], slots, lambda *served: None, score)
+            raise
+        policy, config, trial = lanes[0]
+        name = (f"trial {trial}" if trial is not None else
+                f"calibration snr {_fmt(10 * math.log10(config.P / config.sigma2))}"
+                f" eta {_fmt(config.eta)}")
+        raise NumericError(f"policy {policy!r} {name} slot {slot}: {exc}") from exc
+    return state
 
 
 def run_trial(config: SystemConfig, policy: str, trial_index: int,
               slots: int) -> list:
     """Per-slot RateReports of one trial of ``slots`` slots; a pure function
     of (config, policy, trial_index, slots) including the root seed inside
-    the config."""
+    the config.  A NumericError names the policy, the trial and the slot."""
+    scored = []
+    _lockstep([(policy, config, trial_index)], slots,
+              lambda outcome, state, rates: scored.append(rates))
     return [RateReport(user_rates=tuple(user[0].tolist()),
                        eav_rates=tuple(eav[0].tolist()),
                        secrecy_rate=float(secrecy[0]))
-            for user, eav, secrecy, _ in _lane(policy, config, trial_index,
-                                               slots)]
+            for user, eav, secrecy, _ in scored]
 
 
 def _trial_chunk(cells, trials, slots: int) -> list:
@@ -238,18 +241,11 @@ def _trial_chunk(cells, trials, slots: int) -> list:
 
     Every cell runs in one lane set, cell-major, on the slot's one draw per
     trial.  A NumericError names the failing lane with the smallest trial
-    index, ties going to cell order."""
+    index, ties going to cell order (see :func:`_lockstep`)."""
     secrecy = []
-    try:
-        state = _lockstep([(policy, config, trial) for policy, config in cells
-                           for trial in trials], slots,
-                          lambda outcome, state, rates: secrecy.append(rates[2]))
-    except NumericError:
-        # alone, a lane fails where it fails in a lane set
-        for trial in trials:
-            for policy, config in cells:
-                _lane(policy, config, trial, slots)
-        raise
+    state = _lockstep([(policy, config, trial) for policy, config in cells
+                       for trial in trials], slots,
+                      lambda outcome, state, rates: secrecy.append(rates[2]))
     warmup = cells[0][1].warmup_slots
     means = (sum(secrecy[warmup:], 0.0) / (slots - warmup)).reshape(len(cells), -1)
     diag = {f.name: getattr(state.diag, f.name).reshape(len(cells), -1)
@@ -278,7 +274,7 @@ def calibrate_threshold(config: SystemConfig, policy: str) -> float:
     The pre-run executes the cell's own policy and settings for 200 slots
     with classification disabled (threshold 0), on a dedicated RNG stream
     keyed by (seed, policy, SNR, eta) so the result is independent of which
-    other cells appear in a sweep.
+    other cells appear in a sweep; a NumericError names the cell and slot.
     """
     return _calibrate_lanes([(policy, config)])[0]
 
@@ -358,10 +354,9 @@ def monte_carlo(config: SystemConfig, sweep: SweepSpec) -> SecrecyReport:
     ``sweep.workers == 1``, on one pool of N processes at N > 1.  The outputs
     are bit-identical for any N.
 
-    A NumericError in a trial names the failing lane with the smallest
-    trial index, ties going to cell order, with its policy, trial and slot,
-    at any N.  An error in a pooled task is raised here when its result is
-    read back, and the work still queued in the pool is cancelled, not run.
+    A NumericError names the first failing pre-run in cell order, else the
+    smallest failing trial, then cell, at any N.  A pooled task's error is
+    raised when its result is read back; the pool's queued work is cancelled.
     """
     if not 0 <= config.warmup_slots < sweep.slots_per_trial:
         raise ConfigError(

@@ -114,6 +114,16 @@ def test_cli_determinant_overflow_is_a_numeric_error(tmp_path, capsys):
     assert "numeric error: " in capsys.readouterr().err
 
 
+def test_cli_calibration_numeric_error_names_the_cell(tmp_path, capsys):
+    # the default scenario's oracle pre-run overflows at 790 dB; the error
+    # names its policy, SNR, eta and slot, as a trial's error names its lane
+    code = main(["--policy", "all", "--snr", "790", "--eta", "1.0",
+                 "--trials", "2", "--slots", "8", "--out", str(tmp_path / "o.csv")])
+    assert code == 3
+    assert ("numeric error: policy 'oracle' calibration snr 790 eta 1 slot 1: "
+            "non-finite determinant" in capsys.readouterr().err)
+
+
 def test_cli_unknown_policy(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "--policy", "bogus")
     # the later --policy wins in argparse, so this exercises the error path

@@ -319,6 +319,26 @@ def test_batch_error_names_the_failing_trial_and_slot(monkeypatch):
             monte_carlo(small_config(seed=9), sweep)
 
 
+_CALIBRATION_ERROR = (r"policy 'oracle' calibration snr 790 eta 1 slot 1: "
+                      r"non-finite determinant")
+
+
+def test_calibration_error_names_the_cell():
+    with pytest.raises(NumericError, match=_CALIBRATION_ERROR):
+        calibrate_threshold(SystemConfig().with_snr_db(790.0), "oracle")
+
+
+@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=needs_fork)])
+def test_sweep_calibration_error_names_first_failing_cell(workers):
+    # both oracle pre-runs overflow; the first in cell order is named, whether
+    # the pre-runs share one lane set or run in separate pool tasks
+    sweep = SweepSpec(policies=("random", "oracle"), snr_db_grid=(790.0, 795.0),
+                      eta_grid=(1.0,), trials=2, slots_per_trial=8,
+                      workers=workers)
+    with pytest.raises(NumericError, match=_CALIBRATION_ERROR):
+        monte_carlo(SystemConfig(), sweep)
+
+
 def _fingerprint(config, trial, slot):
     """A value that tells the channel draw of (trial, slot) from any other."""
     return gen_network_realization(config, slot, relaysec.sim.substream(
