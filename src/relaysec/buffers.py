@@ -216,17 +216,18 @@ class BufferBank:
 
     def push(self, relays: np.ndarray, snapshot: np.ndarray, sinr: np.ndarray,
              slot, forward: np.ndarray) -> None:
-        """Store a record in every relay of the (B, Q) mask ``relays`` from the
-        (B, Q, ...) arrays; ``slot`` is one slot or a (B, Q) array.  A relay
-        at capacity overwrites its oldest record and counts the eviction."""
+        """Store a record in every relay of the (B, Q) mask ``relays``: the
+        arrays hold one entry per record, in the mask's row-major order, and
+        ``slot`` is one slot or such an array.  A relay at capacity
+        overwrites its oldest record and counts the eviction."""
         first = self._first[relays]
         rows = first[:, None] + np.arange(self.capacity)   # every cell of each relay
         # a free cell, else the oldest record's
         at = first + np.where(self._flat(self.valid)[rows], self._flat(self.slot)[rows],
                               _FREE).argmin(axis=-1)
         self.evictions.reshape(-1)[first // self.capacity] += self._flat(self.valid)[at]
-        self._flat(self.snapshot)[at] = snapshot[relays]
-        self._flat(self.sinr)[at] = sinr[relays]
-        self._flat(self.slot)[at] = slot[relays] if np.ndim(slot) else slot
-        self._flat(self.forward)[at] = forward[relays]
+        self._flat(self.snapshot)[at] = snapshot
+        self._flat(self.sinr)[at] = sinr
+        self._flat(self.slot)[at] = slot
+        self._flat(self.forward)[at] = forward
         self._flat(self.valid)[at] = True

@@ -11,6 +11,9 @@ Stream key layout (first element after the root seed):
 * ``STREAM_POLICY``:      ``(seed, 1, trial, slot)`` - random-policy draws
 * ``STREAM_CALIBRATION``: ``(seed, 2, ...)``         - threshold pre-runs
 * ``STREAM_INSTANCE``:    ``(seed, 3, ...)``         - synthetic test states
+
+:class:`NetworkRealization` owns the layout of a slot's draws: lanes that
+share a draw read it in place through a lane->draw row index.
 """
 
 from __future__ import annotations
@@ -86,10 +89,12 @@ class NetworkRealization:
 
     Relay id q is row ``q - 1`` of the relay-indexed stacks (``rr_row`` gives
     the row of a relay pair); eavesdroppers and users are positional.  A lane
-    realization holds B slots of independent lanes: every stack gains a
-    leading lane axis.  ``rr_block`` gathers a lane realization's relay->relay
-    channels by relay index pairs, and ``index_lanes`` indexes the lane axis
-    of every stack at once.
+    realization holds the slot's D distinct draws, every stack with a leading
+    draw axis, and ``rows``, the (B,) draw of each of its B lanes; lanes that
+    share a channel stream share a draw.  Its views share the draws' stacks:
+    ``index_lanes`` picks lanes by their rows, ``per_lane`` reads each lane's
+    row of a stack, or of a channel-only product computed once on the draws,
+    and ``rr_block`` gathers relay->relay channels by relay index pairs.
     """
 
     slot: int
@@ -99,6 +104,10 @@ class NetworkRealization:
     re_stack: np.ndarray      # (Q, N, N_e, N_k)
     ru_stack: np.ndarray      # (Q, M, N_r, N_k)
     Q: int
+    rows: np.ndarray | None = None    # (B,) draw of each lane; None: no lanes
+    # (function, stack name) -> (D, ...) product of the draws, shared by views
+    products: dict = dataclasses.field(default_factory=dict, repr=False,
+                                       compare=False)
 
     def rr_row(self, k: int, i: int) -> int:
         """Row of ``rr_stack`` holding the relay k -> relay i channel."""
@@ -111,19 +120,31 @@ class NetworkRealization:
         ``receivers``, relay index arrays that broadcast to (B, X, Y): shape
         (B, X, Y, N_i, N_k).  A relay paired with itself gets an arbitrary
         channel."""
-        rows = _rr_rows(self.Q)[senders, receivers]
-        return self.rr_stack[np.arange(len(rows))[:, None, None], rows]
+        return self.per_lane("rr_stack", _rr_rows(self.Q)[senders, receivers])
+
+    def per_lane(self, name: str, index=None, of=None) -> np.ndarray:
+        """(B, ...) rows of a lane realization's lanes of the stack ``name``,
+        or of ``of(stack)``, a channel-only product along its draw axis that
+        runs once per slot whichever view asks.  A (B, ...) index array
+        ``index`` then picks from the next axis of each lane's row."""
+        draws = getattr(self, name)
+        if of is not None:
+            if (of, name) not in self.products:
+                self.products[of, name] = of(draws)
+            draws = self.products[of, name]
+        if index is None:
+            return draws[self.rows]
+        return draws[self.rows.reshape((-1,) + (1,) * (np.ndim(index) - 1)), index]
 
     def index_lanes(self, index) -> NetworkRealization:
-        """The read-only realization whose every stack is ``stack[index]``:
-        a list of lanes picks those lanes of a lane realization, None gives
-        a realization without lane axis one lane."""
-        stacks = {}
-        for name in _STACKS:
-            stack = getattr(self, name)[index]
-            stack.flags.writeable = False
-            stacks[name] = stack
-        return dataclasses.replace(self, **stacks)
+        """The view of lanes ``index`` (a slice, or a list of lanes that may
+        repeat) of a lane realization, on the same draws; None gives a
+        realization without lanes a lane realization of one lane."""
+        if index is None:
+            return dataclasses.replace(
+                self, rows=np.zeros(1, dtype=np.intp), products={},
+                **{name: getattr(self, name)[None] for name in _STACKS})
+        return dataclasses.replace(self, rows=self.rows[index])
 
 
 def gen_network_realization(config, slot: int, rng) -> NetworkRealization:
@@ -160,4 +181,5 @@ def gen_network_realization(config, slot: int, rng) -> NetworkRealization:
         block = flat[:, offset:offset + size].reshape((len(rngs),) + shape)
         blocks.append(block if lanes else block[0])
         offset += size
-    return NetworkRealization(slot=slot, Q=Q, **dict(zip(_STACKS, blocks)))
+    return NetworkRealization(slot=slot, Q=Q, **dict(zip(_STACKS, blocks)),
+                              rows=np.arange(len(rngs)) if lanes else None)

@@ -2,10 +2,10 @@
 reception SINR.
 
 The link powers take matrices or stacks.  The feasibility test and the
-reception SINR are implemented once each, batched (:func:`iri_feasible`,
-:func:`reception_sinr`); the engine's reception step calls them, and
-:func:`iri_cancellation_feasible` and :func:`sinr_relay` are their one-pair
-views.
+reception SINR are implemented once each, batched (:func:`iri_feasible`, on
+Grams, and :func:`reception_sinr`); the engine's reception step calls them,
+and :func:`iri_cancellation_feasible` and :func:`sinr_relay` are their
+one-pair views.
 
 Replayed-signal quantities are built from the buffered channel snapshot of
 the transmitting relay (the source-side channel it saw when the signal was
@@ -53,11 +53,12 @@ def relayed_link_power(H_ab: np.ndarray, H_stored: np.ndarray):
     return received_power(H_ab @ H_stored)
 
 
-def iri_feasible(H_i: np.ndarray, H_ki: np.ndarray, P_tx: float,
+def iri_feasible(G_i: np.ndarray, G_ki: np.ndarray, P_tx: float,
                  P_relay: float, N_t: int, N_k: int, gamma0: float) -> np.ndarray:
-    """Batched IRI-cancellation test over broadcast (..., N_i, N_t) source
-    channels ``H_i`` and (..., N_i, N_k) interferer channels ``H_ki``; the
-    powers are numbers or arrays that broadcast against the Gram stacks.
+    """Batched IRI-cancellation test over broadcast (..., N_i, N_i) Grams
+    ``G_i`` = H_i H_i^H of the source channels and ``G_ki`` = H_ki H_ki^H of
+    the interferer channels; the powers are numbers or arrays that broadcast
+    against the Gram stacks.
 
     Relay i can decode-and-subtract relay k's interference iff
     det((P_tx/N_t * H_i H_i^H + I)^{-1} (P_relay/N_k * H_ki H_ki^H)) >= gamma0,
@@ -66,8 +67,8 @@ def iri_feasible(H_i: np.ndarray, H_ki: np.ndarray, P_tx: float,
     is compared through its real part, which reduces to the scalar test in the
     single-antenna case.
     """
-    signal = (P_tx / N_t) * gram(H_i) + np.eye(H_i.shape[-2])
-    interference = (P_relay / N_k) * gram(H_ki)
+    signal = (P_tx / N_t) * G_i + np.eye(G_i.shape[-1])
+    interference = (P_relay / N_k) * G_ki
     return np.linalg.det(np.linalg.solve(signal, interference)).real >= gamma0
 
 
@@ -94,7 +95,8 @@ def iri_cancellation_feasible(H_i: np.ndarray, H_ki: np.ndarray,
             f"{H_ki.shape}")
     if P_tx <= 0 or P_relay <= 0:
         raise ValueError("powers must be positive")
-    return bool(iri_feasible(H_i, H_ki, P_tx, P_relay, N_t, N_k, gamma0))
+    return bool(iri_feasible(gram(H_i), gram(H_ki), P_tx, P_relay, N_t, N_k,
+                             gamma0))
 
 
 def sinr_relay(gamma_S_Ri: float, gamma_Rk_Ri_total: float, phi: int,

@@ -134,12 +134,12 @@ def relay_terms(channel_grams: np.ndarray, factors: np.ndarray,
     return (P_relay / N_k) * (channel_grams @ factors)
 
 
-def eav_sinr(H_e: np.ndarray, Delta: np.ndarray, P_tx: float, N_t: int) -> np.ndarray:
+def eav_sinr(G_e: np.ndarray, Delta: np.ndarray, P_tx: float, N_t: int) -> np.ndarray:
     """Per-eavesdropper SINR matrices (I + Delta)^{-1} (P_tx/N_t) H_e H_e^H
-    of the (..., N, N_e, N_t) stack ``H_e`` against (..., N_e, N_e)
-    interference covariances, the leading axes broadcast against each other:
-    shape (..., N, N_e, N_e)."""
-    signals = (P_tx / N_t) * gram(H_e)
+    of the (..., N, N_e, N_e) stack ``G_e`` of source->eavesdropper Grams
+    H_e H_e^H against (..., N_e, N_e) interference covariances, the leading
+    axes broadcast against each other: shape (..., N, N_e, N_e)."""
+    signals = (P_tx / N_t) * G_e
     return np.linalg.solve(_eye(Delta.shape[-1]) + Delta[..., None, :, :], signals)
 
 

@@ -54,7 +54,7 @@ import numpy as np
 
 from . import rates
 from .buffers import BufferBank, Records, SignalClass, classify_signal
-from .channel import gram
+from .channel import NetworkRealization, gram
 from .config import SystemConfig, power_split
 from .errors import ConfigError
 from .link_metrics import (iri_feasible, reception_sinr, relayed_link_power,
@@ -76,19 +76,19 @@ class SelectionOutcome:
 class LaneOutcome:
     """One slot's roles in every lane, as (B, Q) masks.  ``replays`` holds
     the record each transmitter replayed, ``sinr`` the reception SINR each
-    receiver stored (0 elsewhere).  ``re_stack`` and ``ru_stack`` are the
-    slot's relay->eavesdropper and relay->user channels, which the next
-    ``bf-rjfs`` slot reads.  ``factors`` (the replays' stored-signal
-    factors) and ``delta`` (the jammers' jamming covariance through
-    ``re_stack``) are computed with ``lanes`` on first read, once."""
+    receiver stored (0 elsewhere).  ``realization`` is the slot's lane
+    realization (its draws and lane rows, not a per-lane copy), whose
+    relay->user and relay->eavesdropper channels the next ``bf-rjfs`` slot
+    reads.  ``factors`` (the replays' stored-signal factors) and ``delta``
+    (the jammers' jamming covariance) are computed with ``lanes`` on first
+    read, once."""
 
     receivers: np.ndarray
     transmitters: np.ndarray
     jammers: np.ndarray
     replays: Records
     sinr: np.ndarray
-    re_stack: np.ndarray
-    ru_stack: np.ndarray
+    realization: NetworkRealization
     lanes: Lanes
 
     @functools.cached_property
@@ -99,7 +99,7 @@ class LaneOutcome:
     @functools.cached_property
     def delta(self) -> np.ndarray:
         """(B, N_e, N_e), see :func:`_eav_interference`."""
-        return _eav_interference(self.re_stack, self.lanes,
+        return _eav_interference(self.realization, self.lanes,
                                  self.replays.found & self.jammers, self.factors)
 
     def view(self, lane: int, objective: float | None = None) -> SelectionOutcome:
@@ -238,10 +238,15 @@ def _peek(state: PolicyState) -> Records:
 # metric primitives
 
 
+def _summed_gram(H: np.ndarray) -> np.ndarray:
+    """Grams of a (B, Q, N, ...) stack summed over its N eavesdroppers."""
+    return gram(H).sum(axis=2)
+
+
 def initial_ranking(realization) -> np.ndarray:
     """Relay indices of each lane in rank order, (B, Q): descending real
     det(H_q H_q^H) of the source links, ties by ascending index."""
-    dets = np.linalg.det(gram(realization.su_stack)).real
+    dets = np.linalg.det(realization.per_lane("su_stack", of=gram)).real
     return np.argsort(-dets, axis=1, kind="stable")
 
 
@@ -257,29 +262,33 @@ def _user_terms(realization, lanes: Lanes, factors: np.ndarray) -> np.ndarray:
     with stored-signal ``factors``; user-side entry t is user t mod M."""
     config = lanes.config
     users = [t % config.M for t in range(config.T)]
-    return rates.relay_terms(gram(realization.ru_stack[:, :, users]),
-                             factors[:, :, None],
+    grams = realization.per_lane("ru_stack", of=gram)[:, :, users]
+    return rates.relay_terms(grams, factors[:, :, None],
                              _col(lanes.snr_rel, 5), config.N_k)
 
 
-def _jamming_terms(re_stack: np.ndarray, lanes: Lanes,
-                   factors: np.ndarray) -> np.ndarray:
-    """(B, Q, N_e, N_e) jamming terms through ``re_stack`` of every relay
+def _jamming_terms(realization, lanes: Lanes, factors: np.ndarray,
+                   at=slice(None)) -> np.ndarray:
+    """(B, Q, N_e, N_e) jamming terms, in the lanes ``at``, of every relay
     replaying a record with stored-signal ``factors``."""
-    return rates.relay_terms(gram(re_stack).sum(axis=2), factors,
-                             _col(lanes.snr_rel, 4), lanes.config.N_k)
+    grams = realization.index_lanes(at).per_lane("re_stack", of=_summed_gram)
+    return rates.relay_terms(grams, factors[at], _col(lanes.snr_rel[at], 4),
+                             lanes.config.N_k)
 
 
-def _eav_interference(re_stack: np.ndarray, lanes: Lanes, active: np.ndarray,
+def _eav_interference(realization, lanes: Lanes, active: np.ndarray,
                       factors: np.ndarray) -> np.ndarray:
     """(B, N_e, N_e) aggregate jamming covariance at the eavesdroppers: the
     terms of the ``active`` (B, Q) relays, jammers that replay a record with
-    stored-signal ``factors``, in ascending relay order."""
-    if not active.any():
-        N_e = lanes.config.N_e
-        return np.zeros((len(active), N_e, N_e), dtype=complex)
-    terms = _jamming_terms(re_stack, lanes, factors)
-    return _relay_sum(np.where(active[..., None, None], terms, 0))
+    stored-signal ``factors``, in ascending relay order.  Only the lanes
+    with an active relay compute terms."""
+    N_e = lanes.config.N_e
+    Delta = np.zeros((len(active), N_e, N_e), dtype=complex)
+    at = np.flatnonzero(active.any(axis=1))
+    if len(at):
+        terms = _jamming_terms(realization, lanes, factors, at)
+        Delta[at] = _relay_sum(np.where(active[at, :, None, None], terms, 0))
+    return Delta
 
 
 def _slot_rates(realization, lanes: Lanes, user_gammas: np.ndarray,
@@ -288,9 +297,9 @@ def _slot_rates(realization, lanes: Lanes, user_gammas: np.ndarray,
     signal matrices (B, ..., T, N_r, N_r) and interference covariances
     (B, ..., N_e, N_e) with matching leading axes."""
     config = lanes.config
-    se = realization.se_stack
-    H_e = se.reshape(se.shape[:1] + (1,) * (Delta.ndim - 3) + se.shape[1:])
-    eav_gammas = rates.eav_sinr(H_e, Delta, _col(lanes.snr_tx, H_e.ndim),
+    se = realization.per_lane("se_stack", of=gram)
+    G_e = se.reshape(se.shape[:1] + (1,) * (Delta.ndim - 3) + se.shape[1:])
+    eav_gammas = rates.eav_sinr(G_e, Delta, _col(lanes.snr_tx, G_e.ndim),
                                 config.N_t)
     user_rates, user_clamped = rates.clamped_logdet_rate_stack(
         user_gammas, config.log_base)
@@ -335,16 +344,17 @@ def select_receiving_relays(state: PolicyState, realization, lanes: Lanes,
     D_m = np.einsum("xkcab,xkbd,xkced->xcae", H_km, gram(snaps), H_km.conj())
     if config.selection_noise_floor:
         D_m = D_m + _col(config.N_i * lanes.sigma2, 4) * np.eye(config.N_i)
-    gammas = np.linalg.solve(np.eye(config.N_i) + D_m, gram(realization.su_stack))
+    gammas = np.linalg.solve(np.eye(config.N_i) + D_m,
+                             realization.per_lane("su_stack", of=gram))
     metrics = rates.logdet_identity_plus_stack(gammas, config.log_base)
     return _top(metrics, config.T, allowed=pool), metrics
 
 
-def select_jamming_relays(state: PolicyState, H_nr: np.ndarray, H_ne: np.ndarray,
-                          lanes: Lanes, Delta: np.ndarray | None = None) -> tuple:
+def select_jamming_relays(state: PolicyState, realization, lanes: Lanes,
+                          Delta: np.ndarray | None = None) -> tuple:
     """Pick each lane's K relays that will jam (and serve the users) next
-    slot, through the relay->user channels ``H_nr`` (B, Q, M, N_r, N_k) and
-    relay->eavesdropper channels ``H_ne`` (B, Q, N, N_e, N_k).
+    slot, through the relay->user channels H_nr (B, Q, M, N_r, N_k) and
+    relay->eavesdropper channels H_ne (B, Q, N, N_e, N_k) of ``realization``.
 
     Every relay is a candidate; disjointness from the receivers is restored
     when the next slot's receive pool excludes the picked set.  A candidate n
@@ -361,6 +371,7 @@ def select_jamming_relays(state: PolicyState, H_nr: np.ndarray, H_ne: np.ndarray
         shape = state.buffers.valid.shape[:2]
         return np.zeros(shape, dtype=bool), np.zeros(shape)
     own = _peek(state)
+    H_nr, H_ne = realization.per_lane("ru_stack"), realization.per_lane("re_stack")
     if Delta is None:
         Delta = np.zeros((len(own.found), config.N_e, config.N_e), dtype=complex)
     snap_grams = gram(own.snapshot)                  # zero for empty buffers
@@ -419,7 +430,7 @@ def _receive_and_store(state: PolicyState, realization, lanes: Lanes,
     rx, rx_real = _members(receivers)
     tx, tx_real = _members(replays.found)
     lane = np.arange(len(rx))[:, None]
-    H_rx = realization.su_stack[lane, rx]                     # (B, R, N_i, N_t)
+    H_rx = realization.per_lane("su_stack", rx)               # (B, R, N_i, N_t)
     gamma_S = _col(lanes.p_tx / config.N_t, 2) * np.einsum(
         "xrab,xrab->xr", H_rx, H_rx.conj()).real
     H_ki = realization.rr_block(tx[:, :, None], rx[:, None, :])  # (B, A, R, ...)
@@ -428,8 +439,8 @@ def _receive_and_store(state: PolicyState, realization, lanes: Lanes,
         "xkrab,xkrab->xkr", prod, prod.conj()).real
     phi = 1
     if config.iri_cancellation and tx.shape[1]:
-        feasible = iri_feasible(H_rx[:, None], H_ki,
-                                _col(lanes.snr_tx, 5),
+        feasible = iri_feasible(realization.per_lane("su_stack", rx, gram)[:, None],
+                                gram(H_ki), _col(lanes.snr_tx, 5),
                                 _col(lanes.snr_rel, 5), config.N_t,
                                 config.N_k, config.gamma0)
         tested = tx_real[:, :, None] & rx_real[:, None, :]
@@ -437,16 +448,15 @@ def _receive_and_store(state: PolicyState, realization, lanes: Lanes,
         state.diag.phi_feasible += (feasible & tested).sum(axis=(1, 2))
         phi = ~feasible
     sinrs = reception_sinr(gamma_S, powers, phi, config.N_i, _col(lanes.sigma2, 2))
-    at_lane, at_relay = np.nonzero(receivers)      # the order of sinrs[rx_real]
-    stored = np.zeros(receivers.shape)
-    stored[at_lane, at_relay] = sinrs[rx_real]
-    forward = np.zeros(receivers.shape, dtype=bool)
+    at_lane, at_relay = np.nonzero(receivers)      # the order of [rx_real]
+    received = sinrs[rx_real]
     threshold = lanes.threshold.tolist()
-    forward[at_lane, at_relay] = [
-        classify_signal(sinr, threshold[b]) is SignalClass.FORWARD
-        for b, sinr in zip(at_lane.tolist(), sinrs[rx_real].tolist())]
-    state.buffers.push(receivers, realization.su_stack, stored, realization.slot,
+    forward = [classify_signal(sinr, threshold[b]) is SignalClass.FORWARD
+               for b, sinr in zip(at_lane.tolist(), received.tolist())]
+    state.buffers.push(receivers, H_rx[rx_real], received, realization.slot,
                        forward)
+    stored = np.zeros(receivers.shape)
+    stored[at_lane, at_relay] = received
     return stored
 
 
@@ -463,13 +473,12 @@ def _serve(state: PolicyState, realization, lanes: Lanes, receivers: np.ndarray,
     outcome = LaneOutcome(
         receivers=receivers, transmitters=transmitters,
         jammers=transmitters & jamming[:, None], replays=replays, sinr=sinr,
-        re_stack=realization.re_stack, ru_stack=realization.ru_stack,
-        lanes=lanes)
+        realization=realization, lanes=lanes)
     state.last_slot = outcome
     return outcome
 
 
-def lane_rates(realization, lanes: Lanes, outcome: LaneOutcome) -> tuple:
+def lane_rates(outcome: LaneOutcome) -> tuple:
     """Per-slot achievable rates of each lane's served roles.
 
     The users are served by the transmitters' replays; the eavesdroppers see
@@ -477,6 +486,7 @@ def lane_rates(realization, lanes: Lanes, outcome: LaneOutcome) -> tuple:
     user rates (B, T), eavesdropper rates (B, N), secrecy rates (B,) and
     clamp counts (B,).
     """
+    realization, lanes = outcome.realization, outcome.lanes
     serving = (outcome.replays.found & outcome.transmitters)[..., None, None, None]
     user_gammas = _relay_sum(np.where(
         serving, _user_terms(realization, lanes, outcome.factors), 0))
@@ -503,9 +513,8 @@ def slot_rate_report(realization, config: SystemConfig, replays: dict,
         receivers=np.zeros_like(found),
         transmitters=_ids_mask(transmitters, config.Q),
         jammers=_ids_mask(jammers, config.Q), replays=records, sinr=zeros,
-        re_stack=realization.re_stack, ru_stack=realization.ru_stack,
-        lanes=lanes)
-    user, eav, secrecy, clamps = lane_rates(realization, lanes, outcome)
+        realization=realization, lanes=lanes)
+    user, eav, secrecy, clamps = lane_rates(outcome)
     report = rates.RateReport(user_rates=tuple(user[0].tolist()),
                               eav_rates=tuple(eav[0].tolist()),
                               secrecy_rate=float(secrecy[0]))
@@ -535,17 +544,15 @@ def _bf_rjfs(state: PolicyState, realization, lanes: Lanes, rngs=None) -> tuple:
     config = lanes.config
     if state.last_slot is not None:
         served, at = state.last_slot, state.at
-        jammers, _ = select_jamming_relays(state, served.ru_stack[at],
-                                           served.re_stack[at], lanes,
-                                           served.delta[at])
+        jammers, _ = select_jamming_relays(state, served.realization.index_lanes(at),
+                                           lanes, served.delta[at])
     elif realization.slot == 0:
         ranking = initial_ranking(realization)
         picked = (ranking[:, config.Q - config.K:] if config.worst_sinr_seeding
                   else ranking[:, :config.K])
         jammers = _mask(picked, config.Q)
     else:
-        jammers, _ = select_jamming_relays(state, realization.ru_stack,
-                                           realization.re_stack, lanes)
+        jammers, _ = select_jamming_relays(state, realization, lanes)
 
     receivers, _ = select_receiving_relays(state, realization, lanes, jammers)
     return receivers, jammers, None
@@ -557,8 +564,8 @@ def _conventional_bf(state: PolicyState, realization, lanes: Lanes,
     receive; of the rest, the T relays with the strongest aggregate
     relay-to-user channels deliver a stored forward-class record."""
     T = lanes.config.T
-    receivers = _top(source_link_power(realization.su_stack), T)
-    tx_vals = source_link_power(realization.ru_stack).sum(axis=2)
+    receivers = _top(realization.per_lane("su_stack", of=source_link_power), T)
+    tx_vals = realization.per_lane("ru_stack", of=source_link_power).sum(axis=2)
     transmitters = _top(tx_vals, T, allowed=~receivers)
     return receivers, transmitters, None
 
@@ -570,8 +577,9 @@ def _max_link(state: PolicyState, realization, lanes: Lanes,
     greedily fill T receive and up to T transmit roles in descending link
     strength, one role per relay."""
     config = lanes.config
-    rx_vals = source_link_power(realization.su_stack).tolist()
-    tx_vals = source_link_power(realization.ru_stack).max(axis=2).tolist()
+    rx_vals = realization.per_lane("su_stack", of=source_link_power).tolist()
+    tx_vals = realization.per_lane("ru_stack", of=source_link_power).max(axis=2)
+    tx_vals = tx_vals.tolist()
     occupancy = state.buffers.occupancy().tolist()
     receivers = np.zeros((len(rx_vals), config.Q), dtype=bool)
     transmitters = np.zeros_like(receivers)
@@ -605,11 +613,12 @@ def _max_ratio(state: PolicyState, realization, lanes: Lanes,
     # a relay with nothing to replay has a zero snapshot: it leaks and
     # delivers exactly nothing
     snaps = _peek(state).snapshot[:, :, None]
-    leak = relayed_link_power(realization.re_stack, snaps).sum(axis=2)
-    delivered = relayed_link_power(realization.ru_stack, snaps).sum(axis=2)
+    leak = relayed_link_power(realization.per_lane("re_stack"), snaps).sum(axis=2)
+    delivered = relayed_link_power(realization.per_lane("ru_stack"),
+                                   snaps).sum(axis=2)
     floor = _col(config.N_e * lanes.sigma2, 2)
-    receivers = _top(source_link_power(realization.su_stack) / (leak + floor),
-                     config.T)
+    rx_power = realization.per_lane("su_stack", of=source_link_power)
+    receivers = _top(rx_power / (leak + floor), config.T)
     transmitters = _top(delivered / (leak + floor), config.T, allowed=~receivers)
     return receivers, transmitters, None
 
@@ -675,7 +684,7 @@ def _jam_set_scores(realization, lanes: Lanes, replays: Records,
                               _user_terms(realization, lanes, factors), 0)
         eav_terms = np.where(
             found[..., None, None],
-            _jamming_terms(realization.re_stack, lanes, factors), 0)
+            _jamming_terms(realization, lanes, factors), 0)
         for col in jam_sets.T:
             user_gammas += user_terms[:, col]
             Delta += eav_terms[:, col]

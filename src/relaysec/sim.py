@@ -15,10 +15,11 @@ of its lanes; one serve and one rate report per slot then cover every
 lane of every policy.  A channel realization depends only on (seed, trial,
 slot) and the antenna shapes, so every cell of a sweep runs trial t on the
 same draws: each slot draws once per trial and every cell's lane of that
-trial reads it.  One routine, :func:`_run_cells`, runs a sweep at every
-worker count: the calibration pre-runs first, then the trials in contiguous
-chunks, each chunk one task that runs every cell as one lane set; only the
-``map`` it is handed differs.
+trial reads it through its row of the lane realization, without a copy.
+One routine, :func:`_run_cells`, runs a sweep at every worker count: the
+calibration pre-runs first, then the trials in contiguous chunks, each chunk
+one task that runs every cell as one lane set; only the ``map`` it is
+handed differs.
 
 The printed rate formulas carry an implicit unit noise floor, so all powers
 passed into the matrix-rate builders are divided by the one noise variance
@@ -156,9 +157,12 @@ def _lockstep(lanes, slots: int, each, score: bool = True) -> PolicyState:
     :func:`~relaysec.selection.lane_rates`, whose result is ``rates``, or
     None unless ``score``.  Each slot draws every distinct channel stream and
     every distinct policy stream of its lanes once, so every lane of a trial
-    runs on one shared realization and every ``random`` lane of it on one
-    permutation.  Once ``each`` returns, only the state's last slot keeps the
-    slot's outcome, until the next slot's serve replaces it.  A NumericError
+    runs on one shared draw and every ``random`` lane of it on one
+    permutation.  The slot's lane realization is those draws plus each
+    lane's row of them; each range's step, the serve and the rates read
+    views of it, and no lane copies a draw.  Once ``each`` returns, only the
+    state's last slot keeps the slot's outcome, until the next slot's serve
+    replaces it.  A NumericError
     names its lane, ``policy 'p' trial t`` or ``policy 'p' calibration snr S
     eta E``, and slot; a larger set reruns its lanes alone (by trial, then
     list order) to find it, and re-raises its own error if none fails alone.
@@ -181,10 +185,9 @@ def _lockstep(lanes, slots: int, each, score: bool = True) -> PolicyState:
             keys = [_stream_keys(*lane, slot) for lane in lanes]
             streams = {}        # channel key -> lane of the slot's draw
             rows = [streams.setdefault(channel, len(streams)) for channel, _ in keys]
-            drawn = gen_network_realization(
-                config, slot, [substream(config.seed, *key) for key in streams])
-            realization = (drawn if rows == list(range(len(streams)))
-                           else drawn.index_lanes(rows))
+            realization = gen_network_realization(
+                config, slot, [substream(config.seed, *key) for key in streams]
+            ).index_lanes(rows)
             receivers = np.zeros((len(configs), config.Q), dtype=bool)
             transmitters = np.zeros_like(receivers)
             for step, at, part, part_lanes, draws in ranges:
@@ -194,15 +197,15 @@ def _lockstep(lanes, slots: int, each, score: bool = True) -> PolicyState:
                     generators = {key: substream(config.seed, *key)
                                   for key in dict.fromkeys(drawn_keys)}
                     rngs = [generators[key] for key in drawn_keys]
+                part.last_slot = state.last_slot    # for the pick alone
                 receivers[at], transmitters[at], _ = step(
-                    dataclasses.replace(part, last_slot=state.last_slot),
-                    realization if len(ranges) == 1 else realization.index_lanes(at),
-                    part_lanes, rngs)
+                    part, realization.index_lanes(at), part_lanes, rngs)
+                part.last_slot = None
             outcome = _serve(state, realization, lane_set, receivers, transmitters,
                              jamming)
             rates = None
             if score:
-                rates = lane_rates(realization, lane_set, outcome)
+                rates = lane_rates(outcome)
                 state.diag.clamp_events += rates[3]
             each(outcome, state, rates)
             # only the state's last slot keeps the outcome through the next draw

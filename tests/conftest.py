@@ -73,10 +73,8 @@ def stock(state, relay_id, record, lane=0):
     shape = bank.valid.shape[:2]
     relays = np.zeros(shape, dtype=bool)
     relays[lane, relay_id - 1] = True
-    snapshot = np.zeros(shape + bank.snapshot.shape[3:], dtype=complex)
-    snapshot[lane, relay_id - 1] = record.snapshot
-    bank.push(relays, snapshot, np.full(shape, record.sinr_at_reception),
-              record.slot, np.full(shape, record.signal_class is SignalClass.FORWARD))
+    bank.push(relays, record.snapshot[None], [record.sinr_at_reception],
+              record.slot, [record.signal_class is SignalClass.FORWARD])
 
 
 def buffer_records(state, relay_id, lane=0):

@@ -195,7 +195,8 @@ def test_bank_matches_relay_buffers(capacity, steps):
         push = kind == "push"
         snapshot = (slot + 1j * np.arange(_LANES * _RELAYS).reshape(slot.shape))
         sinr = slot + 0.5
-        bank.push(push, snapshot[..., None, None], sinr, slot, forward)
+        bank.push(push, snapshot[push][..., None, None], sinr[push], slot[push],
+                  forward[push])
         for b, q in np.argwhere(push).tolist():
             spec[b][q].push(BufferedSignal(
                 snapshot=np.full((1, 1), snapshot[b, q]),

@@ -143,7 +143,7 @@ def test_realization_immutable():
     with pytest.raises(ValueError):
         real.ru_stack[0, 0, 0, 0] = 0
     # a lane axis added to a realization, and lanes picked from a lane
-    # realization (a copy), are read-only too
+    # realization (views of its draws), are read-only too
     lanes = gen_network_realization(config, 0,
                                     [substream(1, 0, t, 0) for t in range(2)])
     for view in (real.index_lanes(None), lanes.index_lanes([1, 0, 1])):

@@ -120,7 +120,7 @@ def test_kernels_match_reference_compositions(rng):
     np.testing.assert_allclose(Delta, eav_interference_sum(
         list(map(list, H_ke)), list(snaps), P_tx, P_relay, N_t, N_k), rtol=1e-12)
     Deltas = np.stack([s * Delta for s in range(S)])
-    gammas = eav_sinr(H_e, Deltas, P_tx, N_t)
+    gammas = eav_sinr(gram(H_e), Deltas, P_tx, N_t)
     assert gammas.shape == (S, N, n, n)
     for s in range(S):
         for e in range(N):

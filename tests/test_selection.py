@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 
 from relaysec.buffers import BufferedSignal, SignalClass
-from relaysec.channel import (STREAM_CHANNEL, gen_network_realization,
-                              substream)
+from relaysec.channel import (STREAM_CHANNEL, NetworkRealization,
+                              gen_network_realization, gram, substream)
 from relaysec.config import power_split
 from relaysec.errors import ConfigError
 from relaysec.rates import eav_rate, logdet_identity_plus, user_rate
 from relaysec.buffers import Records
+from relaysec.link_metrics import source_link_power
 from relaysec.selection import (POLICIES, Lanes, _eav_interference, _factors,
-                                _jam_set_scores, _peek,
+                                _jam_set_scores, _peek, _summed_gram,
                                 bf_rjfs_step, exhaustive_oracle, fresh_state,
                                 initial_ranking, policy_conventional_bf,
                                 policy_max_link, policy_max_ratio,
@@ -64,11 +65,10 @@ def select_jammers(state, real, config, current_jammers=()):
     peeks."""
     real, lanes = real.index_lanes(None), Lanes.of([config])
     peeks = _peek(state)
-    Delta = _eav_interference(real.re_stack, lanes,
+    Delta = _eav_interference(real, lanes,
                               peeks.found & id_mask(current_jammers, config.Q),
                               _factors(lanes, peeks))
-    chosen, metrics = select_jamming_relays(state, real.ru_stack, real.re_stack,
-                                            lanes, Delta)
+    chosen, metrics = select_jamming_relays(state, real, lanes, Delta)
     return mask_ids(chosen), {q + 1: float(m) for q, m in enumerate(metrics[0])}
 
 
@@ -264,6 +264,36 @@ def test_jamming_metrics_match_literal_formulas():
         assert metrics[n] == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
+def test_per_draw_products_equal_per_lane_products():
+    # the engine computes each channel-only product once per draw and reads
+    # it by lane; on lanes that repeat draws, that must give the bits of the
+    # same product of a per-lane copy of the draws
+    config = small_config(M=3, N=3)
+    rows = [2, 0, 2, 1, 0, 2]
+    real = gen_network_realization(
+        config, 0, [substream(7, 0, t, 0) for t in range(3)]).index_lanes(rows)
+    names = ("su_stack", "se_stack", "rr_stack", "re_stack", "ru_stack")
+    copy = NetworkRealization(slot=0, Q=config.Q, rows=np.arange(len(rows)),
+                              **{name: getattr(real, name)[rows] for name in names})
+    for name, of in (("su_stack", gram), ("se_stack", gram), ("ru_stack", gram),
+                     ("re_stack", _summed_gram), ("su_stack", source_link_power),
+                     ("ru_stack", source_link_power)):
+        want = of(getattr(copy, name))
+        assert real.per_lane(name, of=of).tobytes() == want.tobytes()
+        assert copy.per_lane(name, of=of).tobytes() == want.tobytes()
+    # the user-side Grams of user t mod M, and the source Grams of each
+    # lane's receivers as the reception step reads them
+    users = [0, 1, 2, 0]
+    assert (real.per_lane("ru_stack", of=gram)[:, :, users].tobytes()
+            == gram(copy.ru_stack[:, :, users]).tobytes())
+    rx = np.array([[0, 3], [1, 2], [2, 3], [0, 1], [3, 0], [1, 3]])
+    lane = np.arange(len(rows))[:, None]
+    assert (real.per_lane("su_stack", rx, gram).tobytes()
+            == gram(copy.su_stack[lane, rx]).tobytes())
+    assert (real.per_lane("su_stack", rx).tobytes()
+            == copy.su_stack[lane, rx].tobytes())
+
+
 # ---------------------------------------------------------------------------
 # joint policy step
 
@@ -281,8 +311,10 @@ def test_bf_rjfs_slot0_seeds_best_ranking():
     # outcome: its jammers, and their replays (none yet: the buffers started
     # empty)
     served = new_state.last_slot
-    np.testing.assert_array_equal(served.ru_stack[0], real.ru_stack)
-    np.testing.assert_array_equal(served.re_stack[0], real.re_stack)
+    np.testing.assert_array_equal(served.realization.per_lane("ru_stack")[0],
+                                  real.ru_stack)
+    np.testing.assert_array_equal(served.realization.per_lane("re_stack")[0],
+                                  real.re_stack)
     assert mask_ids(served.jammers) == outcome.jamming_relays
     assert not served.replays.found.any()
 

@@ -366,13 +366,44 @@ def test_error_names_smallest_failing_trial_then_cell_order(monkeypatch, workers
         def failing(state, realization, lanes, rngs=None, step=step,
                     sigma2=sigma2, mark=mark):
             if ((lanes.sigma2 == sigma2)
-                    & (realization.su_stack[:, 0, 0, 0] == mark)).any():
+                    & (realization.per_lane("su_stack")[:, 0, 0, 0] == mark)).any():
                 raise NumericError("injected")
             return step(state, realization, lanes, rngs)
 
         monkeypatch.setitem(relaysec.selection.LANE_STEPS, policy, failing)
     with pytest.raises(NumericError, match=expected):
         monte_carlo(cfg, _tiny_sweep(trials=6, workers=workers))
+
+
+def test_lanes_read_the_slot_draw_without_a_copy(monkeypatch):
+    # a two-cell task runs both cells' trials on one draw per (trial, slot):
+    # the realization a step receives views the slot's draw, read-only, and
+    # each lane's rows of it equal a per-lane copy of the draw bit for bit
+    make, drawn, seen = relaysec.sim.gen_network_realization, [], []
+    step = relaysec.selection.LANE_STEPS["bf-rjfs"]
+
+    def recording(*args):
+        drawn.append(make(*args))
+        return drawn[-1]
+
+    def seeing(state, realization, lanes, rngs=None):
+        seen.append(realization)
+        return step(state, realization, lanes, rngs)
+
+    monkeypatch.setattr(relaysec.sim, "gen_network_realization", recording)
+    monkeypatch.setitem(relaysec.selection.LANE_STEPS, "bf-rjfs", seeing)
+    cfg = small_config(seed=9)
+    relaysec.sim._trial_chunk([("bf-rjfs", cfg.with_snr_db(snr_db))
+                               for snr_db in (0.0, 10.0)], range(3), 2)
+    rows = [0, 1, 2, 0, 1, 2]
+    assert len(drawn) == len(seen) == 2
+    for draw, real in zip(drawn, seen):
+        assert real.rows.tolist() == rows
+        for name in ("su_stack", "se_stack", "rr_stack", "re_stack", "ru_stack"):
+            stack, copy = getattr(real, name), getattr(draw, name)[rows]
+            assert np.shares_memory(stack, getattr(draw, name))
+            assert not stack.flags.writeable
+            assert real.per_lane(name).tobytes() == copy.tobytes()
 
 
 def test_calibration_deterministic_and_policy_scoped():
