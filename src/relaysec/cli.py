@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 configuration error, 3 numeric error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .config import SystemConfig, load_config
@@ -13,23 +14,28 @@ from .errors import ConfigError, NumericError
 from .sim import POLICY_ORDER, SweepSpec, emit_results, monte_carlo
 
 
+_MAX_GRID_POINTS = 10_000
+
+
 def _parse_grid(text: str, name: str) -> tuple:
-    """Accept 'a:b:step' (inclusive of b up to rounding) or 'x,y,z'."""
+    """Accept 'a:b:step' (inclusive of b up to rounding; finite, with at most
+    10000 points) or 'x,y,z'."""
     text = text.strip()
     try:
         if ":" in text:
             parts = [float(p) for p in text.split(":")]
             if len(parts) != 3:
                 raise ValueError("range needs exactly a:b:step")
+            if not all(math.isfinite(p) for p in parts):
+                raise ValueError("range bounds and step must be finite")
             a, b, step = parts
             if step <= 0 or b < a:
                 raise ValueError("need b >= a and step > 0")
-            values = []
-            k = 0
-            while a + k * step <= b + 1e-9:
-                values.append(round(a + k * step, 12))
-                k += 1
-            return tuple(values)
+            count = (b + 1e-9 - a) / step + 1
+            if not count <= _MAX_GRID_POINTS:
+                raise ValueError(f"range has more than {_MAX_GRID_POINTS} points")
+            return tuple(round(a + k * step, 12) for k in range(int(count) + 1)
+                         if a + k * step <= b + 1e-9)
         return tuple(float(p) for p in text.split(",") if p.strip())
     except ValueError as exc:
         raise ConfigError(f"cannot parse --{name} value {text!r}: {exc}") from exc

@@ -78,12 +78,8 @@ def logdet_identity_plus_stack(Gammas: np.ndarray, base: float = 2.0) -> np.ndar
     ranking callers push degenerate candidates to the bottom.
     """
     real = _dets_identity_plus(Gammas).real
-    bad = real <= 0.0
-    if bad.any():
-        out = np.full(real.shape, -np.inf)
-        np.log(real, out=out, where=~bad)
-        return out / math.log(base)
-    return np.log(real) / math.log(base)
+    return np.log(real, out=np.full(real.shape, -np.inf),
+                  where=real > 0.0) / math.log(base)
 
 
 def clamped_logdet_rate(Gamma: np.ndarray, base: float = 2.0) -> tuple[float, bool]:

@@ -100,7 +100,8 @@ class LaneOutcome:
     def delta(self) -> np.ndarray:
         """(B, N_e, N_e), see :func:`_eav_interference`."""
         return _eav_interference(self.realization, self.lanes,
-                                 self.replays.found & self.jammers, self.factors)
+                                 _sets(self.replays.found & self.jammers),
+                                 self.factors)
 
     def view(self, lane: int, objective: float | None = None) -> SelectionOutcome:
         def ids(mask):
@@ -223,10 +224,26 @@ def _top(values: np.ndarray, n: int, allowed: np.ndarray | None = None) -> np.nd
     return _mask(order[:, :n], values.shape[1]) & allowed
 
 
-def _relay_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum of (B, Q, ...) per-relay terms over the relays, in ascending
-    order (``sum`` may regroup a long run of small terms pairwise)."""
-    return np.cumsum(terms, axis=1)[:, -1]
+def _sets(mask: np.ndarray) -> np.ndarray:
+    """(B, Q) masks as the relay sets that :func:`_set_sum` reads."""
+    return np.where(mask, np.arange(mask.shape[1]), mask.shape[1])
+
+
+def _set_sum(terms: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """Sums of (B, Q, ...) per-relay terms over (B, ..., X) relay sets, rows
+    of relay indices whose members ascend and where index Q is no relay.
+    Each sum starts at zero and adds its members' terms in that order, so it
+    does not depend on the other sets, and a Q entry adds an exact zero."""
+    B, Q = terms.shape[:2]
+    padded = np.zeros((B, Q + 1) + terms.shape[2:], dtype=terms.dtype)
+    padded[:, :Q] = terms
+    # row b * (Q + 1) + q of the flat stack is lane b's term of relay q
+    flat = padded.reshape((-1,) + terms.shape[2:])
+    rows = sets + _col(np.arange(B) * (Q + 1), sets.ndim)
+    total = np.zeros(sets.shape[:-1] + terms.shape[2:], dtype=terms.dtype)
+    for members in flat.take(rows.transpose(-1, *range(sets.ndim - 1)), axis=0):
+        total += members
+    return total
 
 
 def _peek(state: PolicyState) -> Records:
@@ -257,46 +274,36 @@ def _factors(lanes: Lanes, replays: Records) -> np.ndarray:
         replays.snapshot, _col(lanes.snr_tx, 4), lanes.config.N_t)
 
 
-def _user_terms(realization, lanes: Lanes, factors: np.ndarray) -> np.ndarray:
-    """(B, Q, T, N_r, N_r) user-side terms of every relay replaying a record
-    with stored-signal ``factors``; user-side entry t is user t mod M."""
-    config = lanes.config
-    users = [t % config.M for t in range(config.T)]
-    grams = realization.per_lane("ru_stack", of=gram)[:, :, users]
-    return rates.relay_terms(grams, factors[:, :, None],
-                             _col(lanes.snr_rel, 5), config.N_k)
-
-
-def _jamming_terms(realization, lanes: Lanes, factors: np.ndarray,
-                   at=slice(None)) -> np.ndarray:
-    """(B, Q, N_e, N_e) jamming terms, in the lanes ``at``, of every relay
-    replaying a record with stored-signal ``factors``."""
-    grams = realization.index_lanes(at).per_lane("re_stack", of=_summed_gram)
-    return rates.relay_terms(grams, factors[at], _col(lanes.snr_rel[at], 4),
-                             lanes.config.N_k)
-
-
-def _eav_interference(realization, lanes: Lanes, active: np.ndarray,
+def _eav_interference(realization, lanes: Lanes, jammers: np.ndarray,
                       factors: np.ndarray) -> np.ndarray:
-    """(B, N_e, N_e) aggregate jamming covariance at the eavesdroppers: the
-    terms of the ``active`` (B, Q) relays, jammers that replay a record with
-    stored-signal ``factors``, in ascending relay order.  Only the lanes
-    with an active relay compute terms."""
-    N_e = lanes.config.N_e
-    Delta = np.zeros((len(active), N_e, N_e), dtype=complex)
-    at = np.flatnonzero(active.any(axis=1))
+    """(B, ..., N_e, N_e) jamming covariance at the eavesdroppers of each
+    relay set of ``jammers`` (B, ..., X), whose members replay records with
+    stored-signal ``factors``: the :func:`_set_sum` of their jamming terms.
+    Only the lanes with a member compute terms."""
+    config = lanes.config
+    Delta = np.zeros(jammers.shape[:-1] + (config.N_e, config.N_e), dtype=complex)
+    at = np.flatnonzero((jammers < config.Q).reshape(len(jammers), -1).any(axis=1))
     if len(at):
-        terms = _jamming_terms(realization, lanes, factors, at)
-        Delta[at] = _relay_sum(np.where(active[at, :, None, None], terms, 0))
+        grams = realization.index_lanes(at).per_lane("re_stack", of=_summed_gram)
+        terms = rates.relay_terms(grams, factors[at], _col(lanes.snr_rel[at], 4),
+                                  config.N_k)
+        Delta[at] = _set_sum(terms, jammers[at])
     return Delta
 
 
-def _slot_rates(realization, lanes: Lanes, user_gammas: np.ndarray,
-                Delta: np.ndarray) -> tuple:
-    """User rates, eavesdropper rates and per-lane clamp counts for user
-    signal matrices (B, ..., T, N_r, N_r) and interference covariances
-    (B, ..., N_e, N_e) with matching leading axes."""
+def _slot_rates(realization, lanes: Lanes, transmitters: np.ndarray,
+                factors: np.ndarray, Delta: np.ndarray) -> tuple:
+    """User rates (B, ..., T), eavesdropper rates (B, ..., N), secrecy rates
+    (B, ...) and clamp counts (B,) when the relay sets of ``transmitters``
+    (B, ..., X) replay records with stored-signal ``factors`` to the users
+    (the :func:`_set_sum` of their terms; user-side entry t is user t mod M)
+    and the eavesdroppers' jamming covariances are ``Delta``."""
     config = lanes.config
+    users = [t % config.M for t in range(config.T)]
+    grams = realization.per_lane("ru_stack", of=gram)[:, :, users]
+    terms = rates.relay_terms(grams, factors[:, :, None], _col(lanes.snr_rel, 5),
+                              config.N_k)
+    user_gammas = _set_sum(terms, transmitters)
     se = realization.per_lane("se_stack", of=gram)
     G_e = se.reshape(se.shape[:1] + (1,) * (Delta.ndim - 3) + se.shape[1:])
     eav_gammas = rates.eav_sinr(G_e, Delta, _col(lanes.snr_tx, G_e.ndim),
@@ -308,7 +315,8 @@ def _slot_rates(realization, lanes: Lanes, user_gammas: np.ndarray,
     lanes_n = len(user_rates)
     clamps = (user_clamped.reshape(lanes_n, -1).sum(axis=1)
               + eav_clamped.reshape(lanes_n, -1).sum(axis=1))
-    return user_rates, eav_rates, clamps
+    return (user_rates, eav_rates, rates.secrecy_rate(user_rates, eav_rates),
+            clamps)
 
 
 # ---------------------------------------------------------------------------
@@ -479,21 +487,13 @@ def _serve(state: PolicyState, realization, lanes: Lanes, receivers: np.ndarray,
 
 
 def lane_rates(outcome: LaneOutcome) -> tuple:
-    """Per-slot achievable rates of each lane's served roles.
-
-    The users are served by the transmitters' replays; the eavesdroppers see
-    the source plus the outcome's jamming covariance ``delta``.  Returns
-    user rates (B, T), eavesdropper rates (B, N), secrecy rates (B,) and
-    clamp counts (B,).
-    """
-    realization, lanes = outcome.realization, outcome.lanes
-    serving = (outcome.replays.found & outcome.transmitters)[..., None, None, None]
-    user_gammas = _relay_sum(np.where(
-        serving, _user_terms(realization, lanes, outcome.factors), 0))
-    user_rates, eav_rates, clamps = _slot_rates(realization, lanes, user_gammas,
-                                                outcome.delta)
-    return (user_rates, eav_rates, rates.secrecy_rate(user_rates, eav_rates),
-            clamps)
+    """Per-slot achievable rates of each lane's served roles: the users hear
+    the transmitters' replays, the eavesdroppers the source against the
+    outcome's jamming covariance ``delta``.  Returns user rates (B, T),
+    eavesdropper rates (B, N), secrecy rates (B,) and clamp counts (B,)."""
+    serving = _sets(outcome.replays.found & outcome.transmitters)
+    return _slot_rates(outcome.realization, outcome.lanes, serving,
+                       outcome.factors, outcome.delta)
 
 
 def slot_rate_report(realization, config: SystemConfig, replays: dict,
@@ -667,29 +667,14 @@ def _jam_set_scores(realization, lanes: Lanes, replays: Records,
     indices, ascending) as the jamming and transmitting set, each member
     replaying its record in ``replays`` (silent when it has none).
 
-    Each replaying relay's user-side signal term and eavesdropper-side
-    interference term are computed once, then summed per set in ascending
-    relay order with a silent relay adding an exact zero, so sets with the
-    same replaying members score bit-identically, and each score equals
-    :func:`lane_rates` of its set bit for bit.
+    The factors are computed once for every set, whose sums and rates are
+    those of :func:`lane_rates` for that set: a silent member adds an exact
+    zero, so sets with the same replaying members score bit-identically.
     """
-    config = lanes.config
-    found = replays.found
-    shape = (len(found), len(jam_sets))
-    user_gammas = np.zeros(shape + (config.T, config.N_r, config.N_r), dtype=complex)
-    Delta = np.zeros(shape + (config.N_e, config.N_e), dtype=complex)
-    if jam_sets.size:
-        factors = _factors(lanes, replays)
-        user_terms = np.where(found[..., None, None, None],
-                              _user_terms(realization, lanes, factors), 0)
-        eav_terms = np.where(
-            found[..., None, None],
-            _jamming_terms(realization, lanes, factors), 0)
-        for col in jam_sets.T:
-            user_gammas += user_terms[:, col]
-            Delta += eav_terms[:, col]
-    user_rates, eav_rates, _ = _slot_rates(realization, lanes, user_gammas, Delta)
-    return rates.secrecy_rate(user_rates, eav_rates)
+    factors = _factors(lanes, replays)
+    sets = np.where(replays.found[:, jam_sets], jam_sets, lanes.config.Q)
+    Delta = _eav_interference(realization, lanes, sets, factors)
+    return _slot_rates(realization, lanes, sets, factors, Delta)[2]
 
 
 def _oracle(state: PolicyState, realization, lanes: Lanes, rngs=None) -> tuple:
@@ -701,8 +686,8 @@ def _oracle(state: PolicyState, realization, lanes: Lanes, rngs=None) -> tuple:
     set in ``itertools.combinations`` order that is disjoint from a
     max-scoring jam set, then to the first such jam set in the same order:
     the first best assignment of a receive-major enumeration.  The objective
-    is that set's batch score, which equals :func:`lane_rates` of the chosen
-    assignment bit for bit.
+    is that set's batch score, which :func:`_jam_set_scores` computes with
+    the same set sums as :func:`lane_rates` of the chosen assignment.
 
     Refuses to run when C(Q, K) exceeds 100000.
     """

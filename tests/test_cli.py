@@ -104,6 +104,18 @@ def test_cli_repeated_grid_value(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,grid", [("--snr", "0:inf:5"), ("--snr", "-inf:0:5"),
+                                       ("--snr", "0:1e300:1"),
+                                       ("--eta", "0:2:1e-300")])
+def test_cli_unbounded_range_refused(tmp_path, capsys, flag, grid):
+    # a range with a non-finite bound or step, or too many points, is refused
+    # before a point is built
+    code, out = run_cli(tmp_path, f"{flag}={grid}")
+    assert code == 2
+    assert f"config error: cannot parse {flag} value" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_determinant_overflow_is_a_numeric_error(tmp_path, capsys):
     # the overflowing determinant is reported as a numeric error, without a
     # numpy warning first

@@ -13,7 +13,8 @@ from relaysec.rates import eav_rate, logdet_identity_plus, user_rate
 from relaysec.buffers import Records
 from relaysec.link_metrics import source_link_power
 from relaysec.selection import (POLICIES, Lanes, _eav_interference, _factors,
-                                _jam_set_scores, _peek, _summed_gram,
+                                _jam_set_scores, _peek, _set_sum, _sets,
+                                _summed_gram,
                                 bf_rjfs_step, exhaustive_oracle, fresh_state,
                                 initial_ranking, policy_conventional_bf,
                                 policy_max_link, policy_max_ratio,
@@ -66,7 +67,7 @@ def select_jammers(state, real, config, current_jammers=()):
     real, lanes = real.index_lanes(None), Lanes.of([config])
     peeks = _peek(state)
     Delta = _eav_interference(real, lanes,
-                              peeks.found & id_mask(current_jammers, config.Q),
+                              _sets(peeks.found & id_mask(current_jammers, config.Q)),
                               _factors(lanes, peeks))
     chosen, metrics = select_jamming_relays(state, real, lanes, Delta)
     return mask_ids(chosen), {q + 1: float(m) for q, m in enumerate(metrics[0])}
@@ -674,6 +675,31 @@ def test_jam_set_scores_match_rates_module_composition(overrides):
             expected = scalar_jam_set_score(state, real, config, jam)
             assert got == pytest.approx(expected, rel=1e-12)
         exhaustive_oracle(state, real, config)
+
+
+@pytest.mark.parametrize("K", [0, 2])
+def test_set_sum_of_jam_sets_is_each_set_alone(K):
+    # the oracle's (B, S, K) jam sets, silent members in place, sum bit for
+    # bit as each set's (B, Q) mask alone does, which is how a served slot
+    # sums, and as the ascending masked running sum of the members' terms
+    rng = np.random.default_rng(4)
+    Q = 5
+    terms = (rng.standard_normal((3, Q, 2, 2, 2))
+             + 1j * rng.standard_normal((3, Q, 2, 2, 2)))
+    found = np.array([[False] * Q,                      # a lane with no record
+                      [True, True, False, True, True],  # relay 2 is silent
+                      [True] * Q])
+    jam = np.array(list(itertools.combinations(range(Q), K)),
+                   dtype=np.intp).reshape(math.comb(Q, K), K)
+    sums = _set_sum(terms, np.where(found[:, jam], jam, Q))
+    assert sums.shape == (3, len(jam), 2, 2, 2)
+    for s, members in enumerate(jam):
+        mask = found & np.isin(np.arange(Q), members)
+        alone = _set_sum(terms, _sets(mask))
+        assert np.array_equal(sums[:, s], alone)
+        masked = np.where(mask[:, :, None, None, None], terms, 0)
+        assert np.array_equal(alone, np.cumsum(masked, axis=1)[:, -1])
+    assert not sums[0].any()
 
 
 def test_oracle_empty_buffers_tie_every_jam_set():

@@ -701,7 +701,8 @@ def test_bf_rjfs_scored_trial_computes_each_slot_delta_once(monkeypatch):
     # first read, by the slot's rates or by the next slot's jam selection,
     # and never again; a calibration pre-run, which scores no slot, never
     # reads the last slot's, and a policy that does not score jammers
-    # against it reads none
+    # against it reads none; the oracle computes its jam sets' covariances
+    # once per slot, to score them
     real = relaysec.selection._eav_interference
     calls = []
 
@@ -716,9 +717,11 @@ def test_bf_rjfs_scored_trial_computes_each_slot_delta_once(monkeypatch):
     calibrate_threshold(small_config(sinr_threshold=None, seed=77), "bf-rjfs")
     assert len(calls) == relaysec.sim._CALIBRATION_SLOTS - 1
     calls.clear()
-    for policy in ("conventional-bf", "random", "oracle"):
+    for policy in ("conventional-bf", "random"):
         calibrate_threshold(small_config(sinr_threshold=None, seed=77), policy)
     assert calls == []
+    calibrate_threshold(small_config(sinr_threshold=None, seed=77), "oracle")
+    assert len(calls) == relaysec.sim._CALIBRATION_SLOTS
 
 
 def test_pool_tasks_survive_pickling():
