@@ -195,5 +195,6 @@ def parse_config(text: str) -> SystemConfig:
 
 
 def load_config(path) -> SystemConfig:
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig also reads a file that starts with a byte-order mark
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_config(fh.read())

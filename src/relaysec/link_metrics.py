@@ -2,10 +2,10 @@
 reception SINR.
 
 The link powers take matrices or stacks.  The feasibility test and the
-reception SINR are implemented once each, batched (:func:`iri_feasible`, on
-Grams, and :func:`reception_sinr`); the engine's reception step calls them,
-and :func:`iri_cancellation_feasible` and :func:`sinr_relay` are their
-one-pair views.
+reception SINR are implemented once each, batched (:func:`iri_feasible` on
+the SINR matrix of Grams, and :func:`reception_sinr`); the engine's reception
+step calls them, and :func:`iri_cancellation_feasible` and :func:`sinr_relay`
+are their one-pair views.
 
 Replayed-signal quantities are built from the buffered channel snapshot of
 the transmitting relay (the source-side channel it saw when the signal was
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import gram, received_power
+from .rates import sinr_matrix
 
 
 @dataclass(frozen=True)
@@ -63,13 +64,12 @@ def iri_feasible(G_i: np.ndarray, G_ki: np.ndarray, P_tx: float,
     Relay i can decode-and-subtract relay k's interference iff
     det((P_tx/N_t * H_i H_i^H + I)^{-1} (P_relay/N_k * H_ki H_ki^H)) >= gamma0,
     i.e. the interference is strong enough relative to signal-plus-noise to be
-    decoded first.  The determinant of the (generally non-Hermitian) product
-    is compared through its real part, which reduces to the scalar test in the
-    single-antenna case.
+    decoded first.  It reads that :func:`~relaysec.rates.sinr_matrix` through
+    the real part of its (generally non-Hermitian) determinant, which reduces
+    to the scalar test in the single-antenna case.
     """
-    signal = (P_tx / N_t) * G_i + np.eye(G_i.shape[-1])
-    interference = (P_relay / N_k) * G_ki
-    return np.linalg.det(np.linalg.solve(signal, interference)).real >= gamma0
+    Gamma = sinr_matrix(G_ki, (P_tx / N_t) * G_i, P_relay, N_k)
+    return np.linalg.det(Gamma).real >= gamma0
 
 
 def reception_sinr(gamma_S: np.ndarray, interference: np.ndarray, phi,

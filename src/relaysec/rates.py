@@ -2,9 +2,10 @@
 
 This module owns the rate formulas, each implemented once and batched over
 leading axes: the stored-signal factor, the per-relay replay term that user
-signal matrices and the eavesdroppers' jamming covariance sum, the
-eavesdropper SINR, the clamped and metric log-determinants and the secrecy
-sum.  The scalar helpers are one-element views of these kernels.
+signal matrices and the eavesdroppers' jamming covariance sum, the SINR
+matrix that the eavesdroppers' rates, both selection metrics and the
+IRI-cancellation test read, the clamped and metric log-determinants and the
+secrecy sum.  The scalar helpers are one-element views of these kernels.
 
 The rate matrices sum products of Hermitian factors and are generally not
 Hermitian themselves, so ``det(I + G)`` is genuinely complex: with several
@@ -37,6 +38,13 @@ class RateReport:
     user_rates: tuple
     eav_rates: tuple
     secrecy_rate: float
+
+    @classmethod
+    def of_first_lane(cls, user, eav, secrecy) -> "RateReport":
+        """Lane 0's report of (B, T) user, (B, N) eavesdropper and (B,)
+        secrecy rates."""
+        return cls(user_rates=tuple(user[0].tolist()),
+                   eav_rates=tuple(eav[0].tolist()), secrecy_rate=float(secrecy[0]))
 
 
 _EYE_CACHE: dict = {}
@@ -130,13 +138,12 @@ def relay_terms(channel_grams: np.ndarray, factors: np.ndarray,
     return (P_relay / N_k) * (channel_grams @ factors)
 
 
-def eav_sinr(G_e: np.ndarray, Delta: np.ndarray, P_tx: float, N_t: int) -> np.ndarray:
-    """Per-eavesdropper SINR matrices (I + Delta)^{-1} (P_tx/N_t) H_e H_e^H
-    of the (..., N, N_e, N_e) stack ``G_e`` of source->eavesdropper Grams
-    H_e H_e^H against (..., N_e, N_e) interference covariances, the leading
-    axes broadcast against each other: shape (..., N, N_e, N_e)."""
-    signals = (P_tx / N_t) * G_e
-    return np.linalg.solve(_eye(Delta.shape[-1]) + Delta[..., None, :, :], signals)
+def sinr_matrix(G: np.ndarray, Delta: np.ndarray, P, N) -> np.ndarray:
+    """SINR matrices (I + Delta)^{-1} (P/N) G of (..., n, n) signal Grams
+    ``G`` against interference covariances ``Delta``, at power ``P`` over
+    ``N`` antennas; ``G``, ``Delta`` and ``P`` broadcast against each other,
+    so a caller that scores several signals per covariance inserts the axis."""
+    return np.linalg.solve(_eye(Delta.shape[-1]) + Delta, (P / N) * G)
 
 
 def secrecy_rate(user_rates, eav_rates):

@@ -37,9 +37,10 @@ config, give roles as tuples of relay ids and records as
 a ``POLICIES`` step picks, then serves.
 
 This module owns the selection metrics and the slot machinery that feeds
-realizations and buffers into the formula kernels: the rate formulas live in
-:mod:`relaysec.rates`, the reception formulas in :mod:`relaysec.link_metrics`
-and the Gram in :mod:`relaysec.channel`.
+realizations and buffers into the formula kernels: the rate formulas and the
+SINR matrix that both metrics score live in :mod:`relaysec.rates`, the
+reception formulas in :mod:`relaysec.link_metrics` and the Gram in
+:mod:`relaysec.channel`.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from . import rates
 from .buffers import BufferBank, Records, SignalClass, classify_signal
 from .channel import NetworkRealization, gram
 from .config import SystemConfig, power_split
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .link_metrics import (iri_feasible, reception_sinr, relayed_link_power,
                            source_link_power)
 
@@ -306,8 +307,8 @@ def _slot_rates(realization, lanes: Lanes, transmitters: np.ndarray,
     user_gammas = _set_sum(terms, transmitters)
     se = realization.per_lane("se_stack", of=gram)
     G_e = se.reshape(se.shape[:1] + (1,) * (Delta.ndim - 3) + se.shape[1:])
-    eav_gammas = rates.eav_sinr(G_e, Delta, _col(lanes.snr_tx, G_e.ndim),
-                                config.N_t)
+    eav_gammas = rates.sinr_matrix(G_e, Delta[..., None, :, :],
+                                   _col(lanes.snr_tx, G_e.ndim), config.N_t)
     user_rates, user_clamped = rates.clamped_logdet_rate_stack(
         user_gammas, config.log_base)
     eav_rates, eav_clamped = rates.clamped_logdet_rate_stack(
@@ -327,12 +328,12 @@ def select_receiving_relays(state: PolicyState, realization, lanes: Lanes,
                             jammers: np.ndarray) -> tuple:
     """Pick each lane's T receivers among the relays not jamming this slot.
 
-    Candidates are ranked by logdet(I + Gamma_m), where
-    Gamma_m = (I + D_m)^{-1} H_m H_m^H and D_m sums the inter-relay
-    interference of the jammers' replays at candidate m; ties break by
-    ascending id.  Returns the (B, Q) receiver mask and the (B, Q) metric
-    (meaningless off the pool), or None for the metric when every lane's
-    pool is exactly T (forced set).
+    Candidates are ranked by logdet(I + Gamma_m), where Gamma_m =
+    (I + D_m)^{-1} H_m H_m^H is the :func:`~relaysec.rates.sinr_matrix` at
+    P = N = 1 and D_m sums the inter-relay interference of the jammers'
+    replays at candidate m; ties break by ascending id.  Returns the (B, Q)
+    receiver mask and the (B, Q) metric (meaningless off the pool), or None
+    for the metric when every lane's pool is exactly T (forced set).
     """
     config = lanes.config
     pool = ~jammers
@@ -352,8 +353,7 @@ def select_receiving_relays(state: PolicyState, realization, lanes: Lanes,
     D_m = np.einsum("xkcab,xkbd,xkced->xcae", H_km, gram(snaps), H_km.conj())
     if config.selection_noise_floor:
         D_m = D_m + _col(config.N_i * lanes.sigma2, 4) * np.eye(config.N_i)
-    gammas = np.linalg.solve(np.eye(config.N_i) + D_m,
-                             realization.per_lane("su_stack", of=gram))
+    gammas = rates.sinr_matrix(realization.per_lane("su_stack", of=gram), D_m, 1, 1)
     metrics = rates.logdet_identity_plus_stack(gammas, config.log_base)
     return _top(metrics, config.T, allowed=pool), metrics
 
@@ -367,12 +367,12 @@ def select_jamming_relays(state: PolicyState, realization, lanes: Lanes,
     Every relay is a candidate; disjointness from the receivers is restored
     when the next slot's receive pool excludes the picked set.  A candidate n
     is scored with its own replayable snapshot: delivered-signal matrix
-    Gamma_n = sum_r H_nr Hs Hs^H H_nr^H against its eavesdropper-side leak
-    (I + Delta)^{-1} (P/N_k) sum_e H_ne Hs Hs^H H_ne^H, where Delta is the
-    (B, N_e, N_e) interference floor of the current jammers (none by
-    default; see :func:`_eav_interference`).  Relays with empty buffers rank
-    last (metric 0); ties break by ascending id.  Returns the (B, Q) mask and
-    the (B, Q) metric.
+    Gamma_n = sum_r H_nr Hs Hs^H H_nr^H against its eavesdropper-side leak,
+    the :func:`~relaysec.rates.sinr_matrix` (I + Delta)^{-1} (P/N_k) sum_e
+    H_ne Hs Hs^H H_ne^H, where Delta is the (B, N_e, N_e) interference floor
+    of the current jammers (none by default; see :func:`_eav_interference`).
+    Relays with empty buffers rank last (metric 0); ties break by ascending
+    id.  Returns the (B, Q) mask and the (B, Q) metric.
     """
     config = lanes.config
     if config.K == 0:
@@ -383,10 +383,10 @@ def select_jamming_relays(state: PolicyState, realization, lanes: Lanes,
     if Delta is None:
         Delta = np.zeros((len(own.found), config.N_e, config.N_e), dtype=complex)
     snap_grams = gram(own.snapshot)                  # zero for empty buffers
-    gamma_n = np.einsum("xcuab,xcbd,xcued->xcae", H_nr, snap_grams, H_nr.conj())
-    leak = _col(lanes.snr_rel / config.N_k, 4) * np.einsum(
-        "xceab,xcbd,xcefd->xcaf", H_ne, snap_grams, H_ne.conj())
-    gamma_e = np.linalg.solve(rates._eye(config.N_e) + Delta[:, None], leak)
+    gamma_n, leak = (np.einsum("xcjab,xcbd,xcjed->xcae", H, snap_grams, H.conj())
+                     for H in (H_nr, H_ne))
+    gamma_e = rates.sinr_matrix(leak, Delta[:, None], _col(lanes.snr_rel, 4),
+                                config.N_k)
     # N_e == N_r whenever K > 0, so both metrics share one log-det call
     ld_n, ld_e = rates.logdet_identity_plus_stack(
         np.stack([gamma_n, gamma_e]), config.log_base)
@@ -429,7 +429,8 @@ def _receive_and_store(state: PolicyState, realization, lanes: Lanes,
                        receivers: np.ndarray, replays: Records) -> np.ndarray:
     """Compute each receiver's reception SINR, with per-pair IRI cancellation
     where feasible, classify it, and push the record; returns the (B, Q)
-    SINRs (0 off the receivers)."""
+    SINRs (0 off the receivers).  Raises NumericError when a receiver's
+    source power, an interference power at it or its SINR is not finite."""
     config = lanes.config
     if np.isnan(lanes.threshold).any():
         raise ConfigError(
@@ -439,25 +440,31 @@ def _receive_and_store(state: PolicyState, realization, lanes: Lanes,
     tx, tx_real = _members(replays.found)
     lane = np.arange(len(rx))[:, None]
     H_rx = realization.per_lane("su_stack", rx)               # (B, R, N_i, N_t)
-    gamma_S = _col(lanes.p_tx / config.N_t, 2) * np.einsum(
-        "xrab,xrab->xr", H_rx, H_rx.conj()).real
     H_ki = realization.rr_block(tx[:, :, None], rx[:, None, :])  # (B, A, R, ...)
     prod = np.einsum("xkrab,xkbc->xkrac", H_ki, replays.snapshot[lane, tx])
-    powers = _col(lanes.p_rel / config.N_k, 3) * np.einsum(
-        "xkrab,xkrab->xkr", prod, prod.conj()).real
+    heard = tx_real[:, :, None] & rx_real[:, None, :]     # real (sender, receiver)
     phi = 1
     if config.iri_cancellation and tx.shape[1]:
         feasible = iri_feasible(realization.per_lane("su_stack", rx, gram)[:, None],
                                 gram(H_ki), _col(lanes.snr_tx, 5),
                                 _col(lanes.snr_rel, 5), config.N_t,
                                 config.N_k, config.gamma0)
-        tested = tx_real[:, :, None] & rx_real[:, None, :]
-        state.diag.phi_tests += tested.sum(axis=(1, 2))
-        state.diag.phi_feasible += (feasible & tested).sum(axis=(1, 2))
+        state.diag.phi_tests += heard.sum(axis=(1, 2))
+        state.diag.phi_feasible += (feasible & heard).sum(axis=(1, 2))
         phi = ~feasible
-    sinrs = reception_sinr(gamma_S, powers, phi, config.N_i, _col(lanes.sigma2, 2))
+    # raw powers may overflow: raise below instead of storing NaN or warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma_S = _col(lanes.p_tx / config.N_t, 2) * np.einsum(
+            "xrab,xrab->xr", H_rx, H_rx.conj()).real
+        powers = _col(lanes.p_rel / config.N_k, 3) * np.einsum(
+            "xkrab,xkrab->xkr", prod, prod.conj()).real
+        sinrs = reception_sinr(gamma_S, powers, phi, config.N_i,
+                               _col(lanes.sigma2, 2))
     at_lane, at_relay = np.nonzero(receivers)      # the order of [rx_real]
     received = sinrs[rx_real]
+    # a non-finite source power makes the SINR non-finite too
+    if not (np.isfinite(received).all() and np.isfinite(powers[heard]).all()):
+        raise NumericError("non-finite reception power or SINR")
     threshold = lanes.threshold.tolist()
     forward = [classify_signal(sinr, threshold[b]) is SignalClass.FORWARD
                for b, sinr in zip(at_lane.tolist(), received.tolist())]
@@ -515,10 +522,7 @@ def slot_rate_report(realization, config: SystemConfig, replays: dict,
         jammers=_ids_mask(jammers, config.Q), replays=records, sinr=zeros,
         realization=realization, lanes=lanes)
     user, eav, secrecy, clamps = lane_rates(outcome)
-    report = rates.RateReport(user_rates=tuple(user[0].tolist()),
-                              eav_rates=tuple(eav[0].tolist()),
-                              secrecy_rate=float(secrecy[0]))
-    return report, int(clamps[0])
+    return rates.RateReport.of_first_lane(user, eav, secrecy), int(clamps[0])
 
 
 def _ids_mask(ids, Q: int) -> np.ndarray:

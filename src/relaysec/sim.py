@@ -231,9 +231,7 @@ def run_trial(config: SystemConfig, policy: str, trial_index: int,
     scored = []
     _lockstep([(policy, config, trial_index)], slots,
               lambda outcome, state, rates: scored.append(rates))
-    return [RateReport(user_rates=tuple(user[0].tolist()),
-                       eav_rates=tuple(eav[0].tolist()),
-                       secrecy_rate=float(secrecy[0]))
+    return [RateReport.of_first_lane(user, eav, secrecy)
             for user, eav, secrecy, _ in scored]
 
 

@@ -126,6 +126,20 @@ def test_cli_determinant_overflow_is_a_numeric_error(tmp_path, capsys):
     assert "numeric error: " in capsys.readouterr().err
 
 
+def test_cli_overflowing_reception_power_is_a_numeric_error(tmp_path, capsys):
+    # P = 1e308 passes the config check; the overflowing reception powers
+    # exit 3 with the lane named, and no CSV is written
+    config = tmp_path / "huge.cfg"
+    config.write_text("P = 1e308\nsinr_threshold = 1\n")
+    out = tmp_path / "o.csv"
+    code = main(["--config", str(config), "--policy", "bf-rjfs", "--snr", "10",
+                 "--eta", "1", "--trials", "1", "--slots", "6", "--out", str(out)])
+    assert code == 3
+    assert ("numeric error: policy 'bf-rjfs' trial 0 slot 1: non-finite "
+            "reception power or SINR" in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_cli_calibration_numeric_error_names_the_cell(tmp_path, capsys):
     # the default scenario's oracle pre-run overflows at 790 dB; the error
     # names its policy, SNR, eta and slot, as a trial's error names its lane

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,9 +8,10 @@ from hypothesis import strategies as st
 from relaysec.channel import gram
 from relaysec.errors import NumericError
 from relaysec.rates import (clamped_logdet_rate, clamped_logdet_rate_stack,
-                            eav_rate, eav_sinr, logdet_identity_plus,
+                            eav_rate, logdet_identity_plus,
                             logdet_identity_plus_stack, relay_terms,
-                            secrecy_rate, stored_signal_factor, user_rate)
+                            secrecy_rate, sinr_matrix, stored_signal_factor,
+                            user_rate)
 
 import reference
 from conftest import cn_matrix, random_psd
@@ -120,7 +123,7 @@ def test_kernels_match_reference_compositions(rng):
     np.testing.assert_allclose(Delta, eav_interference_sum(
         list(map(list, H_ke)), list(snaps), P_tx, P_relay, N_t, N_k), rtol=1e-12)
     Deltas = np.stack([s * Delta for s in range(S)])
-    gammas = eav_sinr(gram(H_e), Deltas, P_tx, N_t)
+    gammas = sinr_matrix(gram(H_e), Deltas[:, None], P_tx, N_t)
     assert gammas.shape == (S, N, n, n)
     for s in range(S):
         for e in range(N):
@@ -133,6 +136,36 @@ def test_kernels_match_reference_compositions(rng):
     for s in range(S):
         assert batched[s] == pytest.approx(
             reference.secrecy_rate(user_rates[s], eav_rates[s]), rel=1e-12)
+
+
+@pytest.mark.parametrize("channels,deltas,per_lane_power,N", [
+    ((4, 3, 2, 6), (4, 1), True, 6),
+    ((4, 6, 2, 6), (4, 6), False, 1),
+    ((4, 3, 5, 2, 2), (4, 1, 5), True, 2),
+], ids=["eavesdropper-grams", "receive-candidates", "iri-interferers"])
+def test_sinr_matrix_broadcasts_like_its_callers(rng, channels, deltas,
+                                                 per_lane_power, N):
+    # the kernel at each caller's shapes, against the per-matrix loop form:
+    # N eavesdropper Grams against one Delta per lane through an inserted
+    # axis, per-candidate Deltas at P = N = 1, and (B, A, R) interferer Grams
+    # against (B, 1, R) source signals, with per-lane powers
+    n = channels[-2]
+    H = np.stack([cn_matrix(rng, n, channels[-1])
+                  for _ in range(math.prod(channels[:-2]))]).reshape(channels)
+    Delta = np.stack([random_psd(rng, n)
+                      for _ in range(math.prod(deltas))]).reshape(deltas + (n, n))
+    P = 1
+    if per_lane_power:
+        P = rng.uniform(0.5, 3.0, channels[0])
+        P = P.reshape((-1,) + (1,) * (len(channels) - 1))
+    got = sinr_matrix(gram(H), Delta, P, N)
+    lead = channels[:-2]
+    assert got.shape == lead + (n, n)
+    Deltas = np.broadcast_to(Delta, lead + (n, n))
+    powers = np.broadcast_to(P, lead + (1, 1))[..., 0, 0]
+    for index in np.ndindex(lead):
+        np.testing.assert_allclose(got[index], reference.eav_sinr_from_interference(
+            H[index], Deltas[index], powers[index], N), rtol=1e-10, atol=1e-14)
 
 
 def test_user_sinr_matrix_zero_snapshots(rng):

@@ -339,6 +339,32 @@ def test_sweep_calibration_error_names_first_failing_cell(workers):
         monte_carlo(SystemConfig(), sweep)
 
 
+_RECEPTION_ERROR = "non-finite reception power or SINR"
+
+
+@pytest.mark.parametrize("eta,iri_cancellation", [(1.0, True), (0.25, False)],
+                         ids=["nan-sinr", "infinite-interference"])
+def test_overflowing_reception_power_names_the_trial(eta, iri_cancellation):
+    # P = 1e308 is a valid config, but the raw reception powers overflow;
+    # the trial raises a named error instead of storing NaN SINRs, or, with
+    # no cancellation at eta 0.25, a SINR of 0 behind an infinite interference
+    config = SystemConfig(P=1e308, eta=eta, iri_cancellation=iri_cancellation,
+                          sinr_threshold=1.0).with_snr_db(10.0)
+    with pytest.raises(NumericError, match=r"policy 'bf-rjfs' trial 0 slot 1: "
+                       + _RECEPTION_ERROR):
+        run_trial(config, "bf-rjfs", 0, 6)
+
+
+def test_overflowing_reception_power_names_the_calibration_cell():
+    # with an auto threshold the calibration pre-run overflows first, and
+    # its error names the cell rather than a NaN threshold
+    sweep = SweepSpec(policies=("bf-rjfs",), snr_db_grid=(10.0,),
+                      eta_grid=(1.0,), trials=1, slots_per_trial=6)
+    with pytest.raises(NumericError, match=r"policy 'bf-rjfs' calibration snr 10 "
+                       r"eta 1 slot 0: " + _RECEPTION_ERROR):
+        monte_carlo(SystemConfig(P=1e308), sweep)
+
+
 def _fingerprint(config, trial, slot):
     """A value that tells the channel draw of (trial, slot) from any other."""
     return gen_network_realization(config, slot, relaysec.sim.substream(
@@ -542,6 +568,14 @@ def test_load_config(tmp_path):
     cfg = load_config(path)
     assert cfg.Q == 5
     assert cfg.sinr_threshold == 0.7
+
+
+def test_load_config_reads_a_byte_order_mark(tmp_path):
+    # an editor may save the file as UTF-8 with a leading byte-order mark
+    path = tmp_path / "scenario.cfg"
+    path.write_bytes(b"\xef\xbb\xbfQ = 5\nT = 2\n")
+    cfg = load_config(path)
+    assert (cfg.Q, cfg.T) == (5, 2)
 
 
 def test_snr_sets_uniform_noise():
