@@ -63,12 +63,12 @@ def gram(H: np.ndarray) -> np.ndarray:
 
 
 def received_power(H: np.ndarray):
-    """trace(H @ H^H), i.e. the sum of squared entry magnitudes: a float for
-    a matrix, an array of shape (...) for a (..., rows, cols) stack."""
+    """trace(H @ H^H) as one einsum, the simulator's one link-power kernel: a
+    float for a matrix, an array of shape (...) for a (..., rows, cols) stack."""
     H = np.asarray(H)
     if H.ndim < 2:
         raise ValueError(f"expected a matrix or a matrix stack, got ndim={H.ndim}")
-    powers = (H.real**2 + H.imag**2).sum(axis=(-2, -1))
+    powers = np.einsum("...ab,...ab->...", H, H.conj()).real
     return float(powers) if H.ndim == 2 else powers
 
 

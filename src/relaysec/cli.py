@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--worst-sinr-seeding", action="store_true",
                         help="seed slot-0 jammers from the ranking bottom")
     parser.add_argument("--workers", type=int, default=1,
-                        help="parallel trial workers (results identical)")
+                        help="trial workers, at most one per CPU (results identical)")
     return parser
 
 

@@ -90,6 +90,9 @@ class SystemConfig:
             raise ConfigError(f"P must be finite and > 0, got {self.P}")
         if not (0.0 <= self.eta <= 2.0):
             raise ConfigError(f"eta must lie in [0, 2], got {self.eta}")
+        if not math.isfinite(max(self.eta, 2.0 - self.eta) * self.P):
+            raise ConfigError(f"the power split eta*P, (2-eta)*P overflows, got "
+                              f"eta={self.eta}, P={self.P}")
         for name in ("sigma2", "gamma0"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ConfigError(

@@ -1,11 +1,12 @@
 """Link powers, the IRI-cancellation feasibility test and the relay
 reception SINR.
 
-The link powers take matrices or stacks.  The feasibility test and the
-reception SINR are implemented once each, batched (:func:`iri_feasible` on
-the SINR matrix of Grams, and :func:`reception_sinr`); the engine's reception
-step calls them, and :func:`iri_cancellation_feasible` and :func:`sinr_relay`
-are their one-pair views.
+The link powers take matrices or stacks, and only :func:`relayed_link_power`
+forms the replay product H_ab Hs.  The feasibility test and the reception
+SINR are implemented once each, batched (:func:`iri_feasible` on the SINR
+matrix of Grams, and :func:`reception_sinr`); the engine's reception step
+calls them and the link powers, and :func:`iri_cancellation_feasible` and
+:func:`sinr_relay` are their one-pair views.
 
 Replayed-signal quantities are built from the buffered channel snapshot of
 the transmitting relay (the source-side channel it saw when the signal was
@@ -36,12 +37,12 @@ def source_link_power(H: np.ndarray):
 
 
 def relayed_link_power(H_ab: np.ndarray, H_stored: np.ndarray):
-    """trace(H_ab Hs Hs^H H_ab^H) for a replayed buffered signal.
+    """trace(H_ab Hs Hs^H H_ab^H) for a replayed buffered signal, by einsum.
 
     ``H_stored`` is the snapshot the transmitting relay recorded at reception;
     its row count must match the transmit antenna count (columns of H_ab).
     Matrices give a float; (..., rows, cols) stacks, broadcast against each
-    other, give an array over the leading axes.
+    other, give an array over the leading axes, bit-equal to per-pair calls.
     """
     H_ab = np.asarray(H_ab)
     H_stored = np.asarray(H_stored)
@@ -51,7 +52,7 @@ def relayed_link_power(H_ab: np.ndarray, H_stored: np.ndarray):
         raise ValueError(
             f"replay dimension mismatch: H_ab is {H_ab.shape}, snapshot is "
             f"{H_stored.shape}")
-    return received_power(H_ab @ H_stored)
+    return received_power(np.einsum("...ab,...bc->...ac", H_ab, H_stored))
 
 
 def iri_feasible(G_i: np.ndarray, G_ki: np.ndarray, P_tx: float,

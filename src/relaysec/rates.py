@@ -21,6 +21,7 @@ log-dets give ``-inf`` there.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,15 +48,10 @@ class RateReport:
                    eav_rates=tuple(eav[0].tolist()), secrecy_rate=float(secrecy[0]))
 
 
-_EYE_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=8)
 def _eye(n: int) -> np.ndarray:
-    eye = _EYE_CACHE.get(n)
-    if eye is None:
-        eye = np.eye(n)
-        eye.flags.writeable = False
-        _EYE_CACHE[n] = eye
+    eye = np.eye(n)
+    eye.flags.writeable = False     # shared by every caller
     return eye
 
 

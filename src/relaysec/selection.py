@@ -38,9 +38,9 @@ a ``POLICIES`` step picks, then serves.
 
 This module owns the selection metrics and the slot machinery that feeds
 realizations and buffers into the formula kernels: the rate formulas and the
-SINR matrix that both metrics score live in :mod:`relaysec.rates`, the
-reception formulas in :mod:`relaysec.link_metrics` and the Gram in
-:mod:`relaysec.channel`.
+SINR matrix that both metrics score live in :mod:`relaysec.rates`, the link
+powers and reception formulas in :mod:`relaysec.link_metrics`, and the Gram
+and the link-power trace in :mod:`relaysec.channel`.
 """
 
 from __future__ import annotations
@@ -427,10 +427,10 @@ def _resolve_replays(state: PolicyState, transmitters: np.ndarray,
 
 def _receive_and_store(state: PolicyState, realization, lanes: Lanes,
                        receivers: np.ndarray, replays: Records) -> np.ndarray:
-    """Compute each receiver's reception SINR, with per-pair IRI cancellation
-    where feasible, classify it, and push the record; returns the (B, Q)
-    SINRs (0 off the receivers).  Raises NumericError when a receiver's
-    source power, an interference power at it or its SINR is not finite."""
+    """Compute each receiver's reception SINR from the link powers, with
+    per-pair IRI cancellation where feasible, classify it, and push the
+    record; returns the (B, Q) SINRs (0 off the receivers).  Raises
+    NumericError on a non-finite source or interference power or SINR."""
     config = lanes.config
     if np.isnan(lanes.threshold).any():
         raise ConfigError(
@@ -441,7 +441,6 @@ def _receive_and_store(state: PolicyState, realization, lanes: Lanes,
     lane = np.arange(len(rx))[:, None]
     H_rx = realization.per_lane("su_stack", rx)               # (B, R, N_i, N_t)
     H_ki = realization.rr_block(tx[:, :, None], rx[:, None, :])  # (B, A, R, ...)
-    prod = np.einsum("xkrab,xkbc->xkrac", H_ki, replays.snapshot[lane, tx])
     heard = tx_real[:, :, None] & rx_real[:, None, :]     # real (sender, receiver)
     phi = 1
     if config.iri_cancellation and tx.shape[1]:
@@ -454,10 +453,9 @@ def _receive_and_store(state: PolicyState, realization, lanes: Lanes,
         phi = ~feasible
     # raw powers may overflow: raise below instead of storing NaN or warning
     with np.errstate(over="ignore", invalid="ignore"):
-        gamma_S = _col(lanes.p_tx / config.N_t, 2) * np.einsum(
-            "xrab,xrab->xr", H_rx, H_rx.conj()).real
-        powers = _col(lanes.p_rel / config.N_k, 3) * np.einsum(
-            "xkrab,xkrab->xkr", prod, prod.conj()).real
+        gamma_S = _col(lanes.p_tx / config.N_t, 2) * source_link_power(H_rx)
+        powers = _col(lanes.p_rel / config.N_k, 3) * relayed_link_power(
+            H_ki, replays.snapshot[lane, tx][:, :, None])
         sinrs = reception_sinr(gamma_S, powers, phi, config.N_i,
                                _col(lanes.sigma2, 2))
     at_lane, at_relay = np.nonzero(receivers)      # the order of [rx_real]

@@ -32,6 +32,7 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import math
+import os
 import statistics
 import struct
 from collections import Counter
@@ -352,8 +353,8 @@ def monte_carlo(config: SystemConfig, sweep: SweepSpec) -> SecrecyReport:
     Every cell sees the same channel draw per (trial, slot), drawn once per
     sweep.  Every sweep runs through :func:`_run_cells`, which maps all
     calibration pre-runs before any trial: in this process at
-    ``sweep.workers == 1``, on one pool of N processes at N > 1.  The outputs
-    are bit-identical for any N.
+    ``sweep.workers == 1``, at N > 1 on one pool of min(N, CPU count)
+    processes, which start at once.  The outputs are bit-identical for any N.
 
     A NumericError names the first failing pre-run in cell order, else the
     smallest failing trial, then cell, at any N.  A pooled task's error is
@@ -371,7 +372,8 @@ def monte_carlo(config: SystemConfig, sweep: SweepSpec) -> SecrecyReport:
     if sweep.workers == 1:
         results = _run_cells(map, cells, sweep)
     else:
-        pool = concurrent.futures.ProcessPoolExecutor(max_workers=sweep.workers)
+        pool = concurrent.futures.ProcessPoolExecutor(
+            max_workers=min(sweep.workers, os.cpu_count() or 1))
         try:
             results = _run_cells(pool.map, cells, sweep)
         finally:

@@ -6,6 +6,8 @@ matrix at a time, straight from the model's sums, so tests can check the
 batched kernels against an implementation that shares none of their code.
 :func:`max_ratio_roles` is the ``max-ratio`` policy's role choice with one
 link-power call per matrix, for the batched policy to be checked against.
+:func:`reception_sinrs` writes out the relays' reception SINR in the
+labelled einsums that pin its float bits.
 """
 
 from __future__ import annotations
@@ -142,3 +144,18 @@ def max_ratio_roles(config, realization, own: dict) -> tuple:
                 for q in rest}
     transmitters = sorted(rest, key=lambda q: (-tx_ratio[q], q))[:config.T]
     return tuple(sorted(receivers)), tuple(sorted(transmitters))
+
+
+def reception_sinrs(H_rx, H_ki, snapshots, phi, p_tx, p_rel, sigma2, config):
+    """(B, R) reception SINRs of (B, R, N_i, N_t) source channels H_i against
+    (B, A, R, N_i, N_k) relay->relay channels H_ki replaying (B, A, N_k, N_t)
+    snapshots Hs_k: (p_tx/N_t) trace(H_i H_i^H) over the sum of the
+    ``phi``-weighted (p_rel/N_k) trace(H_ki Hs_k Hs_k^H H_ki^H) plus N_i
+    sigma2, with (B,) ``p_tx``, ``p_rel`` and ``sigma2``.  Each trace is the
+    labelled einsum whose bits the calibrated thresholds depend on."""
+    prod = np.einsum("xkrab,xkbc->xkrac", H_ki, snapshots)
+    gamma_S = (p_tx / config.N_t)[:, None] * np.einsum(
+        "xrab,xrab->xr", H_rx, H_rx.conj()).real
+    powers = (p_rel / config.N_k)[:, None, None] * np.einsum(
+        "xkrab,xkrab->xkr", prod, prod.conj()).real
+    return gamma_S / ((phi * powers).sum(axis=-2) + config.N_i * sigma2[:, None])

@@ -94,6 +94,16 @@ def test_received_power_stack_matches_per_matrix(rng):
     assert type(received_power(H[0, 0])) is float
 
 
+def test_received_power_of_gathered_rows_matches_gathered_powers(rng):
+    # per-draw powers gathered at (rows, receivers) have the bits of the
+    # powers of the gathered (B, R, N_i, N_t) channels; lanes share draws
+    stack = cn_matrix(rng, 3 * 6 * 2, 6).reshape(3, 6, 2, 6)
+    rows = np.array([0, 2, 2, 1, 0])[:, None]
+    receivers = np.array([[0, 1, 2], [3, 4, 5], [0, 2, 5], [1, 3, 4], [2, 3, 4]])
+    assert np.array_equal(received_power(stack)[rows, receivers],
+                          received_power(stack[rows, receivers]))
+
+
 def test_received_power_rejects_vector():
     with pytest.raises(ValueError):
         received_power(np.ones(3))

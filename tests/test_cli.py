@@ -140,6 +140,18 @@ def test_cli_overflowing_reception_power_is_a_numeric_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_overflowing_power_split_is_a_config_error(tmp_path, capsys):
+    # eta 0.1 gives the relays (2 - eta) * 1e308, which overflows
+    config = tmp_path / "huge.cfg"
+    config.write_text("P = 1e308\n")
+    out = tmp_path / "o.csv"
+    code = main(["--config", str(config), "--policy", "bf-rjfs", "--snr", "10",
+                 "--eta", "0.1", "--trials", "1", "--slots", "6", "--out", str(out)])
+    assert code == 2
+    assert "config error: the power split" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_calibration_numeric_error_names_the_cell(tmp_path, capsys):
     # the default scenario's oracle pre-run overflows at 790 dB; the error
     # names its policy, SNR, eta and slot, as a trial's error names its lane

@@ -63,6 +63,16 @@ def test_link_powers_on_stacks_match_per_matrix(rng):
     assert type(source_link_power(H[0, 0])) is float
 
 
+def test_relayed_link_power_broadcast_snapshot_matches_per_pair(rng):
+    # (B, A, R) relay->relay channels each replaying its sender's snapshot,
+    # broadcast over the receivers, give each pair's own bits
+    H = cn_matrix(rng, 4 * 3 * 2 * 2, 2).reshape(4, 3, 2, 2, 2)
+    snaps = cn_matrix(rng, 4 * 3 * 2, 6).reshape(4, 3, 2, 6)
+    per_pair = [[[relayed_link_power(H[b, a, r], snaps[b, a]) for r in range(2)]
+                 for a in range(3)] for b in range(4)]
+    assert np.array_equal(relayed_link_power(H, snaps[:, :, None]), per_pair)
+
+
 def test_relayed_link_power_stack_dimension_mismatch(rng):
     H = cn_matrix(rng, 6, 2).reshape(3, 2, 2)
     with pytest.raises(ValueError, match="replay dimension mismatch"):

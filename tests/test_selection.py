@@ -7,7 +7,7 @@ import pytest
 from relaysec.buffers import BufferedSignal, SignalClass
 from relaysec.channel import (STREAM_CHANNEL, NetworkRealization,
                               gen_network_realization, gram, substream)
-from relaysec.config import power_split
+from relaysec.config import SystemConfig, power_split
 from relaysec.errors import ConfigError
 from relaysec.rates import eav_rate, logdet_identity_plus, user_rate
 from relaysec.buffers import Records
@@ -837,6 +837,46 @@ def test_reception_matches_scalar_link_ops():
         stored = buffer_records(state2, i)[-1]
         assert stored.sinr_at_reception == pytest.approx(expected, rel=1e-10)
         np.testing.assert_array_equal(stored.snapshot, H_i)
+
+
+@pytest.mark.parametrize("iri", [True, False], ids=["iri-on", "iri-off"])
+def test_reception_sinr_bits_match_labelled_einsums(iri):
+    # the stored reception SINRs, which set every calibrated threshold, keep
+    # the bits of the labelled einsums in reference.reception_sinrs; lanes
+    # of one trial share a draw, and every lane has R = T < Q receivers
+    from relaysec.link_metrics import iri_feasible
+    from relaysec.selection import _members
+    from relaysec.sim import _lockstep
+    from reference import reception_sinrs
+    base = SystemConfig(Q=6, T=2, K=3, gamma0=0.3, seed=41, iri_cancellation=iri)
+    cells = [base.replace(eta=eta, sinr_threshold=0.3).with_snr_db(snr)
+             for snr, eta in ((0.0, 0.5), (10.0, 1.0), (20.0, 1.5))]
+    lanes = [(policy, cfg, trial)
+             for policy in ("bf-rjfs", "conventional-bf", "max-ratio", "random")
+             for cfg in cells for trial in (0, 1)]
+    checked = []
+
+    def each(outcome, state, rates):
+        real, ls, replays = outcome.realization, outcome.lanes, outcome.replays
+        rx, rx_real = _members(outcome.receivers)
+        tx, tx_real = _members(replays.found)
+        H_rx = real.per_lane("su_stack", rx)
+        H_ki = real.rr_block(tx[:, :, None], rx[:, None, :])
+        phi = 1
+        if iri and tx.shape[1]:
+            at = (slice(None),) + (None,) * 4
+            phi = ~iri_feasible(real.per_lane("su_stack", rx, gram)[:, None],
+                                gram(H_ki), ls.snr_tx[at], ls.snr_rel[at],
+                                base.N_t, base.N_k, base.gamma0)
+        lane = np.arange(len(rx))[:, None]
+        want = reception_sinrs(H_rx, H_ki, replays.snapshot[lane, tx], phi,
+                               ls.p_tx, ls.p_rel, ls.sigma2, base)
+        got = outcome.sinr[lane, rx]
+        assert np.array_equal(got[rx_real], want[rx_real])
+        checked.append(int(tx_real.sum()))
+
+    _lockstep(lanes, 8, each, score=False)
+    assert len(checked) == 8 and sum(checked) > 0
 
 
 def test_slot_rate_report_matches_rates_module_composition():

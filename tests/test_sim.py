@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import math
+import os
 import pickle
 import statistics
 import time
@@ -36,6 +37,14 @@ def test_apply_power_split(eta, P, K, expected):
 def test_apply_power_split_rejects_bad_eta():
     with pytest.raises(ConfigError, match="eta"):
         SystemConfig(eta=2.5, sinr_threshold=1.0)
+
+
+@pytest.mark.parametrize("eta", [0.1, 0.0, 2.0])
+def test_overflowing_power_split_rejected(eta):
+    # (2 - eta) * P or eta * P overflows at P = 1e308 unless eta is 1
+    with pytest.raises(ConfigError, match=r"eta\*P.*eta=.*P=1e\+308"):
+        SystemConfig(P=1e308, eta=eta)
+    assert power_split(SystemConfig(P=1e308, eta=1.0)) == (1e308, 1e308 / 3)
 
 
 def test_zero_slot_config_rejected():
@@ -212,6 +221,27 @@ def test_one_pool_per_sweep_runs_calibration(monkeypatch):
     assert pooled.cells == serial.cells
 
 
+def test_pool_never_outnumbers_the_cpus(monkeypatch):
+    # a fork pool starts all its workers at the first task, so a large
+    # --workers must not become that many processes; this fake starts none
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers=None):
+            sizes.append(max_workers)
+            self.map = map
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    cfg = small_config(sinr_threshold=None, seed=21, warmup_slots=1)
+    sweep = _tiny_sweep(trials=3)
+    wide = monte_carlo(cfg, dataclasses.replace(sweep, workers=10_000))
+    assert sizes and all(1 <= n <= (os.cpu_count() or 1) for n in sizes)
+    assert wide.cells == monte_carlo(cfg, sweep).cells
+
+
 def test_pooled_calibration_through_a_wrapped_calibrate_threshold(monkeypatch):
     # a timing harness wraps calibrate_threshold in a local closure, which a
     # pool cannot pickle; sweeps run their calibration pre-runs as lane
@@ -342,13 +372,14 @@ def test_sweep_calibration_error_names_first_failing_cell(workers):
 _RECEPTION_ERROR = "non-finite reception power or SINR"
 
 
-@pytest.mark.parametrize("eta,iri_cancellation", [(1.0, True), (0.25, False)],
+@pytest.mark.parametrize("P,eta,iri_cancellation",
+                         [(1e308, 1.0, True), (5e307, 0.25, False)],
                          ids=["nan-sinr", "infinite-interference"])
-def test_overflowing_reception_power_names_the_trial(eta, iri_cancellation):
-    # P = 1e308 is a valid config, but the raw reception powers overflow;
-    # the trial raises a named error instead of storing NaN SINRs, or, with
-    # no cancellation at eta 0.25, a SINR of 0 behind an infinite interference
-    config = SystemConfig(P=1e308, eta=eta, iri_cancellation=iri_cancellation,
+def test_overflowing_reception_power_names_the_trial(P, eta, iri_cancellation):
+    # these are valid configs, but the raw reception powers overflow; the
+    # trial raises a named error instead of storing NaN SINRs, or, with no
+    # cancellation at eta 0.25, a SINR of 0 behind an infinite interference
+    config = SystemConfig(P=P, eta=eta, iri_cancellation=iri_cancellation,
                           sinr_threshold=1.0).with_snr_db(10.0)
     with pytest.raises(NumericError, match=r"policy 'bf-rjfs' trial 0 slot 1: "
                        + _RECEPTION_ERROR):
