@@ -198,6 +198,13 @@ def parse_config(text: str) -> SystemConfig:
 
 
 def load_config(path) -> SystemConfig:
-    # utf-8-sig also reads a file that starts with a byte-order mark
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        return parse_config(fh.read())
+    """:func:`parse_config` of the UTF-8 file ``path``, which may start with
+    a byte-order mark; raises ConfigError on bytes that are not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc.reason} at byte "
+                          f"offset {exc.start}") from exc
+    return parse_config(text)

@@ -3,10 +3,9 @@ reception SINR.
 
 The link powers take matrices or stacks, and only :func:`relayed_link_power`
 forms the replay product H_ab Hs.  The feasibility test and the reception
-SINR are implemented once each, batched (:func:`iri_feasible` on the SINR
-matrix of Grams, and :func:`reception_sinr`); the engine's reception step
-calls them and the link powers, and :func:`iri_cancellation_feasible` and
-:func:`sinr_relay` are their one-pair views.
+SINR are implemented once each, batched only (:func:`iri_feasible` on the
+SINR matrix of Grams, and :func:`reception_sinr`); the engine's reception
+step calls them and the link powers.
 
 Replayed-signal quantities are built from the buffered channel snapshot of
 the transmitting relay (the source-side channel it saw when the signal was
@@ -15,18 +14,10 @@ stored), never from the current slot's source channel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .channel import gram, received_power
+from .channel import received_power
 from .rates import sinr_matrix
-
-
-@dataclass(frozen=True)
-class SinrValue:
-    value: float                 # linear, dimensionless, >= 0
-    cancellation_applied: bool
 
 
 def source_link_power(H: np.ndarray):
@@ -82,29 +73,3 @@ def reception_sinr(gamma_S: np.ndarray, interference: np.ndarray, phi,
     cancelled, else 1; ``sigma2`` broadcasts against (..., R).
     """
     return gamma_S / ((phi * interference).sum(axis=-2) + N_i * sigma2)
-
-
-def iri_cancellation_feasible(H_i: np.ndarray, H_ki: np.ndarray,
-                              P_tx: float, P_relay: float,
-                              N_t: int, N_k: int, gamma0: float) -> bool:
-    """:func:`iri_feasible` for one (H_i, H_ki) matrix pair."""
-    H_i = np.asarray(H_i)
-    H_ki = np.asarray(H_ki)
-    if H_i.shape[0] != H_ki.shape[0]:
-        raise ValueError(
-            f"receive-side dimension mismatch: H_i is {H_i.shape}, H_ki is "
-            f"{H_ki.shape}")
-    if P_tx <= 0 or P_relay <= 0:
-        raise ValueError("powers must be positive")
-    return bool(iri_feasible(gram(H_i), gram(H_ki), P_tx, P_relay, N_t, N_k,
-                             gamma0))
-
-
-def sinr_relay(gamma_S_Ri: float, gamma_Rk_Ri_total: float, phi: int,
-               N_i: int, sigma2: float) -> SinrValue:
-    """Reception SINR at one relay; ``phi = 0`` means IRI was cancelled."""
-    if phi not in (0, 1):
-        raise ValueError(f"phi must be 0 or 1, got {phi}")
-    value = reception_sinr(np.array([gamma_S_Ri]), np.array([[gamma_Rk_Ri_total]]),
-                           phi, N_i, sigma2)[0]
-    return SinrValue(value=float(value), cancellation_applied=(phi == 0))

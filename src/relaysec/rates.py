@@ -2,10 +2,12 @@
 
 This module owns the rate formulas, each implemented once and batched over
 leading axes: the stored-signal factor, the per-relay replay term that user
-signal matrices and the eavesdroppers' jamming covariance sum, the SINR
+signal matrices and the eavesdroppers' jamming covariance sum, the replay
+covariance sum_j H_j S_j H_j^H that both selection metrics score, the SINR
 matrix that the eavesdroppers' rates, both selection metrics and the
 IRI-cancellation test read, the clamped and metric log-determinants and the
-secrecy sum.  The scalar helpers are one-element views of these kernels.
+secrecy sum.  :func:`logdet_identity_plus` and :func:`clamped_logdet_rate`
+are one-matrix views of their ``_stack`` kernels.
 
 The rate matrices sum products of Hermitian factors and are generally not
 Hermitian themselves, so ``det(I + G)`` is genuinely complex: with several
@@ -104,16 +106,6 @@ def clamped_logdet_rate_stack(Gammas: np.ndarray,
     return np.log(np.maximum(real, 1.0)) / math.log(base), real < 1.0
 
 
-def user_rate(Gamma_r: np.ndarray, base: float = 2.0) -> float:
-    """Achievable user rate log det(I + Gamma_r), clamped at zero."""
-    return clamped_logdet_rate(Gamma_r, base)[0]
-
-
-def eav_rate(Gamma_e: np.ndarray, base: float = 2.0) -> float:
-    """Achievable eavesdropper rate log det(I + Gamma_e), clamped at zero."""
-    return clamped_logdet_rate(Gamma_e, base)[0]
-
-
 def stored_signal_factor(snapshots: np.ndarray, P_tx: float, N_t: int) -> np.ndarray:
     """Covariance factors I + (P_tx/N_t) Hs Hs^H of replayed buffered signals,
     over a snapshot matrix or a (..., N_i, N_t) snapshot stack."""
@@ -132,6 +124,14 @@ def relay_terms(channel_grams: np.ndarray, factors: np.ndarray,
     the jamming relays.
     """
     return (P_relay / N_k) * (channel_grams @ factors)
+
+
+def replay_covariance(H: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Sums over axis -3 of H_j S_j H_j^H: the covariance that replays with
+    snapshot Grams ``S`` (..., J, b, b) leave through channels ``H``
+    (..., J, a, b); the two broadcast against each other and give
+    (..., a, a).  Both selection metrics score these sandwiches."""
+    return np.einsum("...jab,...jbd,...jed->...ae", H, S, H.conj())
 
 
 def sinr_matrix(G: np.ndarray, Delta: np.ndarray, P, N) -> np.ndarray:

@@ -37,10 +37,11 @@ config, give roles as tuples of relay ids and records as
 a ``POLICIES`` step picks, then serves.
 
 This module owns the selection metrics and the slot machinery that feeds
-realizations and buffers into the formula kernels: the rate formulas and the
-SINR matrix that both metrics score live in :mod:`relaysec.rates`, the link
-powers and reception formulas in :mod:`relaysec.link_metrics`, and the Gram
-and the link-power trace in :mod:`relaysec.channel`.
+realizations and buffers into the formula kernels: the rate formulas, and
+the replay covariance and SINR matrix that both metrics score, live in
+:mod:`relaysec.rates`, the link powers and reception formulas in
+:mod:`relaysec.link_metrics`, and the Gram and the link-power trace in
+:mod:`relaysec.channel`.
 """
 
 from __future__ import annotations
@@ -330,8 +331,9 @@ def select_receiving_relays(state: PolicyState, realization, lanes: Lanes,
 
     Candidates are ranked by logdet(I + Gamma_m), where Gamma_m =
     (I + D_m)^{-1} H_m H_m^H is the :func:`~relaysec.rates.sinr_matrix` at
-    P = N = 1 and D_m sums the inter-relay interference of the jammers'
-    replays at candidate m; ties break by ascending id.  Returns the (B, Q)
+    P = N = 1 and D_m = sum_k H_km Hs_k Hs_k^H H_km^H, the
+    :func:`~relaysec.rates.replay_covariance` of the jammers' replays through
+    their channels H_km to candidate m; ties break by ascending id.  Returns the (B, Q)
     receiver mask and the (B, Q) metric (meaningless off the pool), or None
     for the metric when every lane's pool is exactly T (forced set).
     """
@@ -348,9 +350,9 @@ def select_receiving_relays(state: PolicyState, realization, lanes: Lanes,
     lane = np.arange(len(senders))[:, None]
     # zero for silent jammers and for padding
     snaps = np.where(real[..., None, None], _peek(state).snapshot[lane, senders], 0)
-    # (B, K, Q, N_i, N_k)
-    H_km = realization.rr_block(senders[:, :, None], np.arange(config.Q)[None, None])
-    D_m = np.einsum("xkcab,xkbd,xkced->xcae", H_km, gram(snaps), H_km.conj())
+    # (B, Q, K, N_i, N_k)
+    H_km = realization.rr_block(senders[:, None, :], np.arange(config.Q)[None, :, None])
+    D_m = rates.replay_covariance(H_km, gram(snaps)[:, None])
     if config.selection_noise_floor:
         D_m = D_m + _col(config.N_i * lanes.sigma2, 4) * np.eye(config.N_i)
     gammas = rates.sinr_matrix(realization.per_lane("su_stack", of=gram), D_m, 1, 1)
@@ -366,11 +368,12 @@ def select_jamming_relays(state: PolicyState, realization, lanes: Lanes,
 
     Every relay is a candidate; disjointness from the receivers is restored
     when the next slot's receive pool excludes the picked set.  A candidate n
-    is scored with its own replayable snapshot: delivered-signal matrix
+    is scored with its own replayable snapshot Hs: delivered-signal matrix
     Gamma_n = sum_r H_nr Hs Hs^H H_nr^H against its eavesdropper-side leak,
     the :func:`~relaysec.rates.sinr_matrix` (I + Delta)^{-1} (P/N_k) sum_e
     H_ne Hs Hs^H H_ne^H, where Delta is the (B, N_e, N_e) interference floor
     of the current jammers (none by default; see :func:`_eav_interference`).
+    Both sums are :func:`~relaysec.rates.replay_covariance` sandwiches.
     Relays with empty buffers rank last (metric 0); ties break by ascending
     id.  Returns the (B, Q) mask and the (B, Q) metric.
     """
@@ -382,9 +385,8 @@ def select_jamming_relays(state: PolicyState, realization, lanes: Lanes,
     H_nr, H_ne = realization.per_lane("ru_stack"), realization.per_lane("re_stack")
     if Delta is None:
         Delta = np.zeros((len(own.found), config.N_e, config.N_e), dtype=complex)
-    snap_grams = gram(own.snapshot)                  # zero for empty buffers
-    gamma_n, leak = (np.einsum("xcjab,xcbd,xcjed->xcae", H, snap_grams, H.conj())
-                     for H in (H_nr, H_ne))
+    snap_grams = gram(own.snapshot)[:, :, None]      # zero for empty buffers
+    gamma_n, leak = (rates.replay_covariance(H, snap_grams) for H in (H_nr, H_ne))
     gamma_e = rates.sinr_matrix(leak, Delta[:, None], _col(lanes.snr_rel, 4),
                                 config.N_k)
     # N_e == N_r whenever K > 0, so both metrics share one log-det call

@@ -317,17 +317,18 @@ def _run_cell(rows, cell_cfg: SystemConfig, policy: str, snr_db: float,
         sinr_threshold=cell_cfg.sinr_threshold)
 
 
-def _run_cells(map_, cells: list, sweep: SweepSpec) -> list:
-    """Run every cell through ``map_`` (``pool.map``, or the builtin ``map``
-    in process): first the calibration pre-runs of the auto-threshold cells,
-    in cell order, split into about ``sweep.workers`` tasks; then the trials
-    of the sweep, split into at least ``sweep.workers`` contiguous chunks,
-    each a task that runs every cell on one draw per (trial, slot)."""
+def _run_cells(map_, cells: list, sweep: SweepSpec, workers: int) -> list:
+    """Run every cell through ``map_`` (``pool.map`` of ``workers``
+    processes, or the builtin ``map`` in process): first the calibration
+    pre-runs of the auto-threshold cells, in cell order, split into about
+    ``workers`` tasks; then the trials of the sweep, split into at least
+    ``workers`` contiguous chunks, each a task that runs every cell on one
+    draw per (trial, slot)."""
     auto = [(policy, cfg) for policy, _, _, cfg in cells
             if cfg.sinr_threshold is None]
     lane_sets = max((_jam_sets(cfg, policy) for policy, cfg in auto), default=1)
     thresholds = chain.from_iterable(map_(
-        _calibrate_lanes, _chunks(auto, sweep.workers,
+        _calibrate_lanes, _chunks(auto, workers,
                                   max(1, _MAX_LANES // lane_sets))))
     resolved = [(policy, cfg if cfg.sinr_threshold is not None
                  else cfg.replace(sinr_threshold=next(thresholds)))
@@ -335,7 +336,7 @@ def _run_cells(map_, cells: list, sweep: SweepSpec) -> list:
     trial_sets = max(count * _jam_sets(resolved[0][1], policy) for policy, count
                      in Counter(policy for policy, _ in resolved).items())
     chunks = list(map_(_trial_chunk, repeat(resolved),
-                       _chunks(range(sweep.trials), sweep.workers,
+                       _chunks(range(sweep.trials), workers,
                                max(1, _MAX_LANES // trial_sets)),
                        repeat(sweep.slots_per_trial)))
     return [_run_cell([rows[i] for rows in chunks], cfg, policy, snr_db, eta)
@@ -369,13 +370,13 @@ def monte_carlo(config: SystemConfig, sweep: SweepSpec) -> SecrecyReport:
              for policy in sweep.policies
              for snr_db in sweep.snr_db_grid
              for eta in sweep.eta_grid]
+    workers = min(sweep.workers, os.cpu_count() or 1)
     if sweep.workers == 1:
-        results = _run_cells(map, cells, sweep)
+        results = _run_cells(map, cells, sweep, workers)
     else:
-        pool = concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(sweep.workers, os.cpu_count() or 1))
+        pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
         try:
-            results = _run_cells(pool.map, cells, sweep)
+            results = _run_cells(pool.map, cells, sweep, workers)
         finally:
             pool.shutdown(cancel_futures=True)
     return SecrecyReport(cells=tuple(results), config=config, sweep=sweep)

@@ -109,6 +109,17 @@ def eav_sinr_matrix(H_e: np.ndarray,
     return eav_sinr_from_interference(H_e, Delta, P_tx, N_t)
 
 
+def replay_covariance(channels: Sequence[np.ndarray],
+                      grams: Sequence[np.ndarray]) -> np.ndarray:
+    """sum_j H_j S_j H_j^H over paired channels H_j and snapshot Grams S_j."""
+    n = np.asarray(channels[0]).shape[0]
+    total = np.zeros((n, n), dtype=complex)
+    for H, S in zip(channels, grams, strict=True):
+        H = np.asarray(H)
+        total += H @ S @ H.conj().T
+    return total
+
+
 def secrecy_rate(user_rates: Sequence[float], eav_rates: Sequence[float]) -> float:
     """Sum over (user-side, eavesdropper) pairs of max(0, R_r - R_e)."""
     if len(user_rates) == 0 or len(eav_rates) == 0:

@@ -176,6 +176,21 @@ def test_cli_bad_config_file(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("bom,offset", [(b"", 11), (b"\xef\xbb\xbf", 14)],
+                         ids=["plain", "byte-order-mark"])
+def test_cli_config_file_not_utf8(tmp_path, capsys, bom, offset):
+    # the offset counts the file's bytes, a byte-order mark included
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(bom + b"Q = 6\n# caf\xe9\n")
+    out = tmp_path / "x.csv"
+    code = main(["--config", str(bad), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(bad) in err
+    assert f"byte offset {offset}" in err
+    assert not out.exists()
+
+
 def test_cli_malformed_threshold_in_config(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("sinr_threshold = abc\n")

@@ -4,11 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relaysec.channel import received_power
-from relaysec.link_metrics import (iri_cancellation_feasible,
-                                   relayed_link_power, sinr_relay,
-                                   source_link_power)
+from relaysec.link_metrics import relayed_link_power, source_link_power
 
 from conftest import cn_matrix
+from views import pair_feasible, pair_sinr
 
 
 def test_source_link_power_trivia():
@@ -85,9 +84,9 @@ def test_iri_feasible_scalar_case():
     # single-antenna nodes: the test reduces to plain arithmetic
     h_i = np.array([[1.0 + 0j]])
     h_ki = np.array([[2.0 + 0j]])
-    assert iri_cancellation_feasible(h_i, h_ki, 1.0, 1.0, 1, 1, 1.0)
+    assert pair_feasible(h_i, h_ki, 1.0, 1.0, 1, 1, 1.0)
     # ratio is 4/2 = 2 >= gamma0
-    assert not iri_cancellation_feasible(h_i, h_ki, 1.0, 1.0, 1, 1, 2.5)
+    assert not pair_feasible(h_i, h_ki, 1.0, 1.0, 1, 1, 2.5)
 
 
 def test_iri_feasible_scalar_grid():
@@ -96,14 +95,13 @@ def test_iri_feasible_scalar_grid():
             h_i = np.array([[a + 0j]])
             h_ki = np.array([[b + 0j]])
             expected = (2.0 * b * b) / (3.0 * a * a + 1.0) >= 0.8
-            got = iri_cancellation_feasible(h_i, h_ki, 3.0, 2.0, 1, 1, 0.8)
+            got = pair_feasible(h_i, h_ki, 3.0, 2.0, 1, 1, 0.8)
             assert got == expected
 
 
 def test_iri_feasible_zero_interference_is_infeasible(rng):
     H_i = cn_matrix(rng, 2, 6)
-    assert not iri_cancellation_feasible(H_i, np.zeros((2, 2)), 1.0, 1.0,
-                                         6, 2, 0.5)
+    assert not pair_feasible(H_i, np.zeros((2, 2)), 1.0, 1.0, 6, 2, 0.5)
 
 
 def test_iri_feasible_matches_explicit_inverse(rng):
@@ -119,14 +117,7 @@ def test_iri_feasible_matches_explicit_inverse(rng):
         M = inv @ B
         det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
         expected = det.real >= gamma0
-        assert iri_cancellation_feasible(H_i, H_ki, P_tx, P_rel, 2, 2,
-                                         gamma0) == expected
-
-
-def test_iri_feasible_rejects_mismatch(rng):
-    with pytest.raises(ValueError):
-        iri_cancellation_feasible(cn_matrix(rng, 2, 6), cn_matrix(rng, 3, 2),
-                                  1.0, 1.0, 6, 2, 1.0)
+        assert pair_feasible(H_i, H_ki, P_tx, P_rel, 2, 2, gamma0) == expected
 
 
 _sinr_relay_cases = [
@@ -138,22 +129,15 @@ _sinr_relay_cases = [
 
 @pytest.mark.parametrize("gs,gi,phi,ni,s2,expected", _sinr_relay_cases)
 def test_sinr_relay_values(gs, gi, phi, ni, s2, expected):
-    out = sinr_relay(gs, gi, phi, ni, s2)
-    assert out.value == pytest.approx(expected)
-    assert out.cancellation_applied == (phi == 0)
-
-
-def test_sinr_relay_rejects_bad_phi():
-    with pytest.raises(ValueError):
-        sinr_relay(1.0, 1.0, 2, 1, 1.0)
+    assert pair_sinr(gs, gi, phi, ni, s2) == pytest.approx(expected)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.floats(0, 1e6), st.floats(0, 1e6), st.integers(1, 4),
        st.floats(1e-3, 1e3))
 def test_sinr_relay_cancellation_never_hurts(gs, gi, ni, s2):
-    with_c = sinr_relay(gs, gi, 0, ni, s2).value
-    without = sinr_relay(gs, gi, 1, ni, s2).value
+    with_c = pair_sinr(gs, gi, 0, ni, s2)
+    without = pair_sinr(gs, gi, 1, ni, s2)
     assert with_c >= without
     if gi == 0:
         assert with_c == without

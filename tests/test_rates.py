@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 from relaysec.channel import gram
 from relaysec.errors import NumericError
 from relaysec.rates import (clamped_logdet_rate, clamped_logdet_rate_stack,
-                            eav_rate, logdet_identity_plus,
-                            logdet_identity_plus_stack, relay_terms,
-                            secrecy_rate, sinr_matrix, stored_signal_factor,
-                            user_rate)
+                            logdet_identity_plus, logdet_identity_plus_stack,
+                            relay_terms, replay_covariance, secrecy_rate,
+                            sinr_matrix, stored_signal_factor)
 
 import reference
 from conftest import cn_matrix, random_psd
 from reference import eav_interference_sum, eav_sinr_matrix, user_sinr_matrix
+from views import rate
 
 
 def eig_logdet(S, base=2.0):
@@ -24,27 +24,27 @@ def eig_logdet(S, base=2.0):
 
 
 def test_user_rate_zero_matrix():
-    assert user_rate(np.zeros((2, 2))) == 0.0
+    assert rate(np.zeros((2, 2))) == 0.0
 
 
 def test_user_rate_identity():
-    assert user_rate(np.eye(2)) == pytest.approx(2.0)
+    assert rate(np.eye(2)) == pytest.approx(2.0)
 
 
 def test_user_rate_eigen_oracle(rng):
     for _ in range(50):
         S = random_psd(rng, int(rng.integers(1, 5)))
-        assert user_rate(S) == pytest.approx(eig_logdet(S), rel=1e-9)
+        assert rate(S) == pytest.approx(eig_logdet(S), rel=1e-9)
 
 
 def test_rate_in_nats(rng):
     S = random_psd(rng, 3)
-    assert user_rate(S, base=np.e) == pytest.approx(eig_logdet(S, np.e), rel=1e-9)
+    assert rate(S, base=np.e) == pytest.approx(eig_logdet(S, np.e), rel=1e-9)
 
 
 def test_eav_rate_scalar():
-    assert eav_rate(np.array([[3.0]])) == pytest.approx(2.0)
-    assert eav_rate(np.zeros((1, 1))) == 0.0
+    assert rate(np.array([[3.0]])) == pytest.approx(2.0)
+    assert rate(np.zeros((1, 1))) == 0.0
 
 
 def test_clamp_flags_negative_logdet():
@@ -64,7 +64,7 @@ def test_clamped_stack_matches_scalar(rng):
 
 def test_non_finite_raises():
     with pytest.raises(NumericError):
-        user_rate(np.array([[np.inf]]))
+        rate(np.array([[np.inf]]))
     with pytest.raises(NumericError):
         logdet_identity_plus(np.array([[np.nan]]))
 
@@ -168,6 +168,28 @@ def test_sinr_matrix_broadcasts_like_its_callers(rng, channels, deltas,
             H[index], Deltas[index], powers[index], N), rtol=1e-10, atol=1e-14)
 
 
+@pytest.mark.parametrize("channels,grams", [
+    ((4, 6, 3, 2, 2), (4, 6, 1)),
+    ((4, 6, 3, 2, 2), (4, 1, 3)),
+], ids=["jam-metric", "receive-metric"])
+def test_replay_covariance_broadcasts_like_its_callers(rng, channels, grams):
+    # the kernel at each caller's shapes, against the per-matrix loop form:
+    # (B, Q, M) relay->user channels each replaying its relay's snapshot, and
+    # (B, Q, K) channels from the K jammers to each candidate Q, each
+    # replaying its jammer's snapshot
+    H = np.stack([cn_matrix(rng, *channels[-2:])
+                  for _ in range(math.prod(channels[:-2]))]).reshape(channels)
+    S = np.stack([gram(cn_matrix(rng, channels[-1], 6))
+                  for _ in range(math.prod(grams))]).reshape(grams + channels[-1:] * 2)
+    got = replay_covariance(H, S)
+    lead = channels[:-3]
+    assert got.shape == lead + channels[-2:-1] * 2
+    Ss = np.broadcast_to(S, channels[:-2] + S.shape[-2:])
+    for index in np.ndindex(lead):
+        np.testing.assert_allclose(got[index], reference.replay_covariance(
+            H[index], Ss[index]), rtol=1e-12, atol=1e-13)
+
+
 def test_user_sinr_matrix_zero_snapshots(rng):
     # zero stored snapshots reduce the inner factor to the identity
     chans = [cn_matrix(rng, 2, 2) for _ in range(3)]
@@ -243,8 +265,8 @@ def test_eav_rate_decreases_with_jamming(rng):
     snaps = [cn_matrix(rng, 2, 6)]
     delta = eav_interference_sum(chans, snaps, 2.0, 1.0, 6, 2)
     s = 2.0 / 6 * (H_e @ H_e.conj().T)
-    weak = eav_rate(np.linalg.solve(np.eye(2) + delta, s))
-    strong = eav_rate(np.linalg.solve(np.eye(2) + 2.0 * delta, s))
+    weak = rate(np.linalg.solve(np.eye(2) + delta, s))
+    strong = rate(np.linalg.solve(np.eye(2) + 2.0 * delta, s))
     assert strong < weak
 
 
@@ -286,10 +308,9 @@ def test_rate_loewner_monotone_on_diagonals(diag, bumps):
     n = min(len(diag), len(bumps))
     lo = np.diag(diag[:n])
     hi = np.diag([d + b for d, b in zip(diag[:n], bumps[:n])])
-    assert user_rate(hi) >= user_rate(lo) - 1e-12
-    assert eav_rate(hi) >= eav_rate(lo) - 1e-12
+    assert rate(hi) >= rate(lo) - 1e-12
 
 
 def test_rate_loewner_monotone_scalar():
-    values = [user_rate(np.array([[g]])) for g in np.linspace(0, 8, 12)]
+    values = [rate(np.array([[g]])) for g in np.linspace(0, 8, 12)]
     assert all(b >= a for a, b in zip(values, values[1:]))

@@ -8,11 +8,12 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def run_script(name, *args, sweep=True):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    if sweep:
+        args = ("--trials", "1", "--slots", "2", "--workers", "1") + args
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name),
-         "--trials", "1", "--slots", "2", "--workers", "1", *args],
+        [sys.executable, str(ROOT / "scripts" / name), *args],
         env=env, capture_output=True, text=True, timeout=300)
 
 
@@ -36,3 +37,12 @@ def test_eta_sweep_script(tmp_path):
         out = tmp_path / f"eta_sweep_{label}.csv"
         assert data_rows(out) == 7
         assert (tmp_path / f"eta_sweep_{label}.csv.manifest").exists()
+
+
+def test_lockstep_digest_script_repeats_its_lines():
+    # no digest is pinned: the bits depend on the BLAS kernels of the CPU
+    runs = [run_script("lockstep_digest.py", sweep=False) for _ in range(2)]
+    assert all(run.returncode == 0 for run in runs), runs[0].stderr
+    lines = runs[0].stdout.splitlines()
+    assert len(lines) >= 5 and lines == runs[1].stdout.splitlines()
+    assert any(not line.endswith("receive_metrics_run=0") for line in lines)

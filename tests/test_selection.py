@@ -9,7 +9,7 @@ from relaysec.channel import (STREAM_CHANNEL, NetworkRealization,
                               gen_network_realization, gram, substream)
 from relaysec.config import SystemConfig, power_split
 from relaysec.errors import ConfigError
-from relaysec.rates import eav_rate, logdet_identity_plus, user_rate
+from relaysec.rates import logdet_identity_plus
 from relaysec.buffers import Records
 from relaysec.link_metrics import source_link_power
 from relaysec.selection import (POLICIES, Lanes, _eav_interference, _factors,
@@ -27,6 +27,7 @@ from conftest import (buffer_records, cn_matrix, make_instance, peek_all,
 from conftest import stock as push_record
 from reference import (eav_sinr_matrix, max_ratio_roles, secrecy_rate,
                        user_sinr_matrix)
+from views import pair_feasible, pair_sinr, rate
 
 
 def stock(state, relay_id, snapshot, sinr=5.0, slot=0,
@@ -580,10 +581,10 @@ def scalar_jam_set_score(state, real, config, jam):
             G = user_sinr_matrix([real.ru_stack[k - 1][t % config.M] for k in active],
                                  snaps, p_rel / config.sigma2,
                                  p_tx / config.sigma2, config.N_k, config.N_t)
-            user_rates.append(user_rate(G, config.log_base))
+            user_rates.append(rate(G, config.log_base))
         else:
             user_rates.append(0.0)
-    eav_rates = [eav_rate(eav_sinr_matrix(
+    eav_rates = [rate(eav_sinr_matrix(
         real.se_stack[e], [real.re_stack[k - 1] for k in active], snaps,
         p_tx / config.sigma2, p_rel / config.sigma2,
         config.N_t, config.N_k, config.N), config.log_base)
@@ -801,9 +802,7 @@ def test_permutation_equivariance(policy):
 
 def test_reception_matches_scalar_link_ops():
     # the batched reception path must reproduce the per-pair scalar operations
-    from relaysec.link_metrics import (iri_cancellation_feasible,
-                                       relayed_link_power, sinr_relay,
-                                       source_link_power)
+    from relaysec.link_metrics import relayed_link_power
     from relaysec.selection import _receive_and_store, _resolve_replays
     config = small_config(gamma0=0.2)
     state, real = make_instance(config, seed=88)
@@ -826,14 +825,13 @@ def test_reception_matches_scalar_link_ops():
         residual = 0.0
         for k in sorted(replays):
             H_ki = real.rr_stack[real.rr_row(k, i)]
-            feasible = iri_cancellation_feasible(
+            feasible = pair_feasible(
                 H_i, H_ki, p_tx / config.sigma2, p_rel / config.sigma2,
                 config.N_t, config.N_k, config.gamma0)
             if not feasible:
                 residual += (p_rel / config.N_k) * relayed_link_power(
                     H_ki, replays[k].snapshot)
-        expected = sinr_relay(gamma_S, residual, 1, config.N_i,
-                              config.sigma2).value
+        expected = pair_sinr(gamma_S, residual, 1, config.N_i, config.sigma2)
         stored = buffer_records(state2, i)[-1]
         assert stored.sinr_at_reception == pytest.approx(expected, rel=1e-10)
         np.testing.assert_array_equal(stored.snapshot, H_i)
@@ -895,7 +893,7 @@ def test_slot_rate_report_matches_rates_module_composition():
             G = user_sinr_matrix([real.ru_stack[k - 1][u] for k in active],
                                  snaps, p_rel / config.sigma2,
                                  p_tx / config.sigma2, config.N_k, config.N_t)
-            expected = user_rate(G)
+            expected = rate(G)
         else:
             expected = 0.0
         assert report.user_rates[t] == pytest.approx(expected, abs=1e-10)
@@ -906,7 +904,7 @@ def test_slot_rate_report_matches_rates_module_composition():
                             [out.replays[k].snapshot for k in jam_active],
                             p_tx / config.sigma2, p_rel / config.sigma2,
                             config.N_t, config.N_k, config.N)
-        assert report.eav_rates[e] == pytest.approx(eav_rate(G), abs=1e-10)
+        assert report.eav_rates[e] == pytest.approx(rate(G), abs=1e-10)
     assert report.secrecy_rate == pytest.approx(
         secrecy_rate(report.user_rates, report.eav_rates), abs=1e-10)
 

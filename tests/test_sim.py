@@ -5,6 +5,7 @@ import os
 import pickle
 import statistics
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -223,22 +224,31 @@ def test_one_pool_per_sweep_runs_calibration(monkeypatch):
 
 def test_pool_never_outnumbers_the_cpus(monkeypatch):
     # a fork pool starts all its workers at the first task, so a large
-    # --workers must not become that many processes; this fake starts none
-    sizes = []
+    # --workers must not become that many processes, nor that many tasks for
+    # the processes there are; this fake starts none
+    sizes, tasks = [], Counter()
 
     class FakePool:
         def __init__(self, max_workers=None):
             sizes.append(max_workers)
-            self.map = map
+
+        def map(self, fn, *iterables):
+            def task(*args):
+                tasks[fn.__name__] += 1
+                return fn(*args)
+            return map(task, *iterables)
 
         def shutdown(self, cancel_futures=False):
             pass
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     cfg = small_config(sinr_threshold=None, seed=21, warmup_slots=1)
     sweep = _tiny_sweep(trials=3)
     wide = monte_carlo(cfg, dataclasses.replace(sweep, workers=10_000))
-    assert sizes and all(1 <= n <= (os.cpu_count() or 1) for n in sizes)
+    assert sizes == [2]
+    assert 1 <= tasks["_calibrate_lanes"] <= 2
+    assert 1 <= tasks["_trial_chunk"] <= 2
     assert wide.cells == monte_carlo(cfg, sweep).cells
 
 
@@ -810,6 +820,6 @@ def test_pool_tasks_survive_pickling():
     cells = [(policy, snr_db, eta, cfg.replace(eta=eta).with_snr_db(snr_db))
              for policy in sweep.policies for snr_db in sweep.snr_db_grid
              for eta in sweep.eta_grid]
-    results = relaysec.sim._run_cells(pickling_map, cells, sweep)
+    results = relaysec.sim._run_cells(pickling_map, cells, sweep, sweep.workers)
     assert set(handed) == {"_calibrate_lanes", "_trial_chunk"}
     assert tuple(results) == monte_carlo(cfg, sweep).cells
