@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Print one sha256 per config over the float bits of every lockstep slot.
+"""Print sha256 digests over the float bits of every lockstep slot.
 
 Each config runs all six policies at 9 cells (3 SNRs x 3 power splits) and
 2 trials as the lanes of one lane set.  Each cell's threshold is first
-calibrated by the sweep's own pre-run, of one policy per cell.  A config's
-digest covers, slot by slot:
+calibrated by the sweep's own pre-run, of one policy per cell.  That lane
+set's digest covers, slot by slot:
 
 * every lane's roles;
 * the reception SINRs;
@@ -13,6 +13,14 @@ digest covers, slot by slot:
 * the slot rates.
 
 It also covers the calibrated thresholds and the final diagnostic counters.
+
+A mixed lane set never runs a policy's step on the whole set, so each
+config also runs each policy alone, as a sweep of that policy does: one
+lane set calibrates 3 of the cells (one per SNR, each at its own power
+split) and one runs their trials.  That second line covers the selection
+metrics of every pre-run slot and the thresholds, then the same per-slot
+fields of the trials and their final counters.
+
 Each line also counts the lanes' receive metrics that ran rather than
 being a forced set.
 
@@ -71,48 +79,77 @@ def captured(select, metrics: list):
     return wrapper
 
 
-def config_digest(config: SystemConfig) -> tuple:
-    """(sha256 hex digest, receive metrics that ran) of one config."""
-    digest = hashlib.sha256()
+class Digest:
+    """A sha256 over lane sets' slots, with the selection metrics that
+    :func:`selection.select_receiving_relays` and
+    :func:`selection.select_jamming_relays` return while it is open."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+        self.receive, self.jam = [], []
+        self.ran = 0        # receive metrics that ran
+
+    def __enter__(self):
+        self.originals = (selection.select_receiving_relays,
+                          selection.select_jamming_relays)
+        selection.select_receiving_relays = captured(self.originals[0], self.receive)
+        selection.select_jamming_relays = captured(self.originals[1], self.jam)
+        return self
+
+    def __exit__(self, *exc):
+        (selection.select_receiving_relays,
+         selection.select_jamming_relays) = self.originals
+
+    def metrics(self, *before, after=()) -> None:
+        """Feed ``before``, the metrics captured since the last call, then
+        ``after``."""
+        self.ran += sum(len(metric) for metric in self.receive if metric is not None)
+        feed(self.digest, *before, *self.receive, *self.jam, *after)
+        self.receive.clear()
+        self.jam.clear()
+
+    def each(self, outcome, state, rates) -> None:
+        self.metrics(outcome.receivers, outcome.transmitters, outcome.jammers,
+                     outcome.replays.found, outcome.sinr, outcome.delta,
+                     after=rates)
+
+    def trials(self, lanes) -> None:
+        state = _lockstep(lanes, SLOTS, self.each)
+        feed(self.digest, *(getattr(state.diag, f.name)
+                            for f in dataclasses.fields(state.diag)))
+
+    def line(self, name: str) -> str:
+        return f"{name} {self.digest.hexdigest()} receive_metrics_run={self.ran}"
+
+
+def config_lines(name: str, config: SystemConfig) -> list:
+    """The mixed-policy line and the one-policy line of one config."""
     cells = [config.replace(eta=eta).with_snr_db(snr)
              for snr in SNR_DB for eta in ETAS]
     # each cell's pre-run runs one policy, every policy in turn, so that
     # the 200-slot pre-runs stay few
     thresholds = _calibrate_lanes(
         [(POLICY_ORDER[i % len(POLICY_ORDER)], cell) for i, cell in enumerate(cells)])
-    feed(digest, np.array(thresholds))
-    lanes = [(policy, cell.replace(sinr_threshold=threshold), trial)
-             for policy in POLICY_ORDER
-             for cell, threshold in zip(cells, thresholds)
-             for trial in TRIALS]
-    receive, jam = [], []
-    ran = 0
-
-    def each(outcome, state, rates):
-        nonlocal ran
-        ran += sum(len(metric) for metric in receive if metric is not None)
-        feed(digest, outcome.receivers, outcome.transmitters, outcome.jammers,
-             outcome.replays.found, outcome.sinr, outcome.delta, *receive,
-             *jam, *rates)
-        receive.clear()
-        jam.clear()
-
-    originals = selection.select_receiving_relays, selection.select_jamming_relays
-    selection.select_receiving_relays = captured(originals[0], receive)
-    selection.select_jamming_relays = captured(originals[1], jam)
-    try:
-        state = _lockstep(lanes, SLOTS, each)
-    finally:
-        selection.select_receiving_relays, selection.select_jamming_relays = originals
-    feed(digest, *(getattr(state.diag, f.name)
-                   for f in dataclasses.fields(state.diag)))
-    return digest.hexdigest(), ran
+    with Digest() as mixed:
+        feed(mixed.digest, np.array(thresholds))
+        mixed.trials([(policy, cell.replace(sinr_threshold=threshold), trial)
+                      for policy in POLICY_ORDER
+                      for cell, threshold in zip(cells, thresholds)
+                      for trial in TRIALS])
+    own = cells[::len(ETAS) + 1]      # (0 dB, 0.5), (10 dB, 1), (20 dB, 1.5)
+    with Digest() as alone:
+        for policy in POLICY_ORDER:
+            thresholds = _calibrate_lanes([(policy, cell) for cell in own])
+            alone.metrics(after=[np.array(thresholds)])
+            alone.trials([(policy, cell.replace(sinr_threshold=threshold), trial)
+                          for cell, threshold in zip(own, thresholds)
+                          for trial in TRIALS])
+    return [mixed.line(name), alone.line(f"{name}/one-policy")]
 
 
 def main() -> int:
     for name, config in CONFIGS.items():
-        hexdigest, ran = config_digest(config)
-        print(f"{name} {hexdigest} receive_metrics_run={ran}")
+        print("\n".join(config_lines(name, config)))
     return 0
 
 

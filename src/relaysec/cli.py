@@ -6,7 +6,9 @@ Exit codes: 0 success, 2 configuration error, 3 numeric error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
+import os
 import sys
 
 from .config import SystemConfig, load_config
@@ -39,6 +41,20 @@ def _parse_grid(text: str, name: str) -> tuple:
         return tuple(float(p) for p in text.split(",") if p.strip())
     except ValueError as exc:
         raise ConfigError(f"cannot parse --{name} value {text!r}: {exc}") from exc
+
+
+def _check_output(path: str) -> None:
+    """Raise OSError unless ``path`` can be written as the CSV, in a
+    directory that exists and is writable, so that no sweep runs only to
+    fail on its output."""
+    directory = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(directory):
+        raise FileNotFoundError(errno.ENOENT, "no such output directory", directory)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, "output is a directory", path)
+    if not os.access(directory, os.W_OK | os.X_OK):
+        raise PermissionError(errno.EACCES, "output directory is not writable",
+                              directory)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,6 +119,7 @@ def main(argv=None) -> int:
             trials=args.trials,
             slots_per_trial=args.slots,
             workers=args.workers)
+        _check_output(args.out)
         report = monte_carlo(config, sweep)
         emit_results(report, args.out)
     except ConfigError as exc:

@@ -134,12 +134,13 @@ class PolicyState:
     """Single-owner state of a lane set: buffers, per-lane counters and the
     last served slot's LaneOutcome, which :func:`_serve` advances in place.
     A lane range's state (:meth:`index_lanes`) views these arrays and shares
-    the last slot, whose lanes ``at`` it covers."""
+    the last slot, whose lanes ``at`` it covers; ``at`` is None in the
+    state of the whole set."""
 
     buffers: BufferBank
     diag: DiagCounters
     last_slot: LaneOutcome | None = None
-    at: slice = dataclasses.field(default_factory=lambda: slice(None))
+    at: slice | None = None
 
     def index_lanes(self, index: slice) -> PolicyState:
         """The state of the contiguous lane range ``index`` of a lane set."""
@@ -283,13 +284,19 @@ def _eav_interference(realization, lanes: Lanes, jammers: np.ndarray,
     stored-signal ``factors``: the :func:`_set_sum` of their jamming terms.
     Only the lanes with a member compute terms."""
     config = lanes.config
-    Delta = np.zeros(jammers.shape[:-1] + (config.N_e, config.N_e), dtype=complex)
-    at = np.flatnonzero((jammers < config.Q).reshape(len(jammers), -1).any(axis=1))
-    if len(at):
-        grams = realization.index_lanes(at).per_lane("re_stack", of=_summed_gram)
+
+    def summed(view, at):
+        grams = view.per_lane("re_stack", of=_summed_gram)
         terms = rates.relay_terms(grams, factors[at], _col(lanes.snr_rel[at], 4),
                                   config.N_k)
-        Delta[at] = _set_sum(terms, jammers[at])
+        return _set_sum(terms, jammers[at])
+
+    at = np.flatnonzero((jammers < config.Q).reshape(len(jammers), -1).any(axis=1))
+    if len(at) == len(jammers):     # every lane has a member: no scatter
+        return summed(realization, slice(None))
+    Delta = np.zeros(jammers.shape[:-1] + (config.N_e, config.N_e), dtype=complex)
+    if len(at):
+        Delta[at] = summed(realization.index_lanes(at), at)
     return Delta
 
 
@@ -541,15 +548,17 @@ def _bf_rjfs(state: PolicyState, realization, lanes: Lanes, rngs=None) -> tuple:
     Slot 0 seeds the jammer set from the source-channel determinant ranking
     (best first unless ``worst_sinr_seeding``); afterwards the jammers are
     chosen with the jam-side metric on the last served slot's channels
-    against the jamming covariance its outcome carries (both read at the
-    state's lanes ``at``), and against the buffers as that slot left them.
-    Receivers are selected from the remaining pool.
+    against the jamming covariance its outcome carries (a range's state
+    reads both at its lanes ``at``), and against the buffers as that slot
+    left them.  Receivers are selected from the remaining pool.
     """
     config = lanes.config
     if state.last_slot is not None:
         served, at = state.last_slot, state.at
-        jammers, _ = select_jamming_relays(state, served.realization.index_lanes(at),
-                                           lanes, served.delta[at])
+        last, delta = served.realization, served.delta
+        if at is not None:
+            last, delta = last.index_lanes(at), delta[at]
+        jammers, _ = select_jamming_relays(state, last, lanes, delta)
     elif realization.slot == 0:
         ranking = initial_ranking(realization)
         picked = (ranking[:, config.Q - config.K:] if config.worst_sinr_seeding

@@ -19,7 +19,9 @@ trial reads it through its row of the lane realization, without a copy.
 One routine, :func:`_run_cells`, runs a sweep at every worker count: the
 calibration pre-runs first, then the trials in contiguous chunks, each chunk
 one task that runs every cell as one lane set; only the ``map`` it is
-handed differs.
+handed differs.  Pooled sweeps of one worker count share one process pool,
+forked at the first of them, so its workers do not see later changes to
+the modules; an error in a sweep and the interpreter's exit close it.
 
 The printed rate formulas carry an implicit unit noise floor, so all powers
 passed into the matrix-rate builders are divided by the one noise variance
@@ -29,6 +31,7 @@ sweep cell sets it from its SNR as sigma^2 = P / 10^(SNR/10).
 
 from __future__ import annotations
 
+import atexit
 import concurrent.futures
 import dataclasses
 import math
@@ -160,25 +163,32 @@ def _lockstep(lanes, slots: int, each, score: bool = True) -> PolicyState:
     every distinct policy stream of its lanes once, so every lane of a trial
     runs on one shared draw and every ``random`` lane of it on one
     permutation.  The slot's lane realization is those draws plus each
-    lane's row of them; each range's step, the serve and the rates read
-    views of it, and no lane copies a draw.  Once ``each`` returns, only the
-    state's last slot keeps the slot's outcome, until the next slot's serve
-    replaces it.  A NumericError
-    names its lane, ``policy 'p' trial t`` or ``policy 'p' calibration snr S
-    eta E``, and slot; a larger set reruns its lanes alone (by trial, then
-    list order) to find it, and re-raises its own error if none fails alone.
+    lane's row of them, with no row index when every lane has its own draw.
+    The serve and the rates read it, and no lane copies a draw.  The step of
+    a range that covers the whole set runs on the set's own realization,
+    state and Lanes; each range of a set of several policies reads views of
+    them, and its roles are joined into the set's masks.  Once ``each``
+    returns, only the state's last slot keeps the slot's outcome, until the
+    next slot's serve replaces it.  A NumericError names its lane,
+    ``policy 'p' trial t`` or ``policy 'p' calibration snr S eta E``, and
+    slot; a larger set reruns its lanes alone (by trial, then list order) to
+    find it, and re-raises its own error if none fails alone.
     """
     configs = [config for _, config, _ in lanes]
     lane_set, state = Lanes.of(configs), fresh_state(configs[0], len(configs))
     jamming = np.array([policy in JAMMING_POLICIES for policy, _, _ in lanes])
+    runs = [(policy, len(list(run)))
+            for policy, run in groupby(policy for policy, _, _ in lanes)]
     ranges, start = [], 0
-    for policy, run in groupby(policy for policy, _, _ in lanes):
+    for policy, count in runs:
         if policy not in POLICIES:
             raise ConfigError(f"unknown policy {policy!r}")
-        at = slice(start, start + len(list(run)))
-        # a range's state views the set's arrays, which stay put
-        ranges.append((LANE_STEPS[policy], at, state.index_lanes(at),
-                       Lanes.of(configs[at]), policy == "random"))
+        at = slice(start, start + count)
+        # a range's state views the set's arrays, which stay put; a range
+        # that covers the whole set runs on the set's own
+        part = ((state, lane_set) if len(runs) == 1 else
+                (state.index_lanes(at), Lanes.of(configs[at])))
+        ranges.append((LANE_STEPS[policy], at, *part, policy == "random"))
         start = at.stop
     config = configs[0]
     try:
@@ -187,10 +197,10 @@ def _lockstep(lanes, slots: int, each, score: bool = True) -> PolicyState:
             streams = {}        # channel key -> lane of the slot's draw
             rows = [streams.setdefault(channel, len(streams)) for channel, _ in keys]
             realization = gen_network_realization(
-                config, slot, [substream(config.seed, *key) for key in streams]
-            ).index_lanes(rows)
-            receivers = np.zeros((len(configs), config.Q), dtype=bool)
-            transmitters = np.zeros_like(receivers)
+                config, slot, [substream(config.seed, *key) for key in streams])
+            if len(streams) < len(lanes):   # else rows is the identity
+                realization = realization.index_lanes(rows)
+            picks = []
             for step, at, part, part_lanes, draws in ranges:
                 rngs = None
                 if draws:
@@ -198,10 +208,16 @@ def _lockstep(lanes, slots: int, each, score: bool = True) -> PolicyState:
                     generators = {key: substream(config.seed, *key)
                                   for key in dict.fromkeys(drawn_keys)}
                     rngs = [generators[key] for key in drawn_keys]
+                if part is state:       # the range is the whole set
+                    picks.append(step(state, realization, lane_set, rngs))
+                    continue
                 part.last_slot = state.last_slot    # for the pick alone
-                receivers[at], transmitters[at], _ = step(
-                    part, realization.index_lanes(at), part_lanes, rngs)
+                picks.append(step(part, realization.index_lanes(at), part_lanes,
+                                  rngs))
                 part.last_slot = None
+            receivers, transmitters = (
+                np.concatenate(masks) if len(masks) > 1 else masks[0]
+                for masks in zip(*(pick[:2] for pick in picks)))
             outcome = _serve(state, realization, lane_set, receivers, transmitters,
                              jamming)
             rates = None
@@ -354,12 +370,19 @@ def monte_carlo(config: SystemConfig, sweep: SweepSpec) -> SecrecyReport:
     Every cell sees the same channel draw per (trial, slot), drawn once per
     sweep.  Every sweep runs through :func:`_run_cells`, which maps all
     calibration pre-runs before any trial: in this process at
-    ``sweep.workers == 1``, at N > 1 on one pool of min(N, CPU count)
-    processes, which start at once.  The outputs are bit-identical for any N.
+    ``sweep.workers == 1``, at N > 1 on a pool of min(N, CPU count)
+    processes, which start at once.  The pool outlives the call: the next
+    pooled sweep of the same capped N reuses it, one of another N closes it
+    and starts its own, and an ``atexit`` hook closes it at exit.  Its
+    workers are forked at the first pooled sweep, so they run the modules as
+    they were then.  Do not run pooled sweeps from several threads at once:
+    one's error or worker count would close the pool under the other.  The
+    outputs are bit-identical for any N.
 
     A NumericError names the first failing pre-run in cell order, else the
     smallest failing trial, then cell, at any N.  A pooled task's error is
-    raised when its result is read back; the pool's queued work is cancelled.
+    raised when its result is read back; any error in a pooled sweep closes
+    the pool, which cancels its queued work.
     """
     if not 0 <= config.warmup_slots < sweep.slots_per_trial:
         raise ConfigError(
@@ -374,12 +397,36 @@ def monte_carlo(config: SystemConfig, sweep: SweepSpec) -> SecrecyReport:
     if sweep.workers == 1:
         results = _run_cells(map, cells, sweep, workers)
     else:
-        pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
         try:
-            results = _run_cells(pool.map, cells, sweep, workers)
-        finally:
-            pool.shutdown(cancel_futures=True)
+            results = _run_cells(_pool(workers).map, cells, sweep, workers)
+        except BaseException:
+            _close_pool()
+            raise
     return SecrecyReport(cells=tuple(results), config=config, sweep=sweep)
+
+
+_POOL = None    # (workers, executor) of the last pooled sweep
+
+
+def _pool(workers: int):
+    """The process pool of ``workers`` processes that pooled sweeps share,
+    built at the first of them, or after one of another size closes it."""
+    global _POOL
+    if _POOL is not None and _POOL[0] != workers:
+        _close_pool()
+    if _POOL is None:
+        _POOL = workers, concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+    return _POOL[1]
+
+
+@atexit.register
+def _close_pool() -> None:
+    """Shut the shared pool down, cancelling its queued work, if there is
+    one; pooled sweeps then start a new one."""
+    global _POOL
+    if _POOL is not None:
+        pool, _POOL = _POOL[1], None
+        pool.shutdown(cancel_futures=True)
 
 
 CSV_HEADER = ("policy,snr_db,eta,mean_secrecy_rate,std,ci95,trials,"

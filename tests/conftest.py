@@ -22,6 +22,16 @@ def random_psd(rng, n, extra=2):
     return H @ H.conj().T
 
 
+@pytest.fixture(autouse=True)
+def fresh_pool():
+    """Close the process pool that pooled sweeps share before and after each
+    test, so that a test's pooled sweep forks its workers from the module as
+    the test patched it."""
+    relaysec.sim._close_pool()
+    yield
+    relaysec.sim._close_pool()
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -2,6 +2,7 @@ import warnings
 
 import pytest
 
+import relaysec.cli
 from relaysec.cli import _parse_grid, main
 from relaysec.errors import ConfigError
 
@@ -219,6 +220,25 @@ def test_cli_unwritable_output(tmp_path):
                  "--slots", "2", "--seed", "1",
                  "--out", str(tmp_path / "no" / "such" / "dir" / "x.csv")])
     assert code == 4
+
+
+@pytest.mark.parametrize("out", ["missing/x.csv", "."])
+def test_cli_unwritable_output_runs_no_sweep(tmp_path, capsys, monkeypatch, out):
+    # the output's directory is checked before the sweep, not after it
+    calls = []
+    real = relaysec.cli.monte_carlo
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(relaysec.cli, "monte_carlo", counting)
+    monkeypatch.chdir(tmp_path)
+    code, _ = run_cli(tmp_path, "--trials", "20", "--out", out)
+    assert code == 4
+    assert calls == []
+    assert "i/o error: " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "tiny.cfg"]
 
 
 def test_cli_flags_recorded_in_manifest(tmp_path):

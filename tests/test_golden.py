@@ -11,6 +11,10 @@ the simulator's numbers changed: say why in ``CHANGES.md``.
 """
 
 import dataclasses
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,6 +73,38 @@ def test_golden_bytes_pooled(tmp_path):
     """Calibration and trials through a 2-worker pool give the same bytes
     (the manifest does not record the worker count)."""
     assert_golden(write_run("auto", tmp_path, workers=2))
+
+
+def _runs_haswell_kernels() -> bool:
+    """Whether this CPU runs OpenBLAS's Haswell kernels (x86-64 with AVX2)."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return False
+    try:
+        return "avx2" in Path("/proc/cpuinfo").read_text().split()
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _runs_haswell_kernels(),
+                    reason="OpenBLAS's Haswell kernels need x86-64 with AVX2")
+def test_golden_bytes_under_other_blas_kernels(tmp_path):
+    """The golden runs give the golden bytes on another OpenBLAS kernel type
+    than the CPU's own.  The bits of single slots may differ across kernel
+    types; the printed digits must not.  OPENBLAS_CORETYPE picks the kernels
+    only in an OpenBLAS built with DYNAMIC_ARCH: under any other BLAS, or
+    on a CPU whose own kernel type is Haswell, the runs use the usual
+    kernels and this test proves nothing beyond ``test_golden_bytes``."""
+    tests = Path(__file__).parent
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
+               PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+    script = ("import sys; from pathlib import Path; "
+              "from test_golden import RUNS, write_run; "
+              "[write_run(name, Path(sys.argv[1])) for name in RUNS]")
+    result = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                            env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    for name in sorted(RUNS):
+        assert_golden(tmp_path / f"{name}.csv")
 
 
 if __name__ == "__main__":

@@ -4,6 +4,8 @@ import math
 import os
 import pickle
 import statistics
+import subprocess
+import sys
 import time
 from collections import Counter
 
@@ -20,6 +22,7 @@ from relaysec.sim import (SecrecyReport, SweepSpec, calibrate_threshold,
                           emit_results, monte_carlo, run_trial)
 
 from conftest import inject_trial_error, needs_fork, small_config
+from test_golden import RUNS, assert_golden, write_run
 
 
 @pytest.mark.parametrize("eta,P,K,expected", [
@@ -200,17 +203,29 @@ def test_monte_carlo_workers_identical():
         assert a == b
 
 
-def test_one_pool_per_sweep_runs_calibration(monkeypatch):
+def counting_pools(monkeypatch) -> list:
+    """The process pools that sweeps build from now on, in order; each
+    records its worker count as ``size`` and counts its ``shutdowns``."""
     built = []
 
     class CountingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
+        def __init__(self, max_workers=None):
+            super().__init__(max_workers=max_workers)
+            self.size, self.shutdowns = max_workers, 0
             built.append(self)
+
+        def shutdown(self, *args, **kwargs):
+            self.shutdowns += 1
+            super().shutdown(*args, **kwargs)
 
     # relaysec.sim looks the class up here, so that a serial run never
     # imports multiprocessing
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    return built
+
+
+def test_one_pool_per_sweep_runs_calibration(monkeypatch):
+    built = counting_pools(monkeypatch)
     cfg = small_config(sinr_threshold=None, seed=21, warmup_slots=1)
     sweep = _tiny_sweep(trials=3)
     serial = monte_carlo(cfg, sweep)
@@ -250,6 +265,79 @@ def test_pool_never_outnumbers_the_cpus(monkeypatch):
     assert 1 <= tasks["_calibrate_lanes"] <= 2
     assert 1 <= tasks["_trial_chunk"] <= 2
     assert wide.cells == monte_carlo(cfg, sweep).cells
+
+
+def test_pooled_sweeps_reuse_one_pool(monkeypatch):
+    built = counting_pools(monkeypatch)
+    cfg = small_config(sinr_threshold=None, seed=21, warmup_slots=1)
+    sweep = _tiny_sweep(trials=3)
+    serial = monte_carlo(cfg, sweep)
+    for _ in range(2):
+        assert monte_carlo(cfg, dataclasses.replace(sweep, workers=2)).cells == serial.cells
+    assert len(built) == 1 and built[0].shutdowns == 0
+
+
+def test_another_worker_count_replaces_the_pool(monkeypatch):
+    built = counting_pools(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    cfg = small_config(seed=21, warmup_slots=1)
+    sweep = _tiny_sweep(trials=3)
+    serial = monte_carlo(cfg, sweep)
+    for workers in (2, 3, 3, 2):
+        pooled = monte_carlo(cfg, dataclasses.replace(sweep, workers=workers))
+        assert pooled.cells == serial.cells
+    assert [pool.size for pool in built] == [2, 3, 2]
+    assert [pool.shutdowns for pool in built] == [1, 1, 0]
+
+
+@needs_fork
+def test_failed_pooled_sweep_closes_the_pool(monkeypatch):
+    # the failing sweep's workers run the patched module; if its pool
+    # outlived it, the next sweep would fail on them too
+    built = counting_pools(monkeypatch)
+    cfg = small_config(seed=21, warmup_slots=1)
+    sweep = _tiny_sweep(trials=3, workers=2)
+    with monkeypatch.context() as patch:
+        inject_trial_error(patch)
+        with pytest.raises(NumericError, match="injected"):
+            monte_carlo(cfg, sweep)
+    assert len(built) == 1 and built[0].shutdowns == 1
+    pooled = monte_carlo(cfg, sweep)
+    assert len(built) == 2 and built[1].shutdowns == 0
+    assert pooled.cells == monte_carlo(cfg, dataclasses.replace(sweep, workers=1)).cells
+
+
+def test_pool_closes_at_exit():
+    # a process that never closes the pool still exits cleanly, and its
+    # workers with it
+    script = """if True:
+        import multiprocessing
+        from relaysec.config import SystemConfig
+        from relaysec.sim import SweepSpec, monte_carlo
+        config = SystemConfig(Q=4, T=2, K=2, warmup_slots=1, seed=3)
+        sweep = SweepSpec(policies=("bf-rjfs", "random"), snr_db_grid=(5.0,),
+                          eta_grid=(1.0,), trials=4, slots_per_trial=3,
+                          workers=2)
+        assert monte_carlo(config, sweep) == monte_carlo(config, sweep)
+        print(*(child.pid for child in multiprocessing.active_children()))
+    """
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    result = subprocess.run([sys.executable, "-c", script],
+                            env=dict(os.environ, PYTHONPATH=src),
+                            capture_output=True, text=True, timeout=120)
+    assert (result.returncode, result.stderr) == (0, "")
+    workers = [int(pid) for pid in result.stdout.split()]
+    assert workers
+    for pid in workers:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+def test_golden_runs_on_one_reused_pool(monkeypatch, tmp_path):
+    built = counting_pools(monkeypatch)
+    for name in sorted(RUNS):
+        assert_golden(write_run(name, tmp_path, workers=2))
+    assert len(built) == 1
 
 
 def test_pooled_calibration_through_a_wrapped_calibrate_threshold(monkeypatch):
