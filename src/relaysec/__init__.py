@@ -2,22 +2,13 @@
 networks with joint relay/jammer function selection."""
 
 from ._version import __version__
-from .buffers import BufferedSignal, RelayBuffer, SignalClass, classify_signal
-from .channel import gen_channel, gen_network_realization, gram, received_power
-from .config import SystemConfig, load_config, parse_config, power_split
+from .config import SystemConfig, load_config, parse_config
 from .errors import ConfigError, NumericError
-from .rates import RateReport, secrecy_rate
-from .selection import POLICIES, PolicyState, SelectionOutcome, bf_rjfs_step, fresh_state
-from .sim import SecrecyReport, SweepSpec, emit_results, monte_carlo, run_trial
+from .sim import SecrecyReport, SweepSpec, emit_results, monte_carlo
 
 __all__ = [
     "__version__",
-    "BufferedSignal", "RelayBuffer", "SignalClass", "classify_signal",
-    "gen_channel", "gen_network_realization", "gram", "received_power",
-    "SystemConfig", "load_config", "parse_config", "power_split",
+    "SystemConfig", "load_config", "parse_config",
     "ConfigError", "NumericError",
-    "RateReport", "secrecy_rate",
-    "POLICIES", "PolicyState", "SelectionOutcome", "bf_rjfs_step", "fresh_state",
-    "SecrecyReport", "SweepSpec", "emit_results",
-    "monte_carlo", "run_trial",
+    "SecrecyReport", "SweepSpec", "emit_results", "monte_carlo",
 ]

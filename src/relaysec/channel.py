@@ -12,8 +12,9 @@ Stream key layout (first element after the root seed):
 * ``STREAM_CALIBRATION``: ``(seed, 2, ...)``         - threshold pre-runs
 * ``STREAM_INSTANCE``:    ``(seed, 3, ...)``         - synthetic test states
 
-:class:`NetworkRealization` owns the layout of a slot's draws: lanes that
-share a draw read it in place through a lane->draw row index.
+:class:`NetworkRealization` owns the layout of a slot's draws.  It has one
+form, for B lanes (one for the one-lane views): lanes that share a draw
+read it in place through a lane->draw row index.
 """
 
 from __future__ import annotations
@@ -39,18 +40,6 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     """Independent generator for a (seed, key...) path.  The stream depends
     on the key's elements and their order, not on the order of calls."""
     return np.random.default_rng([int(seed) & (2**64 - 1), *map(int, key)])
-
-
-def gen_channel(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw a ``rows x cols`` matrix of i.i.d. CN(0, 1) entries.
-
-    Real and imaginary parts are independent N(0, 1/2), so each entry has unit
-    variance.  Consuming ``rng`` advances it deterministically.
-    """
-    if rows < 1 or cols < 1:
-        raise ValueError(f"channel dimensions must be >= 1, got {rows}x{cols}")
-    parts = rng.standard_normal((rows, cols, 2))
-    return _SQRT_HALF * (parts[..., 0] + 1j * parts[..., 1])
 
 
 def gram(H: np.ndarray) -> np.ndarray:
@@ -85,48 +74,49 @@ def _rr_rows(Q: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NetworkRealization:
-    """One slot's complete set of channel matrices, as read-only stacks.
+    """One slot's channel matrices for B lanes, as read-only stacks.
 
-    Relay id q is row ``q - 1`` of the relay-indexed stacks (``rr_row`` gives
-    the row of a relay pair); eavesdroppers and users are positional.  A lane
-    realization holds the slot's D distinct draws, every stack with a leading
-    draw axis, and ``rows``, the (B,) draw of each of its B lanes; lanes that
-    share a channel stream share a draw.  Its views share the draws' stacks:
-    ``index_lanes`` picks lanes by their rows, ``per_lane`` reads each lane's
-    row of a stack, or of a channel-only product computed once on the draws,
-    and ``rr_block`` gathers relay->relay channels by relay index pairs.
+    The stacks hold the slot's D distinct draws, each with a leading draw
+    axis, and ``rows`` holds the (B,) draw of each lane; lanes that share a
+    channel stream share a draw.  Relay id q is row ``q - 1`` of a draw's
+    relay-indexed stacks (``rr_row`` gives the row of a relay pair);
+    eavesdroppers and users are positional.  Its views share the draws'
+    stacks: ``index_lanes`` picks lanes by their rows, ``per_lane`` reads
+    each lane's row of a stack, or of a channel-only product computed once
+    on the draws, and ``rr_block`` gathers relay->relay channels by relay
+    index pairs.
     """
 
     slot: int
-    su_stack: np.ndarray      # (Q, N_i, N_t)
-    se_stack: np.ndarray      # (N, N_e, N_t)
-    rr_stack: np.ndarray      # (Q*(Q-1), N_i, N_k), ascending (k, i), k != i
-    re_stack: np.ndarray      # (Q, N, N_e, N_k)
-    ru_stack: np.ndarray      # (Q, M, N_r, N_k)
+    su_stack: np.ndarray      # (D, Q, N_i, N_t)
+    se_stack: np.ndarray      # (D, N, N_e, N_t)
+    rr_stack: np.ndarray      # (D, Q*(Q-1), N_i, N_k), ascending (k, i), k != i
+    re_stack: np.ndarray      # (D, Q, N, N_e, N_k)
+    ru_stack: np.ndarray      # (D, Q, M, N_r, N_k)
     Q: int
-    rows: np.ndarray | None = None    # (B,) draw of each lane; None: no lanes
+    rows: np.ndarray          # (B,) draw of each lane
     # (function, stack name) -> (D, ...) product of the draws, shared by views
     products: dict = dataclasses.field(default_factory=dict, repr=False,
                                        compare=False)
 
     def rr_row(self, k: int, i: int) -> int:
-        """Row of ``rr_stack`` holding the relay k -> relay i channel."""
+        """Row of a draw's ``rr_stack`` with the relay k -> relay i channel."""
         if k == i:
             raise KeyError(f"no self channel for relay {k}")
         return int(_rr_rows(self.Q)[k - 1, i - 1])
 
     def rr_block(self, senders: np.ndarray, receivers: np.ndarray) -> np.ndarray:
-        """Relay->relay channels of a lane realization from ``senders`` to
+        """Relay->relay channels of the lanes from ``senders`` to
         ``receivers``, relay index arrays that broadcast to (B, X, Y): shape
         (B, X, Y, N_i, N_k).  A relay paired with itself gets an arbitrary
         channel."""
         return self.per_lane("rr_stack", _rr_rows(self.Q)[senders, receivers])
 
     def per_lane(self, name: str, index=None, of=None) -> np.ndarray:
-        """(B, ...) rows of a lane realization's lanes of the stack ``name``,
-        or of ``of(stack)``, a channel-only product along its draw axis that
-        runs once per slot whichever view asks.  A (B, ...) index array
-        ``index`` then picks from the next axis of each lane's row."""
+        """(B, ...) rows of the lanes of the stack ``name``, or of
+        ``of(stack)``, a channel-only product along its draw axis that runs
+        once per slot whichever view asks.  A (B, ...) index array ``index``
+        then picks from the next axis of each lane's row."""
         draws = getattr(self, name)
         if of is not None:
             if (of, name) not in self.products:
@@ -138,16 +128,11 @@ class NetworkRealization:
 
     def index_lanes(self, index) -> NetworkRealization:
         """The view of lanes ``index`` (a slice, or a list of lanes that may
-        repeat) of a lane realization, on the same draws; None gives a
-        realization without lanes a lane realization of one lane."""
-        if index is None:
-            return dataclasses.replace(
-                self, rows=np.zeros(1, dtype=np.intp), products={},
-                **{name: getattr(self, name)[None] for name in _STACKS})
+        repeat), on the same draws."""
         return dataclasses.replace(self, rows=self.rows[index])
 
 
-def gen_network_realization(config, slot: int, rng) -> NetworkRealization:
+def gen_network_realization(config, slot: int, rngs: list) -> NetworkRealization:
     """Draw all channels for one slot (independent across slots: block fading).
 
     All entries come from a single batched i.i.d. CN(0, 1) draw, carved in a
@@ -155,12 +140,9 @@ def gen_network_realization(config, slot: int, rng) -> NetworkRealization:
     relay->relay in ascending (k, i) with k != i, relay->eavesdropper
     (relay-major), then relay->user (relay-major).  Entries fill each matrix
     in row-major order, so the realization is a pure function of the rng
-    state, hence of (seed, trial, slot).  ``rng`` is one generator, or a list
-    of B generators for a lane realization whose lane b is what generator b
-    alone would give.
+    state, hence of (seed, trial, slot).  ``rngs`` is a list of B
+    generators, and lane b is what generator b alone would give.
     """
-    lanes = isinstance(rng, list)
-    rngs = rng if lanes else [rng]
     Q, M, N = config.Q, config.M, config.N
     N_t, N_r, N_e, N_i, N_k = (config.N_t, config.N_r, config.N_e,
                                config.N_i, config.N_k)
@@ -175,11 +157,8 @@ def gen_network_realization(config, slot: int, rng) -> NetworkRealization:
     parts = np.stack([g.standard_normal((sum(sizes), 2)) for g in rngs])
     flat = _SQRT_HALF * parts.view(complex)[..., 0]    # real, imaginary pairs
     flat.flags.writeable = False
-    blocks = []
-    offset = 0
-    for shape, size in zip(shapes, sizes):
-        block = flat[:, offset:offset + size].reshape((len(rngs),) + shape)
-        blocks.append(block if lanes else block[0])
+    stacks, offset = {}, 0
+    for name, shape, size in zip(_STACKS, shapes, sizes):
+        stacks[name] = flat[:, offset:offset + size].reshape((len(rngs),) + shape)
         offset += size
-    return NetworkRealization(slot=slot, Q=Q, **dict(zip(_STACKS, blocks)),
-                              rows=np.arange(len(rngs)) if lanes else None)
+    return NetworkRealization(slot=slot, Q=Q, rows=np.arange(len(rngs)), **stacks)

@@ -26,15 +26,16 @@ nothing anywhere (counted in the diagnostics).
 
 The policies differ only in how they pick those roles.  A ``LANE_STEPS``
 entry picks them for its policy's lane range, from the buffers as the slot
-found them, and changes no state; :func:`_serve` then serves the roles of
-every lane at once: buffer replays (per lane, peek-and-jam for the
-``JAMMING_POLICIES``, consume-forward for the rest), reception and storage.
+found them, changes no state and returns the (receivers, transmitters)
+masks alone; :func:`_serve` then serves the roles of every lane at once:
+buffer replays (per lane, peek-and-jam for the ``JAMMING_POLICIES``,
+consume-forward for the rest), reception and storage.
 
 The one-lane views (:func:`fresh_state`, the ``POLICIES`` steps and
-:func:`slot_rate_report`) take one realization without lane axis and one
+:func:`slot_rate_report`) take a one-lane realization as it is and one
 config, give roles as tuples of relay ids and records as
-:class:`~relaysec.buffers.BufferedSignal`, and run the lane code on one lane:
-a ``POLICIES`` step picks, then serves.
+:class:`~relaysec.buffers.BufferedSignal`, and run the lane code on that
+lane: a ``POLICIES`` step picks, then serves.
 
 This module owns the selection metrics and the slot machinery that feeds
 realizations and buffers into the formula kernels: the rate formulas, and
@@ -71,7 +72,6 @@ class SelectionOutcome:
     jamming_relays: tuple         # sorted relay ids, |.| <= K
     transmitting_relays: tuple    # sorted relay ids serving the users
     replays: dict                 # relay id -> BufferedSignal actually replayed
-    objective: float | None = None  # oracle: maximized slot secrecy rate
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ class LaneOutcome:
                                  _sets(self.replays.found & self.jammers),
                                  self.factors)
 
-    def view(self, lane: int, objective: float | None = None) -> SelectionOutcome:
+    def view(self, lane: int) -> SelectionOutcome:
         def ids(mask):
             return tuple((np.flatnonzero(mask[lane]) + 1).tolist())
 
@@ -115,8 +115,7 @@ class LaneOutcome:
             jamming_relays=ids(self.jammers),
             transmitting_relays=transmitters,
             replays={q: self.replays.record(lane, q - 1) for q in transmitters
-                     if self.replays.found[lane, q - 1]},
-            objective=objective)
+                     if self.replays.found[lane, q - 1]})
 
 
 @dataclass
@@ -512,8 +511,9 @@ def lane_rates(outcome: LaneOutcome) -> tuple:
 
 def slot_rate_report(realization, config: SystemConfig, replays: dict,
                      jammers: tuple, transmitters: tuple) -> tuple:
-    """One-lane view of :func:`lane_rates`: ``replays`` maps relay ids to
-    the BufferedSignal each replays.  Returns (RateReport, clamp count)."""
+    """One-lane view of :func:`lane_rates` on a one-lane ``realization``:
+    ``replays`` maps relay ids to the BufferedSignal each replays.  Returns
+    (RateReport, clamp count)."""
     found = np.zeros((1, config.Q), dtype=bool)
     snapshot = np.zeros((1, config.Q, config.N_i, config.N_t), dtype=complex)
     for q, record in replays.items():
@@ -522,12 +522,11 @@ def slot_rate_report(realization, config: SystemConfig, replays: dict,
     zeros = np.zeros(found.shape)
     records = Records(found=found, snapshot=snapshot, sinr=zeros, slot=zeros,
                       forward=np.zeros_like(found))
-    realization, lanes = realization.index_lanes(None), Lanes.of([config])
     outcome = LaneOutcome(
         receivers=np.zeros_like(found),
         transmitters=_ids_mask(transmitters, config.Q),
         jammers=_ids_mask(jammers, config.Q), replays=records, sinr=zeros,
-        realization=realization, lanes=lanes)
+        realization=realization, lanes=Lanes.of([config]))
     user, eav, secrecy, clamps = lane_rates(outcome)
     return rates.RateReport.of_first_lane(user, eav, secrecy), int(clamps[0])
 
@@ -538,8 +537,7 @@ def _ids_mask(ids, Q: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # policies: each takes (state, lane realization, Lanes, per-lane rngs or None)
-# of its lane range and returns (receivers, transmitters, objective or None);
-# only the one-lane view reads the oracle's objective
+# of its lane range and returns its (receivers, transmitters) masks
 
 
 def _bf_rjfs(state: PolicyState, realization, lanes: Lanes, rngs=None) -> tuple:
@@ -568,7 +566,7 @@ def _bf_rjfs(state: PolicyState, realization, lanes: Lanes, rngs=None) -> tuple:
         jammers, _ = select_jamming_relays(state, realization, lanes)
 
     receivers, _ = select_receiving_relays(state, realization, lanes, jammers)
-    return receivers, jammers, None
+    return receivers, jammers
 
 
 def _conventional_bf(state: PolicyState, realization, lanes: Lanes,
@@ -580,7 +578,7 @@ def _conventional_bf(state: PolicyState, realization, lanes: Lanes,
     receivers = _top(realization.per_lane("su_stack", of=source_link_power), T)
     tx_vals = realization.per_lane("ru_stack", of=source_link_power).sum(axis=2)
     transmitters = _top(tx_vals, T, allowed=~receivers)
-    return receivers, transmitters, None
+    return receivers, transmitters
 
 
 def _max_link(state: PolicyState, realization, lanes: Lanes,
@@ -614,7 +612,7 @@ def _max_link(state: PolicyState, realization, lanes: Lanes,
             elif kind == "tx" and n_tx < config.T:
                 transmitters[b, q] = True
                 n_tx += 1
-    return receivers, transmitters, None
+    return receivers, transmitters
 
 
 def _max_ratio(state: PolicyState, realization, lanes: Lanes,
@@ -633,7 +631,7 @@ def _max_ratio(state: PolicyState, realization, lanes: Lanes,
     rx_power = realization.per_lane("su_stack", of=source_link_power)
     receivers = _top(rx_power / (leak + floor), config.T)
     transmitters = _top(delivered / (leak + floor), config.T, allowed=~receivers)
-    return receivers, transmitters, None
+    return receivers, transmitters
 
 
 def _random(state: PolicyState, realization, lanes: Lanes, rngs) -> tuple:
@@ -646,7 +644,7 @@ def _random(state: PolicyState, realization, lanes: Lanes, rngs) -> tuple:
     drawn = {rng: rng.permutation(config.Q) for rng in dict.fromkeys(rngs)}
     perms = np.stack([drawn[rng] for rng in rngs])
     return (_mask(perms[:, :config.T], config.Q),
-            _mask(perms[:, config.T:config.T + config.K], config.Q), None)
+            _mask(perms[:, config.T:config.T + config.K], config.Q))
 
 
 _ORACLE_GUARD = 100_000
@@ -698,23 +696,22 @@ def _oracle(state: PolicyState, realization, lanes: Lanes, rngs=None) -> tuple:
     of the C(Q, K) jam sets once, in one batch.  Ties go to the first receive
     set in ``itertools.combinations`` order that is disjoint from a
     max-scoring jam set, then to the first such jam set in the same order:
-    the first best assignment of a receive-major enumeration.  The objective
-    is that set's batch score, which :func:`_jam_set_scores` computes with
-    the same set sums as :func:`lane_rates` of the chosen assignment.
+    the first best assignment of a receive-major enumeration.  Its batch
+    score, which :func:`_jam_set_scores` computes with the same set sums as
+    :func:`lane_rates`, is the served slot's secrecy rate.
 
     Refuses to run when C(Q, K) exceeds 100000.
     """
     config = lanes.config
     jam, jam_mask, receive_mask, rank = _oracle_sets(config.Q, config.T, config.K)
     scores = _jam_set_scores(realization, lanes, _peek(state), jam)
-    top = scores.max(axis=1)
-    best = scores == top[:, None]
+    best = scores == scores.max(axis=1)[:, None]
     # the first receive set disjoint from a best set is the first of the
     # best sets' own first disjoint receive sets
     receivers = receive_mask[np.where(best, rank, len(rank)).argmin(axis=1)]
     clear = ~(receivers @ jam_mask.T)
     jammers = jam_mask[np.argmax(best & clear, axis=1)]
-    return receivers, jammers, top
+    return receivers, jammers
 
 
 LANE_STEPS = {
@@ -734,23 +731,17 @@ def _one_lane(name: str):
     step, jamming = LANE_STEPS[name], np.array([name in JAMMING_POLICIES])
 
     def one_lane(state: PolicyState, realization, config: SystemConfig, rng=None):
-        realization, lanes = realization.index_lanes(None), Lanes.of([config])
-        receivers, transmitters, best = step(state, realization, lanes, [rng])
+        lanes = Lanes.of([config])
+        receivers, transmitters = step(state, realization, lanes, [rng])
         outcome = _serve(state, realization, lanes, receivers, transmitters,
                          jamming)
-        return outcome.view(0, None if best is None else float(best[0])), state
+        return outcome.view(0), state
 
     one_lane.__doc__ = (
-        "One-lane view, on a realization without lane axis, one config and "
-        "its rng (None unless the policy draws), returning (SelectionOutcome, "
+        "One-lane view, on a one-lane realization, one config and its rng "
+        "(None unless the policy draws), returning (SelectionOutcome, "
         "state), of a step that picks, then serves:\n\n    " + step.__doc__)
     return one_lane
 
 
 POLICIES = {name: _one_lane(name) for name in LANE_STEPS}
-bf_rjfs_step = POLICIES["bf-rjfs"]
-policy_conventional_bf = POLICIES["conventional-bf"]
-policy_max_link = POLICIES["max-link"]
-policy_max_ratio = POLICIES["max-ratio"]
-policy_random = POLICIES["random"]
-exhaustive_oracle = POLICIES["oracle"]

@@ -21,7 +21,8 @@ calibration pre-runs first, then the trials in contiguous chunks, each chunk
 one task that runs every cell as one lane set; only the ``map`` it is
 handed differs.  Pooled sweeps of one worker count share one process pool,
 forked at the first of them, so its workers do not see later changes to
-the modules; an error in a sweep and the interpreter's exit close it.
+the modules; an error in a sweep and the interpreter's exit close it, and
+its workers exit on their own once the process that forked them is gone.
 
 The printed rate formulas carry an implicit unit noise floor, so all powers
 passed into the matrix-rate builders are divided by the one noise variance
@@ -38,6 +39,8 @@ import math
 import os
 import statistics
 import struct
+import threading
+import time
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, groupby, repeat
@@ -156,14 +159,15 @@ def _lockstep(lanes, slots: int, each, score: bool = True) -> PolicyState:
     may differ only in eta, sigma2 and sinr_threshold) as trial ``trial``,
     or as a calibration pre-run where that is None.  All lanes share the
     shape fields and the seed.  The lane set holds the lanes in list order,
-    and each maximal run of one policy is a range whose policy picks that
-    range's roles; one serve covers every lane, and so does
+    and each maximal run of one policy is a range whose policy's step
+    returns that range's (receivers, transmitters) masks, the roles alone;
+    one serve covers every lane, and so does
     :func:`~relaysec.selection.lane_rates`, whose result is ``rates``, or
     None unless ``score``.  Each slot draws every distinct channel stream and
     every distinct policy stream of its lanes once, so every lane of a trial
     runs on one shared draw and every ``random`` lane of it on one
     permutation.  The slot's lane realization is those draws plus each
-    lane's row of them, with no row index when every lane has its own draw.
+    lane's row of them, the draw's own row when every lane has its own draw.
     The serve and the rates read it, and no lane copies a draw.  The step of
     a range that covers the whole set runs on the set's own realization,
     state and Lanes; each range of a set of several policies reads views of
@@ -217,7 +221,7 @@ def _lockstep(lanes, slots: int, each, score: bool = True) -> PolicyState:
                 part.last_slot = None
             receivers, transmitters = (
                 np.concatenate(masks) if len(masks) > 1 else masks[0]
-                for masks in zip(*(pick[:2] for pick in picks)))
+                for masks in zip(*picks))
             outcome = _serve(state, realization, lane_set, receivers, transmitters,
                              jamming)
             rates = None
@@ -373,7 +377,8 @@ def monte_carlo(config: SystemConfig, sweep: SweepSpec) -> SecrecyReport:
     ``sweep.workers == 1``, at N > 1 on a pool of min(N, CPU count)
     processes, which start at once.  The pool outlives the call: the next
     pooled sweep of the same capped N reuses it, one of another N closes it
-    and starts its own, and an ``atexit`` hook closes it at exit.  Its
+    and starts its own, and an ``atexit`` hook closes it at exit; a worker
+    whose parent dies without that exits by itself within a second.  Its
     workers are forked at the first pooled sweep, so they run the modules as
     they were then.  Do not run pooled sweeps from several threads at once:
     one's error or worker count would close the pool under the other.  The
@@ -415,8 +420,22 @@ def _pool(workers: int):
     if _POOL is not None and _POOL[0] != workers:
         _close_pool()
     if _POOL is None:
-        _POOL = workers, concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+        _POOL = workers, concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers, initializer=_exit_with_parent,
+            initargs=(os.getpid(),))
     return _POOL[1]
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Pool worker initializer: a daemon thread ends the worker within a
+    quarter second of its parent ``parent`` dying, which no ``atexit`` hook
+    sees when a signal kills it."""
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(0.25)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
 
 
 @atexit.register

@@ -47,7 +47,7 @@ def small_config(**overrides):
 
 
 def realization_from_arrays(config, slot, su, se, rr_map, re, ru):
-    """Assemble a NetworkRealization from explicit per-link arrays.
+    """Assemble a one-lane NetworkRealization from explicit per-link arrays.
 
     su: (Q, N_i, N_t); se: (N, N_e, N_t); rr_map: {(k, i): (N_i, N_k)};
     re: (Q, N, N_e, N_k); ru: (Q, M, N_r, N_k).
@@ -64,15 +64,17 @@ def realization_from_arrays(config, slot, su, se, rr_map, re, ru):
             if k != i:
                 rr[row] = np.asarray(rr_map[(k, i)])
                 row += 1
+    su, se, rr, re, ru = (arr[None] for arr in (su, se, rr, re, ru))
     for arr in (su, se, rr, re, ru):
         arr.flags.writeable = False
     return NetworkRealization(slot=slot, su_stack=su, se_stack=se, rr_stack=rr,
-                              re_stack=re, ru_stack=ru, Q=Q)
+                              re_stack=re, ru_stack=ru, Q=Q,
+                              rows=np.zeros(1, dtype=np.intp))
 
 
 def rr_map(real):
-    """{(k, i): relay k -> relay i channel} of a realization, k != i."""
-    return {(k, i): real.rr_stack[real.rr_row(k, i)]
+    """{(k, i): relay k -> relay i channel} of a one-lane realization, k != i."""
+    return {(k, i): real.rr_stack[0, real.rr_row(k, i)]
             for k in range(1, real.Q + 1) for i in range(1, real.Q + 1)
             if k != i}
 
@@ -100,9 +102,10 @@ def peek_all(state, lane=0):
 
 
 def make_instance(config, seed, start_slot=10):
-    """Deterministic single-slot test instance: pre-stocked buffers plus a
-    fresh realization.  Rebuilding with the same seed gives an identical but
-    independent state, so policies can be compared on equal footing."""
+    """Deterministic single-slot test instance: pre-stocked one-lane buffers
+    plus a fresh one-lane realization.  Rebuilding with the same seed gives
+    an identical but independent state, so policies can be compared on
+    equal footing."""
     rng = substream(config.seed, STREAM_INSTANCE, seed, 0)
     state = fresh_state(config)
     threshold = config.sinr_threshold if config.sinr_threshold is not None else 1.0
@@ -116,7 +119,7 @@ def make_instance(config, seed, start_slot=10):
                 slot=j,
                 signal_class=classify_signal(sinr, threshold)))
     realization = gen_network_realization(
-        config, start_slot, substream(config.seed, STREAM_INSTANCE, seed, 1))
+        config, start_slot, [substream(config.seed, STREAM_INSTANCE, seed, 1)])
     return state, realization
 
 

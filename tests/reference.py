@@ -135,8 +135,9 @@ def secrecy_rate(user_rates: Sequence[float], eav_rates: Sequence[float]) -> flo
 
 def max_ratio_roles(config, realization, own: dict) -> tuple:
     """(receivers, transmitters) of the ``max-ratio`` policy, sorted, from
-    per-matrix link powers; ``own`` maps each relay id to the record it
-    would replay (relays with nothing to replay are absent)."""
+    per-matrix link powers of a one-lane ``realization``; ``own`` maps each
+    relay id to the record it would replay (relays with nothing to replay
+    are absent)."""
     ids = list(range(1, config.Q + 1))
 
     def summed_power(channels, q):
@@ -146,12 +147,12 @@ def max_ratio_roles(config, realization, own: dict) -> tuple:
         return sum(relayed_link_power(H, rec.snapshot) for H in channels[q - 1])
 
     floor = config.N_e * config.sigma2
-    leak = {q: summed_power(realization.re_stack, q) for q in ids}
-    rx_ratio = {q: source_link_power(realization.su_stack[q - 1])
+    leak = {q: summed_power(realization.re_stack[0], q) for q in ids}
+    rx_ratio = {q: source_link_power(realization.su_stack[0, q - 1])
                 / (leak[q] + floor) for q in ids}
     receivers = sorted(ids, key=lambda q: (-rx_ratio[q], q))[:config.T]
     rest = [q for q in ids if q not in receivers]
-    tx_ratio = {q: summed_power(realization.ru_stack, q) / (leak[q] + floor)
+    tx_ratio = {q: summed_power(realization.ru_stack[0], q) / (leak[q] + floor)
                 for q in rest}
     transmitters = sorted(rest, key=lambda q: (-tx_ratio[q], q))[:config.T]
     return tuple(sorted(receivers)), tuple(sorted(transmitters))

@@ -12,8 +12,7 @@ import pytest
 from relaysec.buffers import BufferedSignal, RelayBuffer, SignalClass, classify_signal
 from relaysec.channel import gram, substream
 from relaysec.config import SystemConfig
-from relaysec.selection import (bf_rjfs_step, exhaustive_oracle, fresh_state,
-                                policy_random, slot_rate_report)
+from relaysec.selection import POLICIES, fresh_state, slot_rate_report
 from relaysec.sim import SweepSpec, emit_results, monte_carlo
 
 from conftest import cn_matrix, make_instance, random_psd, small_config
@@ -117,21 +116,24 @@ def test_criterion_2_oracle_dominance():
         config = small_config(seed=idx, N_t=n_t, N_r=antennas, N_e=antennas,
                               N_i=antennas, N_k=antennas)
         state_o, real = make_instance(config, seed=idx)
-        out_o, _ = exhaustive_oracle(state_o, real, config)
-        results["oracle"].append(out_o.objective)
+        out_o, _ = POLICIES["oracle"](state_o, real, config)
+        rep_o, _ = slot_rate_report(real, config, out_o.replays,
+                                    out_o.jamming_relays,
+                                    out_o.transmitting_relays)
+        results["oracle"].append(rep_o.secrecy_rate)
 
         state_b, _ = make_instance(config, seed=idx)
-        out_b, _ = bf_rjfs_step(state_b, real, config)
+        out_b, _ = POLICIES["bf-rjfs"](state_b, real, config)
         rep_b, _ = slot_rate_report(real, config, out_b.replays,
                                     out_b.jamming_relays,
                                     out_b.transmitting_relays)
         results["bf-rjfs"].append(rep_b.secrecy_rate)
-        if out_o.objective < rep_b.secrecy_rate - 1e-9:
+        if rep_o.secrecy_rate < rep_b.secrecy_rate - 1e-9:
             pointwise_ok = False
 
         state_r, _ = make_instance(config, seed=idx)
-        out_r, _ = policy_random(state_r, real, config,
-                                 substream(SEED, 3, idx, 99))
+        out_r, _ = POLICIES["random"](state_r, real, config,
+                                      substream(SEED, 3, idx, 99))
         rep_r, _ = slot_rate_report(real, config, out_r.replays,
                                     out_r.jamming_relays,
                                     out_r.transmitting_relays)
@@ -291,8 +293,8 @@ def test_criterion_9_buffer_state_machine(monkeypatch):
         for slot_idx in range(30):
             from relaysec.channel import gen_network_realization
             real = gen_network_realization(
-                config, slot_idx, substream(config.seed, 0, 0, slot_idx))
-            outcome, state = bf_rjfs_step(state, real, config)
+                config, slot_idx, [substream(config.seed, 0, 0, slot_idx)])
+            outcome, state = POLICIES["bf-rjfs"](state, real, config)
             per_run.append((outcome.receiving_relays, outcome.jamming_relays))
         outcomes.append(per_run)
     ok = ok and outcomes[0] == outcomes[1]

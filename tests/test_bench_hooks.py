@@ -31,7 +31,7 @@ def test_rate_report_reaches_patched_logdet(monkeypatch):
     # by name instead of looking it up on the rates module
     config = small_config()
     state, real = make_instance(config, seed=3)
-    outcome, _ = selection.bf_rjfs_step(state, real, config)
+    outcome, _ = selection.POLICIES["bf-rjfs"](state, real, config)
     calls = []
     kernel = rates.clamped_logdet_rate_stack
 
@@ -58,5 +58,5 @@ def test_max_ratio_reaches_patched_link_powers(monkeypatch):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args)
         monkeypatch.setattr(selection, name, counted)
-    selection.policy_max_ratio(state, real, config)
+    selection.POLICIES["max-ratio"](state, real, config)
     assert calls.get("source_link_power") and calls.get("relayed_link_power")

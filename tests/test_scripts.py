@@ -1,9 +1,14 @@
-"""Smoke runs of the experiment scripts on a tiny sweep."""
+"""Smoke runs of the experiment scripts on a tiny sweep, and the package
+names that the scripts and the benchmark import."""
 
+import ast
+import importlib
 import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -46,3 +51,27 @@ def test_lockstep_digest_script_repeats_its_lines():
     lines = runs[0].stdout.splitlines()
     assert len(lines) >= 5 and lines == runs[1].stdout.splitlines()
     assert any(not line.endswith("receive_metrics_run=0") for line in lines)
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "bench").glob("*.py"))
+                         + sorted((ROOT / "scripts").glob("*.py")),
+                         ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_relaysec_imports_resolve(path):
+    # some of these imports sit inside functions that no test runs, so a
+    # name dropped from the package would otherwise go unnoticed
+    imported = 0
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "relaysec":
+                    importlib.import_module(alias.name)
+                    imported += 1
+        elif (isinstance(node, ast.ImportFrom) and node.module
+              and node.module.split(".")[0] == "relaysec"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(module, alias.name), (
+                    f"{path.name}:{node.lineno}: {node.module} has no "
+                    f"{alias.name}")
+                imported += 1
+    assert imported

@@ -3,6 +3,7 @@ import dataclasses
 import math
 import os
 import pickle
+import signal
 import statistics
 import subprocess
 import sys
@@ -209,8 +210,8 @@ def counting_pools(monkeypatch) -> list:
     built = []
 
     class CountingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers=None):
-            super().__init__(max_workers=max_workers)
+        def __init__(self, max_workers=None, **kwargs):
+            super().__init__(max_workers=max_workers, **kwargs)
             self.size, self.shutdowns = max_workers, 0
             built.append(self)
 
@@ -244,7 +245,7 @@ def test_pool_never_outnumbers_the_cpus(monkeypatch):
     sizes, tasks = [], Counter()
 
     class FakePool:
-        def __init__(self, max_workers=None):
+        def __init__(self, max_workers=None, **kwargs):
             sizes.append(max_workers)
 
         def map(self, fn, *iterables):
@@ -331,6 +332,59 @@ def test_pool_closes_at_exit():
     for pid in workers:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+
+def _running(pid: int) -> bool:
+    """Whether process ``pid`` exists and is not a zombie: an orphaned
+    worker is reaped by pid 1, which in a container may never reap it."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def test_pool_workers_exit_when_parent_is_killed():
+    # SIGTERM runs no atexit hook, so the workers must notice the lost
+    # parent themselves
+    script = """if True:
+        import multiprocessing, time
+        from relaysec.config import SystemConfig
+        from relaysec.sim import SweepSpec, monte_carlo
+        config = SystemConfig(Q=4, T=2, K=2, warmup_slots=1, seed=3)
+        sweep = SweepSpec(policies=("bf-rjfs",), snr_db_grid=(5.0,),
+                          eta_grid=(1.0,), trials=4, slots_per_trial=3,
+                          workers=2)
+        monte_carlo(config, sweep)
+        print(*(child.pid for child in multiprocessing.active_children()),
+              flush=True)
+        time.sleep(120)
+    """
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    proc = subprocess.Popen([sys.executable, "-c", script],
+                            env=dict(os.environ, PYTHONPATH=src),
+                            stdout=subprocess.PIPE, text=True)
+    workers = []
+    try:
+        workers = [int(pid) for pid in proc.stdout.readline().split()]
+        assert workers
+        proc.send_signal(signal.SIGTERM)
+        proc.wait(timeout=30)
+        deadline = time.monotonic() + 10
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in workers if _running(pid)]
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        for pid in workers:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 def test_golden_runs_on_one_reused_pool(monkeypatch, tmp_path):
@@ -496,8 +550,8 @@ def test_overflowing_reception_power_names_the_calibration_cell():
 
 def _fingerprint(config, trial, slot):
     """A value that tells the channel draw of (trial, slot) from any other."""
-    return gen_network_realization(config, slot, relaysec.sim.substream(
-        config.seed, STREAM_CHANNEL, trial, slot)).su_stack[0, 0, 0]
+    return gen_network_realization(config, slot, [relaysec.sim.substream(
+        config.seed, STREAM_CHANNEL, trial, slot)]).su_stack[0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=needs_fork)])
