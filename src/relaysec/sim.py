@@ -36,11 +36,11 @@ import atexit
 import concurrent.futures
 import dataclasses
 import math
+import multiprocessing
 import os
 import statistics
 import struct
 import threading
-import time
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, groupby, repeat
@@ -421,18 +421,21 @@ def _pool(workers: int):
         _close_pool()
     if _POOL is None:
         _POOL = workers, concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, initializer=_exit_with_parent,
-            initargs=(os.getpid(),))
+            max_workers=workers, initializer=_exit_with_parent)
     return _POOL[1]
 
 
-def _exit_with_parent(parent: int) -> None:
-    """Pool worker initializer: a daemon thread ends the worker within a
-    quarter second of its parent ``parent`` dying, which no ``atexit`` hook
-    sees when a signal kills it."""
+def _exit_with_parent() -> None:
+    """Pool worker initializer: a daemon thread ends the worker once the
+    process that built the pool is gone, which no ``atexit`` hook sees when
+    a signal kills it. It waits on the parent's sentinel pipe, which closes
+    when that process dies under every start method (under forkserver the
+    worker's OS parent is the fork server), also if it died before the
+    worker got here."""
+    parent = multiprocessing.parent_process()
+
     def watch():
-        while os.getppid() == parent:
-            time.sleep(0.25)
+        parent.join()
         os._exit(1)
 
     threading.Thread(target=watch, daemon=True).start()

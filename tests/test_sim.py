@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import math
+import multiprocessing
 import os
 import pickle
 import signal
@@ -308,30 +309,38 @@ def test_failed_pooled_sweep_closes_the_pool(monkeypatch):
     assert pooled.cells == monte_carlo(cfg, dataclasses.replace(sweep, workers=1)).cells
 
 
+START_METHODS = multiprocessing.get_all_start_methods()
+
+
 def test_pool_closes_at_exit():
     # a process that never closes the pool still exits cleanly, and its
-    # workers with it
+    # workers with it, whichever way they were started
     script = """if True:
-        import multiprocessing
+        import dataclasses, multiprocessing, sys
         from relaysec.config import SystemConfig
         from relaysec.sim import SweepSpec, monte_carlo
+        multiprocessing.set_start_method(sys.argv[1])
         config = SystemConfig(Q=4, T=2, K=2, warmup_slots=1, seed=3)
         sweep = SweepSpec(policies=("bf-rjfs", "random"), snr_db_grid=(5.0,),
                           eta_grid=(1.0,), trials=4, slots_per_trial=3,
                           workers=2)
-        assert monte_carlo(config, sweep) == monte_carlo(config, sweep)
+        pooled = monte_carlo(config, sweep)
+        assert pooled == monte_carlo(config, sweep)
+        assert pooled.cells == monte_carlo(
+            config, dataclasses.replace(sweep, workers=1)).cells
         print(*(child.pid for child in multiprocessing.active_children()))
     """
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    result = subprocess.run([sys.executable, "-c", script],
-                            env=dict(os.environ, PYTHONPATH=src),
-                            capture_output=True, text=True, timeout=120)
-    assert (result.returncode, result.stderr) == (0, "")
-    workers = [int(pid) for pid in result.stdout.split()]
-    assert workers
-    for pid in workers:
-        with pytest.raises(ProcessLookupError):
-            os.kill(pid, 0)
+    for method in START_METHODS:
+        result = subprocess.run([sys.executable, "-c", script, method],
+                                env=dict(os.environ, PYTHONPATH=src),
+                                capture_output=True, text=True, timeout=120)
+        assert (method, result.returncode, result.stderr) == (method, 0, "")
+        workers = [int(pid) for pid in result.stdout.split()]
+        assert workers
+        for pid in workers:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
 
 def _running(pid: int) -> bool:
@@ -345,16 +354,19 @@ def _running(pid: int) -> bool:
         with open(f"/proc/{pid}/stat") as fh:
             return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
     except FileNotFoundError:
-        return False
+        # gone since the kill, unless there is no /proc to tell zombies by
+        return not os.path.isdir("/proc")
 
 
-def test_pool_workers_exit_when_parent_is_killed():
+@pytest.mark.parametrize("method", START_METHODS)
+def test_pool_workers_exit_when_parent_is_killed(method):
     # SIGTERM runs no atexit hook, so the workers must notice the lost
-    # parent themselves
+    # parent themselves; under forkserver their parent is the fork server
     script = """if True:
-        import multiprocessing, time
+        import multiprocessing, sys, time
         from relaysec.config import SystemConfig
         from relaysec.sim import SweepSpec, monte_carlo
+        multiprocessing.set_start_method(sys.argv[1])
         config = SystemConfig(Q=4, T=2, K=2, warmup_slots=1, seed=3)
         sweep = SweepSpec(policies=("bf-rjfs",), snr_db_grid=(5.0,),
                           eta_grid=(1.0,), trials=4, slots_per_trial=3,
@@ -365,7 +377,7 @@ def test_pool_workers_exit_when_parent_is_killed():
         time.sleep(120)
     """
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    proc = subprocess.Popen([sys.executable, "-c", script],
+    proc = subprocess.Popen([sys.executable, "-c", script, method],
                             env=dict(os.environ, PYTHONPATH=src),
                             stdout=subprocess.PIPE, text=True)
     workers = []
