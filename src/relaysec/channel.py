@@ -1,4 +1,5 @@
-"""Flat-fading MIMO channel generation and complex-matrix primitives.
+"""Flat-fading MIMO channel generation, complex-matrix primitives and the
+link powers.
 
 Every random quantity in the simulator flows through :func:`substream`, which
 derives an independent generator from ``(seed, *key)`` using numpy's
@@ -15,6 +16,13 @@ Stream key layout (first element after the root seed):
 :class:`NetworkRealization` owns the layout of a slot's draws.  It has one
 form, for B lanes (one for the one-lane views): lanes that share a draw
 read it in place through a lane->draw row index.
+
+The link powers are channel traces over matrices or stacks:
+:func:`received_power` of a direct link, and :func:`relayed_link_power` of a
+replayed buffered signal, the one place that forms the replay product
+H_ab Hs.  A replay is built from the buffered channel snapshot of the
+transmitting relay (the source-side channel it saw when the signal was
+stored), never from the current slot's source channel.
 """
 
 from __future__ import annotations
@@ -59,6 +67,25 @@ def received_power(H: np.ndarray):
         raise ValueError(f"expected a matrix or a matrix stack, got ndim={H.ndim}")
     powers = np.einsum("...ab,...ab->...", H, H.conj()).real
     return float(powers) if H.ndim == 2 else powers
+
+
+def relayed_link_power(H_ab: np.ndarray, H_stored: np.ndarray):
+    """trace(H_ab Hs Hs^H H_ab^H) for a replayed buffered signal, by einsum.
+
+    ``H_stored`` is the snapshot the transmitting relay recorded at reception;
+    its row count must match the transmit antenna count (columns of H_ab).
+    Matrices give a float; (..., rows, cols) stacks, broadcast against each
+    other, give an array over the leading axes, bit-equal to per-pair calls.
+    """
+    H_ab = np.asarray(H_ab)
+    H_stored = np.asarray(H_stored)
+    if H_ab.ndim < 2 or H_stored.ndim < 2:
+        raise ValueError("expected matrices or matrix stacks")
+    if H_ab.shape[-1] != H_stored.shape[-2]:
+        raise ValueError(
+            f"replay dimension mismatch: H_ab is {H_ab.shape}, snapshot is "
+            f"{H_stored.shape}")
+    return received_power(np.einsum("...ab,...bc->...ac", H_ab, H_stored))
 
 
 @functools.lru_cache(maxsize=8)

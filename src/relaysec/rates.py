@@ -1,13 +1,16 @@
-"""Achievable user/eavesdropper rates and the system secrecy rate.
+"""Achievable user/eavesdropper rates, the relays' reception test and SINR,
+and the system secrecy rate.
 
-This module owns the rate formulas, each implemented once and batched over
-leading axes: the stored-signal factor, the per-relay replay term that user
-signal matrices and the eavesdroppers' jamming covariance sum, the replay
-covariance sum_j H_j S_j H_j^H that both selection metrics score, the SINR
-matrix that the eavesdroppers' rates, both selection metrics and the
-IRI-cancellation test read, the clamped and metric log-determinants and the
-secrecy sum.  :func:`logdet_identity_plus` and :func:`clamped_logdet_rate`
-are one-matrix views of their ``_stack`` kernels.
+This module owns the rate and reception formulas, each implemented once and
+batched over leading axes: the stored-signal factor, the per-relay replay
+term that user signal matrices and the eavesdroppers' jamming covariance
+sum, the replay covariance sum_j H_j S_j H_j^H that both selection metrics
+score, the SINR matrix that the eavesdroppers' rates, both selection metrics
+and the IRI-cancellation test read, that test, the relays' reception SINR,
+the clamped and metric log-determinants and the secrecy sum.  The Gram and
+the link powers are :mod:`relaysec.channel`'s; the two modules hold every
+formula of the model.  :func:`logdet_identity_plus` and
+:func:`clamped_logdet_rate` are one-matrix views of their ``_stack`` kernels.
 
 The rate matrices sum products of Hermitian factors and are generally not
 Hermitian themselves, so ``det(I + G)`` is genuinely complex: with several
@@ -140,6 +143,35 @@ def sinr_matrix(G: np.ndarray, Delta: np.ndarray, P, N) -> np.ndarray:
     ``N`` antennas; ``G``, ``Delta`` and ``P`` broadcast against each other,
     so a caller that scores several signals per covariance inserts the axis."""
     return np.linalg.solve(_eye(Delta.shape[-1]) + Delta, (P / N) * G)
+
+
+def iri_feasible(G_i: np.ndarray, G_ki: np.ndarray, P_tx: float,
+                 P_relay: float, N_t: int, N_k: int, gamma0: float) -> np.ndarray:
+    """Batched IRI-cancellation test over broadcast (..., N_i, N_i) Grams
+    ``G_i`` = H_i H_i^H of the source channels and ``G_ki`` = H_ki H_ki^H of
+    the interferer channels; the powers are numbers or arrays that broadcast
+    against the Gram stacks.
+
+    Relay i can decode-and-subtract relay k's interference iff
+    det((P_tx/N_t * H_i H_i^H + I)^{-1} (P_relay/N_k * H_ki H_ki^H)) >= gamma0,
+    i.e. the interference is strong enough relative to signal-plus-noise to be
+    decoded first.  It reads that :func:`sinr_matrix` through the real part
+    of its (generally non-Hermitian) determinant, which reduces to the scalar
+    test in the single-antenna case.
+    """
+    Gamma = sinr_matrix(G_ki, (P_tx / N_t) * G_i, P_relay, N_k)
+    return np.linalg.det(Gamma).real >= gamma0
+
+
+def reception_sinr(gamma_S: np.ndarray, interference: np.ndarray, phi,
+                   N_i: int, sigma2: float) -> np.ndarray:
+    """Reception SINR gamma_S / (sum_k phi_k gamma_k + N_i sigma2) of R
+    receiving relays: ``gamma_S`` is the (..., R) source power,
+    ``interference`` the (..., A, R) power of each interferer at each
+    receiver, and ``phi`` (broadcast to it) is 0 where that interference was
+    cancelled, else 1; ``sigma2`` broadcasts against (..., R).
+    """
+    return gamma_S / ((phi * interference).sum(axis=-2) + N_i * sigma2)
 
 
 def secrecy_rate(user_rates, eav_rates):

@@ -38,11 +38,14 @@ config, give roles as tuples of relay ids and records as
 lane: a ``POLICIES`` step picks, then serves.
 
 This module owns the selection metrics and the slot machinery that feeds
-realizations and buffers into the formula kernels: the rate formulas, and
-the replay covariance and SINR matrix that both metrics score, live in
-:mod:`relaysec.rates`, the link powers and reception formulas in
-:mod:`relaysec.link_metrics`, and the Gram and the link-power trace in
-:mod:`relaysec.channel`.
+realizations and buffers into the formula kernels of two modules: the rate
+and reception formulas, and the replay covariance and SINR matrix that both
+metrics score, live in :mod:`relaysec.rates`, the Gram and the link powers
+in :mod:`relaysec.channel`.  The link powers are bound here as the module
+globals ``source_link_power`` (``channel.received_power``) and
+``relayed_link_power``, and every call site and ``per_lane`` product key
+looks them up by those names, so that a wrapper patched onto this module
+sees each call.
 """
 
 from __future__ import annotations
@@ -57,11 +60,10 @@ import numpy as np
 
 from . import rates
 from .buffers import BufferBank, Records, SignalClass, classify_signal
-from .channel import NetworkRealization, gram
+from .channel import NetworkRealization, gram, relayed_link_power
+from .channel import received_power as source_link_power
 from .config import SystemConfig, power_split
 from .errors import ConfigError, NumericError
-from .link_metrics import (iri_feasible, reception_sinr, relayed_link_power,
-                           source_link_power)
 
 
 @dataclass(frozen=True)
@@ -452,10 +454,10 @@ def _receive_and_store(state: PolicyState, realization, lanes: Lanes,
     heard = tx_real[:, :, None] & rx_real[:, None, :]     # real (sender, receiver)
     phi = 1
     if config.iri_cancellation and tx.shape[1]:
-        feasible = iri_feasible(realization.per_lane("su_stack", rx, gram)[:, None],
-                                gram(H_ki), _col(lanes.snr_tx, 5),
-                                _col(lanes.snr_rel, 5), config.N_t,
-                                config.N_k, config.gamma0)
+        feasible = rates.iri_feasible(
+            realization.per_lane("su_stack", rx, gram)[:, None], gram(H_ki),
+            _col(lanes.snr_tx, 5), _col(lanes.snr_rel, 5), config.N_t,
+            config.N_k, config.gamma0)
         state.diag.phi_tests += heard.sum(axis=(1, 2))
         state.diag.phi_feasible += (feasible & heard).sum(axis=(1, 2))
         phi = ~feasible
@@ -464,8 +466,8 @@ def _receive_and_store(state: PolicyState, realization, lanes: Lanes,
         gamma_S = _col(lanes.p_tx / config.N_t, 2) * source_link_power(H_rx)
         powers = _col(lanes.p_rel / config.N_k, 3) * relayed_link_power(
             H_ki, replays.snapshot[lane, tx][:, :, None])
-        sinrs = reception_sinr(gamma_S, powers, phi, config.N_i,
-                               _col(lanes.sigma2, 2))
+        sinrs = rates.reception_sinr(gamma_S, powers, phi, config.N_i,
+                                     _col(lanes.sigma2, 2))
     at_lane, at_relay = np.nonzero(receivers)      # the order of [rx_real]
     received = sinrs[rx_real]
     # a non-finite source power makes the SINR non-finite too

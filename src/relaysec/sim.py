@@ -373,16 +373,17 @@ def monte_carlo(config: SystemConfig, sweep: SweepSpec) -> SecrecyReport:
     removing grid points does not change the numbers of the remaining cells.
     Every cell sees the same channel draw per (trial, slot), drawn once per
     sweep.  Every sweep runs through :func:`_run_cells`, which maps all
-    calibration pre-runs before any trial: in this process at
-    ``sweep.workers == 1``, at N > 1 on a pool of min(N, CPU count)
-    processes, which start at once.  The pool outlives the call: the next
-    pooled sweep of the same capped N reuses it, one of another N closes it
-    and starts its own, and an ``atexit`` hook closes it at exit; a worker
-    whose parent dies without that exits by itself within a second.  Its
-    workers are forked at the first pooled sweep, so they run the modules as
-    they were then.  Do not run pooled sweeps from several threads at once:
-    one's error or worker count would close the pool under the other.  The
-    outputs are bit-identical for any N.
+    calibration pre-runs before any trial, on min(N, CPU count) processes
+    for ``sweep.workers`` N: in this process when that capped count is 1,
+    else on a pool of that many processes, which start at once.  The pool
+    outlives the call: the next pooled sweep of the same capped N reuses it,
+    one of another N closes it and starts its own, and an ``atexit`` hook
+    closes it at exit; a worker whose parent dies without that exits by
+    itself within a second.  Its workers are forked at the first pooled
+    sweep, so they run the modules as they were then.  Do not run pooled
+    sweeps from several threads at once: one's error or worker count would
+    close the pool under the other.  The outputs are bit-identical for any
+    N.
 
     A NumericError names the first failing pre-run in cell order, else the
     smallest failing trial, then cell, at any N.  A pooled task's error is
@@ -399,7 +400,7 @@ def monte_carlo(config: SystemConfig, sweep: SweepSpec) -> SecrecyReport:
              for snr_db in sweep.snr_db_grid
              for eta in sweep.eta_grid]
     workers = min(sweep.workers, os.cpu_count() or 1)
-    if sweep.workers == 1:
+    if workers == 1:
         results = _run_cells(map, cells, sweep, workers)
     else:
         try:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from relaysec.link_metrics import relayed_link_power, source_link_power
+from relaysec.channel import received_power, relayed_link_power
 
 
 def solve_identity_plus(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -148,7 +148,7 @@ def max_ratio_roles(config, realization, own: dict) -> tuple:
 
     floor = config.N_e * config.sigma2
     leak = {q: summed_power(realization.re_stack[0], q) for q in ids}
-    rx_ratio = {q: source_link_power(realization.su_stack[0, q - 1])
+    rx_ratio = {q: received_power(realization.su_stack[0, q - 1])
                 / (leak[q] + floor) for q in ids}
     receivers = sorted(ids, key=lambda q: (-rx_ratio[q], q))[:config.T]
     rest = [q for q in ids if q not in receivers]

@@ -4,6 +4,7 @@ removing its wrappers must keep working after a refactor."""
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from relaysec import buffers, rates, selection
 
@@ -46,17 +47,25 @@ def test_rate_report_reaches_patched_logdet(monkeypatch):
     assert calls
 
 
-def test_max_ratio_reaches_patched_link_powers(monkeypatch):
-    # the tracer's link_metrics figures read 0 if max-ratio computes its link
-    # powers without looking them up on the selection module
+@pytest.mark.parametrize("policy", ["max-ratio", "bf-rjfs", "conventional-bf"])
+def test_policy_reaches_patched_link_powers(monkeypatch, policy):
+    # the tracer's link_metrics figures read 0 if a policy's picks or the
+    # serve's reception step compute link powers without looking them up on
+    # the selection module: max-ratio's picks call both, bf-rjfs's call
+    # neither, so its calls come from the serve, and conventional-bf's picks
+    # key their per_lane products by the patched name
     config = small_config()
     state, real = make_instance(config, seed=3)
     assert any(buffer_records(state, q) for q in range(1, config.Q + 1))
-    calls = {}
+    calls, patched = {}, {}
     for name in ("source_link_power", "relayed_link_power"):
         def counted(*args, _fn=getattr(selection, name), _name=name):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args)
         monkeypatch.setattr(selection, name, counted)
-    selection.POLICIES["max-ratio"](state, real, config)
+        patched[name] = counted
+    selection.POLICIES[policy](state, real, config)
     assert calls.get("source_link_power") and calls.get("relayed_link_power")
+    if policy == "conventional-bf":
+        source = patched["source_link_power"]
+        assert {(source, "su_stack"), (source, "ru_stack")} <= real.products.keys()

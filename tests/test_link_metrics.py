@@ -1,23 +1,20 @@
+"""The link powers of :mod:`relaysec.channel`, and the relays'
+IRI-cancellation test and reception SINR of :mod:`relaysec.rates`."""
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relaysec.channel import received_power
-from relaysec.link_metrics import relayed_link_power, source_link_power
+from relaysec.channel import received_power, relayed_link_power
 
 from conftest import cn_matrix
 from views import pair_feasible, pair_sinr
 
 
 def test_source_link_power_trivia():
-    assert source_link_power(np.eye(2)) == pytest.approx(2.0)
-    assert source_link_power(np.zeros((2, 2))) == 0.0
-
-
-def test_source_link_power_matches_received_power(rng):
-    H = cn_matrix(rng, 2, 6)
-    assert source_link_power(H) == pytest.approx(received_power(H), rel=1e-12)
+    assert received_power(np.eye(2)) == pytest.approx(2.0)
+    assert received_power(np.zeros((2, 2))) == 0.0
 
 
 def test_relayed_link_power_silent_jammer():
@@ -56,10 +53,10 @@ def test_link_powers_on_stacks_match_per_matrix(rng):
     relayed = [[relayed_link_power(H[q, e], snaps[q]) for e in range(3)]
                for q in range(5)]
     np.testing.assert_array_equal(relayed_link_power(H, snaps[:, None]), relayed)
-    direct = [[source_link_power(H[q, e]) for e in range(3)] for q in range(5)]
-    np.testing.assert_array_equal(source_link_power(H), direct)
+    direct = [[received_power(H[q, e]) for e in range(3)] for q in range(5)]
+    np.testing.assert_array_equal(received_power(H), direct)
     assert type(relayed_link_power(H[0, 0], snaps[0])) is float
-    assert type(source_link_power(H[0, 0])) is float
+    assert type(received_power(H[0, 0])) is float
 
 
 def test_relayed_link_power_broadcast_snapshot_matches_per_pair(rng):

@@ -6,12 +6,12 @@ import pytest
 
 from relaysec.buffers import BufferedSignal, SignalClass
 from relaysec.channel import (STREAM_CHANNEL, NetworkRealization,
-                              gen_network_realization, gram, substream)
+                              gen_network_realization, gram, received_power,
+                              substream)
 from relaysec.config import SystemConfig, power_split
 from relaysec.errors import ConfigError
 from relaysec.rates import logdet_identity_plus
 from relaysec.buffers import Records
-from relaysec.link_metrics import source_link_power
 from relaysec.selection import (POLICIES, Lanes, _eav_interference, _factors,
                                 _jam_set_scores, _peek, _set_sum, _sets,
                                 _summed_gram, fresh_state, initial_ranking,
@@ -280,8 +280,8 @@ def test_per_draw_products_equal_per_lane_products():
     copy = NetworkRealization(slot=0, Q=config.Q, rows=np.arange(len(rows)),
                               **{name: getattr(real, name)[rows] for name in names})
     for name, of in (("su_stack", gram), ("se_stack", gram), ("ru_stack", gram),
-                     ("re_stack", _summed_gram), ("su_stack", source_link_power),
-                     ("ru_stack", source_link_power)):
+                     ("re_stack", _summed_gram), ("su_stack", received_power),
+                     ("ru_stack", received_power)):
         want = of(getattr(copy, name))
         assert real.per_lane(name, of=of).tobytes() == want.tobytes()
         assert copy.per_lane(name, of=of).tobytes() == want.tobytes()
@@ -803,7 +803,7 @@ def test_permutation_equivariance(policy):
 
 def test_reception_matches_scalar_link_ops():
     # the batched reception path must reproduce the per-pair scalar operations
-    from relaysec.link_metrics import relayed_link_power
+    from relaysec.channel import relayed_link_power
     from relaysec.selection import _receive_and_store, _resolve_replays
     config = small_config(gamma0=0.2)
     state, real = make_instance(config, seed=88)
@@ -822,7 +822,7 @@ def test_reception_matches_scalar_link_ops():
     p_tx, p_rel = power_split(config)
     for i in receivers:
         H_i = real.su_stack[0, i - 1]
-        gamma_S = (p_tx / config.N_t) * source_link_power(H_i)
+        gamma_S = (p_tx / config.N_t) * received_power(H_i)
         residual = 0.0
         for k in sorted(replays):
             H_ki = real.rr_stack[0, real.rr_row(k, i)]
@@ -843,7 +843,7 @@ def test_reception_sinr_bits_match_labelled_einsums(iri):
     # the stored reception SINRs, which set every calibrated threshold, keep
     # the bits of the labelled einsums in reference.reception_sinrs; lanes
     # of one trial share a draw, and every lane has R = T < Q receivers
-    from relaysec.link_metrics import iri_feasible
+    from relaysec.rates import iri_feasible
     from relaysec.selection import _members
     from relaysec.sim import _lockstep
     from reference import reception_sinrs

@@ -269,6 +269,18 @@ def test_pool_never_outnumbers_the_cpus(monkeypatch):
     assert wide.cells == monte_carlo(cfg, sweep).cells
 
 
+def test_sweep_capped_to_one_process_builds_no_pool(monkeypatch):
+    # on one CPU a pooled sweep would fork one worker to do this process's
+    # work, so it runs here
+    built = counting_pools(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    cfg = small_config(sinr_threshold=None, seed=21, warmup_slots=1)
+    sweep = _tiny_sweep(trials=3)
+    capped = monte_carlo(cfg, dataclasses.replace(sweep, workers=4))
+    assert built == []
+    assert capped.cells == monte_carlo(cfg, sweep).cells
+
+
 def test_pooled_sweeps_reuse_one_pool(monkeypatch):
     built = counting_pools(monkeypatch)
     cfg = small_config(sinr_threshold=None, seed=21, warmup_slots=1)
@@ -811,6 +823,7 @@ _LANE_CONFIGS = {
                                    consume_on_jam=True),
     "single antenna": SystemConfig(Q=5, T=2, K=2, gamma0=0.3,
                                    seed=20261018).single_antenna(),
+    "no jammers": SystemConfig(Q=4, T=2, K=0, N_e=1, gamma0=0.3, seed=20261018),
 }
 
 
