@@ -125,14 +125,12 @@ class Records:
 
     def record(self, lane: int, relay: int) -> BufferedSignal:
         """The record of relay index ``relay`` in ``lane`` (it must exist)."""
-        return _signal(self.snapshot[lane, relay], self.sinr[lane, relay],
-                       self.slot[lane, relay], self.forward[lane, relay])
-
-
-def _signal(snapshot, sinr, slot, forward) -> BufferedSignal:
-    return BufferedSignal(snapshot=snapshot.copy(), sinr_at_reception=float(sinr),
-                          slot=int(slot), signal_class=(SignalClass.FORWARD if forward
-                                                        else SignalClass.JAM))
+        return BufferedSignal(
+            snapshot=self.snapshot[lane, relay].copy(),
+            sinr_at_reception=float(self.sinr[lane, relay]),
+            slot=int(self.slot[lane, relay]),
+            signal_class=(SignalClass.FORWARD if self.forward[lane, relay]
+                          else SignalClass.JAM))
 
 
 class BufferBank:
@@ -172,14 +170,6 @@ class BufferBank:
     def occupancy(self) -> np.ndarray:
         """(B, Q) record counts."""
         return self.valid.sum(axis=-1)
-
-    def records(self, lane: int, relay: int) -> tuple:
-        """The records of one relay, oldest first, as :class:`BufferedSignal`."""
-        cells = np.flatnonzero(self.valid[lane, relay])
-        cells = cells[np.argsort(self.slot[lane, relay, cells])]
-        return tuple(_signal(self.snapshot[lane, relay, c], self.sinr[lane, relay, c],
-                             self.slot[lane, relay, c], self.forward[lane, relay, c])
-                     for c in cells.tolist())
 
     def _flat(self, array: np.ndarray) -> np.ndarray:
         """A view of ``array`` with one axis over every cell."""

@@ -106,12 +106,11 @@ class NetworkRealization:
     The stacks hold the slot's D distinct draws, each with a leading draw
     axis, and ``rows`` holds the (B,) draw of each lane; lanes that share a
     channel stream share a draw.  Relay id q is row ``q - 1`` of a draw's
-    relay-indexed stacks (``rr_row`` gives the row of a relay pair);
-    eavesdroppers and users are positional.  Its views share the draws'
-    stacks: ``index_lanes`` picks lanes by their rows, ``per_lane`` reads
-    each lane's row of a stack, or of a channel-only product computed once
-    on the draws, and ``rr_block`` gathers relay->relay channels by relay
-    index pairs.
+    relay-indexed stacks; eavesdroppers and users are positional.  Its
+    views share the draws' stacks: ``index_lanes`` picks lanes by their
+    rows, ``per_lane`` reads each lane's row of a stack, or of a
+    channel-only product computed once on the draws, and ``rr_block``
+    gathers relay->relay channels by relay index pairs.
     """
 
     slot: int
@@ -126,18 +125,16 @@ class NetworkRealization:
     products: dict = dataclasses.field(default_factory=dict, repr=False,
                                        compare=False)
 
-    def rr_row(self, k: int, i: int) -> int:
-        """Row of a draw's ``rr_stack`` with the relay k -> relay i channel."""
-        if k == i:
-            raise KeyError(f"no self channel for relay {k}")
-        return int(_rr_rows(self.Q)[k - 1, i - 1])
-
     def rr_block(self, senders: np.ndarray, receivers: np.ndarray) -> np.ndarray:
         """Relay->relay channels of the lanes from ``senders`` to
         ``receivers``, relay index arrays that broadcast to (B, X, Y): shape
         (B, X, Y, N_i, N_k).  A relay paired with itself gets an arbitrary
-        channel."""
-        return self.per_lane("rr_stack", _rr_rows(self.Q)[senders, receivers])
+        channel, zeros where Q = 1 and no relay pair exists."""
+        pairs = _rr_rows(self.Q)[senders, receivers]
+        if self.Q == 1:
+            shape = (len(self.rows),) + pairs.shape[1:] + self.rr_stack.shape[2:]
+            return np.zeros(shape, dtype=self.rr_stack.dtype)
+        return self.per_lane("rr_stack", pairs)
 
     def per_lane(self, name: str, index=None, of=None) -> np.ndarray:
         """(B, ...) rows of the lanes of the stack ``name``, or of

@@ -52,14 +52,13 @@ from .channel import (STREAM_CALIBRATION, STREAM_CHANNEL, STREAM_POLICY,
                       gen_network_realization, substream)
 from .config import SystemConfig
 from .errors import ConfigError, NumericError
-from .rates import RateReport
 # slot_rate_report is not called here; relaysec.sim.slot_rate_report stays a
 # name that bench/tracing.py wraps
-from .selection import (JAMMING_POLICIES, LANE_STEPS, POLICIES, DiagCounters,
-                        Lanes, PolicyState, _serve, fresh_state, lane_rates,
+from .selection import (JAMMING_POLICIES, LANE_STEPS, DiagCounters, Lanes,
+                        PolicyState, _serve, fresh_state, lane_rates,
                         slot_rate_report)  # noqa: F401
 
-POLICY_ORDER = tuple(POLICIES)
+POLICY_ORDER = tuple(LANE_STEPS)
 
 _CALIBRATION_SLOTS = 200
 # lanes of one policy in a task, which bounds the arrays of the policy's step
@@ -87,9 +86,9 @@ class SweepSpec:
         if not self.policies:
             raise ConfigError("policy list must be nonempty")
         for name in self.policies:
-            if name not in POLICIES:
+            if name not in LANE_STEPS:
                 raise ConfigError(
-                    f"unknown policy {name!r}; choose from {sorted(POLICIES)}")
+                    f"unknown policy {name!r}; choose from {sorted(LANE_STEPS)}")
         if not self.snr_db_grid or not self.eta_grid:
             raise ConfigError("snr and eta grids must be nonempty")
         for snr_db in self.snr_db_grid:
@@ -185,7 +184,7 @@ def _lockstep(lanes, slots: int, each, score: bool = True) -> PolicyState:
             for policy, run in groupby(policy for policy, _, _ in lanes)]
     ranges, start = [], 0
     for policy, count in runs:
-        if policy not in POLICIES:
+        if policy not in LANE_STEPS:
             raise ConfigError(f"unknown policy {policy!r}")
         at = slice(start, start + count)
         # a range's state views the set's arrays, which stay put; a range
@@ -242,18 +241,6 @@ def _lockstep(lanes, slots: int, each, score: bool = True) -> PolicyState:
                 f" eta {_fmt(config.eta)}")
         raise NumericError(f"policy {policy!r} {name} slot {slot}: {exc}") from exc
     return state
-
-
-def run_trial(config: SystemConfig, policy: str, trial_index: int,
-              slots: int) -> list:
-    """Per-slot RateReports of one trial of ``slots`` slots; a pure function
-    of (config, policy, trial_index, slots) including the root seed inside
-    the config.  A NumericError names the policy, the trial and the slot."""
-    scored = []
-    _lockstep([(policy, config, trial_index)], slots,
-              lambda outcome, state, rates: scored.append(rates))
-    return [RateReport.of_first_lane(user, eav, secrecy)
-            for user, eav, secrecy, _ in scored]
 
 
 def _trial_chunk(cells, trials, slots: int) -> list:

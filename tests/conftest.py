@@ -10,6 +10,7 @@ from relaysec.channel import (STREAM_INSTANCE, NetworkRealization,
 from relaysec.config import SystemConfig
 from relaysec.errors import NumericError
 from relaysec.selection import fresh_state
+from views import bank_records
 
 
 def cn_matrix(rng, rows, cols):
@@ -73,8 +74,11 @@ def realization_from_arrays(config, slot, su, se, rr_map, re, ru):
 
 
 def rr_map(real):
-    """{(k, i): relay k -> relay i channel} of a one-lane realization, k != i."""
-    return {(k, i): real.rr_stack[0, real.rr_row(k, i)]
+    """{(k, i): relay k -> relay i channel} of a one-lane realization, k != i,
+    read through its ``rr_block`` gather."""
+    ids = np.arange(real.Q)
+    block = real.rr_block(ids[None, :, None], ids[None, None])[0]
+    return {(k, i): block[k - 1, i - 1]
             for k in range(1, real.Q + 1) for i in range(1, real.Q + 1)
             if k != i}
 
@@ -91,7 +95,7 @@ def stock(state, relay_id, record, lane=0):
 
 def buffer_records(state, relay_id, lane=0):
     """The records of relay ``relay_id`` in a lane, oldest first."""
-    return state.buffers.records(lane, relay_id - 1)
+    return bank_records(state.buffers, lane, relay_id - 1)
 
 
 def peek_all(state, lane=0):

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from relaysec.buffers import (BufferBank, BufferedSignal, RelayBuffer,
                               SignalClass, classify_signal)
 
+from views import bank_records
+
 
 def record(slot, signal_class=SignalClass.FORWARD, sinr=1.0):
     return BufferedSignal(snapshot=np.zeros((1, 1)), sinr_at_reception=sinr,
@@ -205,7 +207,7 @@ def test_bank_matches_relay_buffers(capacity, steps):
         slot += push
 
         for b, q in cells:
-            got, want = bank.records(b, q), spec[b][q].records
+            got, want = bank_records(bank, b, q), spec[b][q].records
             assert len(got) == len(want)
             assert all(_same(g, w) for g, w in zip(got, want))
             assert bank.evictions[b, q] == spec[b][q].evictions

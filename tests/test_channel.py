@@ -106,9 +106,11 @@ def test_realization_small_poll_offdiagonal_pairs():
     config = SystemConfig(Q=2, T=1, K=1, sinr_threshold=1.0)
     real = gen_network_realization(config, 0, [substream(1, 0, 0, 0)])
     assert real.rr_stack.shape[1] == 2
-    assert (real.rr_row(1, 2), real.rr_row(2, 1)) == (0, 1)
-    with pytest.raises(KeyError):
-        real.rr_row(1, 1)
+    ids = np.arange(2)
+    block = real.rr_block(ids[None, :, None], ids[None, None])[0]
+    # relay 1 -> 2 is row 0 and relay 2 -> 1 row 1
+    np.testing.assert_array_equal(block[0, 1], real.rr_stack[0, 0])
+    np.testing.assert_array_equal(block[1, 0], real.rr_stack[0, 1])
 
 
 def test_realization_immutable():
@@ -129,18 +131,17 @@ def test_realization_immutable():
 
 
 def test_realization_views_consistent_with_stacks():
-    # rr_row must follow the carve order: ascending (k, i), k != i
+    # the pair-block gather must follow the carve order: ascending (k, i),
+    # k != i
     config = SystemConfig(sinr_threshold=1.0)
     real = gen_network_realization(config, 0, [substream(5, 0, 0, 0)])
     pairs = [(k, i) for k in range(1, config.Q + 1)
              for i in range(1, config.Q + 1) if k != i]
-    assert [real.rr_row(k, i) for k, i in pairs] == list(range(len(pairs)))
-    # the pair-block gather reads the same rows
+    assert real.rr_stack.shape[1] == len(pairs)
     ids = np.arange(config.Q)
     block = real.rr_block(ids[None, :, None], ids[None, None])[0]
-    for k, i in pairs:
-        np.testing.assert_array_equal(block[k - 1, i - 1],
-                                      real.rr_stack[0, real.rr_row(k, i)])
+    for row, (k, i) in enumerate(pairs):
+        np.testing.assert_array_equal(block[k - 1, i - 1], real.rr_stack[0, row])
 
 
 def test_realization_entry_statistics():

@@ -1,12 +1,15 @@
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relaysec.config import SystemConfig
 from relaysec.errors import ConfigError
-from relaysec.selection import POLICIES
-from relaysec.sim import run_trial
+from relaysec.selection import LANE_STEPS
+from relaysec.sim import _lockstep
+
+from views import run_trial
 
 
 @st.composite
@@ -45,9 +48,38 @@ def test_every_policy_runs_every_valid_config(scenario):
         config = SystemConfig(**kwargs).with_snr_db(snr_db)
     except ConfigError:
         return
-    for policy in POLICIES:
+    for policy in LANE_STEPS:
         reports = run_trial(config, policy, 0, 3)
         assert len(reports) == 3
         for report in reports:
             values = report.user_rates + report.eav_rates + (report.secrecy_rate,)
             assert all(math.isfinite(v) and v >= 0.0 for v in values), (policy, report)
+
+
+def _slot_rates(lanes, slots=3):
+    """Each slot's (user, eavesdropper, secrecy) rates of a lane set."""
+    scored = []
+    _lockstep(lanes, slots, lambda outcome, state, rates: scored.append(rates[:3]))
+    return scored
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_scenarios())
+def test_every_valid_config_runs_as_one_mixed_lane_set(scenario):
+    # every policy's trials 0 and 1 in one lane set, so that one lane's
+    # relays transmit while another's receive; each lane's rates must be
+    # bit-equal to its run alone
+    kwargs, snr_db = scenario
+    try:
+        config = SystemConfig(**kwargs).with_snr_db(snr_db)
+    except ConfigError:
+        return
+    lanes = [(policy, config, trial) for policy in LANE_STEPS for trial in (0, 1)]
+    mixed = _slot_rates(lanes)
+    for b, (policy, _, trial) in enumerate(lanes):
+        alone = _slot_rates([lanes[b]])
+        for slot, (got, want) in enumerate(zip(mixed, alone)):
+            for name, lane_set, one in zip(("user", "eav", "secrecy"), got, want):
+                np.testing.assert_array_equal(
+                    lane_set[b], one[0],
+                    err_msg=f"{policy} trial {trial} slot {slot} {name} rates")

@@ -2,6 +2,7 @@
 names that the scripts and the benchmark import."""
 
 import ast
+import concurrent.futures
 import importlib
 import os
 import pathlib
@@ -45,8 +46,11 @@ def test_eta_sweep_script(tmp_path):
 
 
 def test_lockstep_digest_script_repeats_its_lines():
-    # no digest is pinned: the bits depend on the BLAS kernels of the CPU
-    runs = [run_script("lockstep_digest.py", sweep=False) for _ in range(2)]
+    # no digest is pinned: the bits depend on the BLAS kernels of the CPU.
+    # The two runs start together, so they overlap
+    with concurrent.futures.ThreadPoolExecutor(2) as pool:
+        runs = list(pool.map(lambda _: run_script("lockstep_digest.py", sweep=False),
+                             range(2)))
     assert all(run.returncode == 0 for run in runs), runs[0].stderr
     lines = runs[0].stdout.splitlines()
     assert len(lines) >= 5 and lines == runs[1].stdout.splitlines()

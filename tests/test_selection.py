@@ -820,12 +820,13 @@ def test_reception_matches_scalar_link_ops():
                        replays2)
 
     p_tx, p_rel = power_split(config)
+    relay_channels = rr_map(real)
     for i in receivers:
         H_i = real.su_stack[0, i - 1]
         gamma_S = (p_tx / config.N_t) * received_power(H_i)
         residual = 0.0
         for k in sorted(replays):
-            H_ki = real.rr_stack[0, real.rr_row(k, i)]
+            H_ki = relay_channels[k, i]
             feasible = pair_feasible(
                 H_i, H_ki, p_tx / config.sigma2, p_rel / config.sigma2,
                 config.N_t, config.N_k, config.gamma0)

@@ -21,10 +21,11 @@ from relaysec.config import SystemConfig, load_config, parse_config, power_split
 from relaysec.errors import ConfigError, NumericError
 from relaysec.selection import DiagCounters
 from relaysec.sim import (SecrecyReport, SweepSpec, calibrate_threshold,
-                          emit_results, monte_carlo, run_trial)
+                          emit_results, monte_carlo)
 
 from conftest import inject_trial_error, needs_fork, small_config
 from test_golden import RUNS, assert_golden, write_run
+from views import run_trial
 
 
 @pytest.mark.parametrize("eta,P,K,expected", [
