@@ -26,12 +26,17 @@ being a forced set.
 
 Two checkouts compute the same bits when their lines match:
 
-    PYTHONPATH=<checkout>/src python3 scripts/lockstep_digest.py
+    PYTHONPATH=<checkout>/src python3 scripts/lockstep_digest.py [--roles]
 
 The digests depend on the BLAS kernels numpy picks for the CPU, so compare
-runs on one machine only.
+runs on one machine only.  With ``--roles`` a line hashes no float: only
+each slot's roles, replay ``found`` masks and the buffers' stored
+``forward`` classes (with the cells that hold a record).  Two checkouts whose
+floats differ in their last bits make the same decisions when these lines
+match.
 """
 
+import argparse
 import dataclasses
 import hashlib
 import sys
@@ -82,9 +87,11 @@ def captured(select, metrics: list):
 class Digest:
     """A sha256 over lane sets' slots, with the selection metrics that
     :func:`selection.select_receiving_relays` and
-    :func:`selection.select_jamming_relays` return while it is open."""
+    :func:`selection.select_jamming_relays` return while it is open, or,
+    with ``roles``, over the slots' decisions alone."""
 
-    def __init__(self):
+    def __init__(self, roles: bool = False):
+        self.roles = roles
         self.digest = hashlib.sha256()
         self.receive, self.jam = [], []
         self.ran = 0        # receive metrics that ran
@@ -102,27 +109,35 @@ class Digest:
 
     def metrics(self, *before, after=()) -> None:
         """Feed ``before``, the metrics captured since the last call, then
-        ``after``."""
+        ``after``; only ``before`` with ``roles``."""
         self.ran += sum(len(metric) for metric in self.receive if metric is not None)
-        feed(self.digest, *before, *self.receive, *self.jam, *after)
+        if self.roles:
+            feed(self.digest, *before)
+        else:
+            feed(self.digest, *before, *self.receive, *self.jam, *after)
         self.receive.clear()
         self.jam.clear()
 
     def each(self, outcome, state, rates) -> None:
-        self.metrics(outcome.receivers, outcome.transmitters, outcome.jammers,
-                     outcome.replays.found, outcome.sinr, outcome.delta,
-                     after=rates)
+        decisions = (outcome.receivers, outcome.transmitters, outcome.jammers,
+                     outcome.replays.found)
+        if self.roles:
+            bank = state.buffers
+            self.metrics(*decisions, bank.valid, bank.forward & bank.valid)
+        else:
+            self.metrics(*decisions, outcome.sinr, outcome.delta, after=rates)
 
     def trials(self, lanes) -> None:
         state = _lockstep(lanes, SLOTS, self.each)
-        feed(self.digest, *(getattr(state.diag, f.name)
-                            for f in dataclasses.fields(state.diag)))
+        if not self.roles:
+            feed(self.digest, *(getattr(state.diag, f.name)
+                                for f in dataclasses.fields(state.diag)))
 
     def line(self, name: str) -> str:
         return f"{name} {self.digest.hexdigest()} receive_metrics_run={self.ran}"
 
 
-def config_lines(name: str, config: SystemConfig) -> list:
+def config_lines(name: str, config: SystemConfig, roles: bool) -> list:
     """The mixed-policy line and the one-policy line of one config."""
     cells = [config.replace(eta=eta).with_snr_db(snr)
              for snr in SNR_DB for eta in ETAS]
@@ -130,14 +145,14 @@ def config_lines(name: str, config: SystemConfig) -> list:
     # the 200-slot pre-runs stay few
     thresholds = _calibrate_lanes(
         [(POLICY_ORDER[i % len(POLICY_ORDER)], cell) for i, cell in enumerate(cells)])
-    with Digest() as mixed:
-        feed(mixed.digest, np.array(thresholds))
+    with Digest(roles) as mixed:
+        mixed.metrics(after=[np.array(thresholds)])
         mixed.trials([(policy, cell.replace(sinr_threshold=threshold), trial)
                       for policy in POLICY_ORDER
                       for cell, threshold in zip(cells, thresholds)
                       for trial in TRIALS])
     own = cells[::len(ETAS) + 1]      # (0 dB, 0.5), (10 dB, 1), (20 dB, 1.5)
-    with Digest() as alone:
+    with Digest(roles) as alone:
         for policy in POLICY_ORDER:
             thresholds = _calibrate_lanes([(policy, cell) for cell in own])
             alone.metrics(after=[np.array(thresholds)])
@@ -148,8 +163,13 @@ def config_lines(name: str, config: SystemConfig) -> list:
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--roles", action="store_true",
+                        help="hash the roles, replay masks and stored classes "
+                        "alone, no float")
+    args = parser.parse_args()
     for name, config in CONFIGS.items():
-        print("\n".join(config_lines(name, config)))
+        print("\n".join(config_lines(name, config, args.roles)))
     return 0
 
 

@@ -17,6 +17,10 @@ Stream key layout (first element after the root seed):
 form, for B lanes (one for the one-lane views): lanes that share a draw
 read it in place through a lane->draw row index.
 
+:func:`product` is the simulator's one matrix-product kernel for tiny
+matrices: a loop over the contracted axis, each step one ufunc over the
+whole stack.  :func:`gram` and the replay product run on it.
+
 The link powers are channel traces over matrices or stacks:
 :func:`received_power` of a direct link, and :func:`relayed_link_power` of a
 replayed buffered signal, the one place that forms the replay product
@@ -46,17 +50,55 @@ _STACKS = ("su_stack", "se_stack", "rr_stack", "re_stack", "ru_stack")
 
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Independent generator for a (seed, key...) path.  The stream depends
-    on the key's elements and their order, not on the order of calls."""
-    return np.random.default_rng([int(seed) & (2**64 - 1), *map(int, key)])
+    on the key's elements and their order, not on the order of calls.
+
+    It is ``np.random.default_rng([seed mod 2**64, *key])``, with the list
+    split here into the little-endian 32-bit words (at least one per
+    element) that ``SeedSequence`` would read from it: a word array is
+    what ``SeedSequence`` reads fastest, and the calibration lanes draw
+    several streams every slot."""
+    words = []
+    for n in (int(seed) & (2**64 - 1), *map(int, key)):
+        if n < 0:
+            raise ValueError(f"stream key elements must be nonnegative, got {n}")
+        words.append(n & 0xFFFFFFFF)
+        while n := n >> 32:
+            words.append(n & 0xFFFFFFFF)
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(np.array(words, dtype=np.uint32))))
+
+
+def product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B over the last two axes of matrices or (..., n, m) and (..., m, p)
+    stacks, broadcast over the leading axes: the simulator's one
+    matrix-product kernel.
+
+    It loops over the m contracted columns, each step one ufunc over the
+    whole stack, so it pays numpy's fixed cost m times rather than once per
+    matrix as ``np.matmul`` does on tiny matrices; it calls no BLAS, so its
+    bits do not depend on the BLAS kernel type.  The stacks must be finite
+    unless the caller sets ``np.errstate``.
+    """
+    A, B = np.asarray(A), np.asarray(B)
+    if A.ndim < 2 or B.ndim < 2:
+        raise ValueError("expected matrices or matrix stacks")
+    if A.shape[-1] != B.shape[-2] or A.shape[-1] == 0:
+        raise ValueError(f"product needs a nonzero contracted width shared by "
+                         f"both operands, got {A.shape} @ {B.shape}")
+    C = A[..., :, 0, None] * B[..., None, 0, :]
+    for j in range(1, A.shape[-1]):
+        C += A[..., :, j, None] * B[..., None, j, :]
+    return C
 
 
 def gram(H: np.ndarray) -> np.ndarray:
     """H @ H^H over the last two axes of a matrix or a (..., rows, cols)
-    stack: Hermitian positive-semidefinite, shape (..., rows, rows)."""
+    stack: Hermitian positive-semidefinite, shape (..., rows, rows), by
+    :func:`product`."""
     H = np.asarray(H)
     if H.ndim < 2:
         raise ValueError(f"expected a matrix or a matrix stack, got ndim={H.ndim}")
-    return H @ H.conj().swapaxes(-1, -2)
+    return product(H, H.conj().swapaxes(-1, -2))
 
 
 def received_power(H: np.ndarray):
@@ -70,7 +112,8 @@ def received_power(H: np.ndarray):
 
 
 def relayed_link_power(H_ab: np.ndarray, H_stored: np.ndarray):
-    """trace(H_ab Hs Hs^H H_ab^H) for a replayed buffered signal, by einsum.
+    """trace(H_ab Hs Hs^H H_ab^H) for a replayed buffered signal: the
+    :func:`received_power` of the replay product H_ab Hs.
 
     ``H_stored`` is the snapshot the transmitting relay recorded at reception;
     its row count must match the transmit antenna count (columns of H_ab).
@@ -85,7 +128,7 @@ def relayed_link_power(H_ab: np.ndarray, H_stored: np.ndarray):
         raise ValueError(
             f"replay dimension mismatch: H_ab is {H_ab.shape}, snapshot is "
             f"{H_stored.shape}")
-    return received_power(np.einsum("...ab,...bc->...ac", H_ab, H_stored))
+    return received_power(product(H_ab, H_stored))
 
 
 @functools.lru_cache(maxsize=8)

@@ -7,10 +7,13 @@ term that user signal matrices and the eavesdroppers' jamming covariance
 sum, the replay covariance sum_j H_j S_j H_j^H that both selection metrics
 score, the SINR matrix that the eavesdroppers' rates, both selection metrics
 and the IRI-cancellation test read, that test, the relays' reception SINR,
-the clamped and metric log-determinants and the secrecy sum.  The Gram and
-the link powers are :mod:`relaysec.channel`'s; the two modules hold every
-formula of the model.  :func:`logdet_identity_plus` and
-:func:`clamped_logdet_rate` are one-matrix views of their ``_stack`` kernels.
+the clamped and metric log-determinants and the secrecy sum.  The Gram,
+the link powers and :func:`~relaysec.channel.product`, the one
+matrix-product kernel that the Grams, the replay terms and the replay
+covariance run on, are :mod:`relaysec.channel`'s; the two modules hold
+every formula of the model.
+:func:`logdet_identity_plus` and :func:`clamped_logdet_rate` are one-matrix
+views of their ``_stack`` kernels.
 
 The rate matrices sum products of Hermitian factors and are generally not
 Hermitian themselves, so ``det(I + G)`` is genuinely complex: with several
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import gram
+from .channel import gram, product
 from .errors import NumericError
 
 
@@ -87,8 +90,8 @@ def logdet_identity_plus_stack(Gammas: np.ndarray, base: float = 2.0) -> np.ndar
     ranking callers push degenerate candidates to the bottom.
     """
     real = _dets_identity_plus(Gammas).real
-    return np.log(real, out=np.full(real.shape, -np.inf),
-                  where=real > 0.0) / math.log(base)
+    with np.errstate(divide="ignore"):      # log(0) is the -inf wanted
+        return np.log(np.maximum(real, 0.0)) / math.log(base)
 
 
 def clamped_logdet_rate(Gamma: np.ndarray, base: float = 2.0) -> tuple[float, bool]:
@@ -126,7 +129,7 @@ def relay_terms(channel_grams: np.ndarray, factors: np.ndarray,
     relays, the eavesdroppers' interference covariance Delta the sum over
     the jamming relays.
     """
-    return (P_relay / N_k) * (channel_grams @ factors)
+    return (P_relay / N_k) * product(channel_grams, factors)
 
 
 def replay_covariance(H: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -134,7 +137,7 @@ def replay_covariance(H: np.ndarray, S: np.ndarray) -> np.ndarray:
     snapshot Grams ``S`` (..., J, b, b) leave through channels ``H``
     (..., J, a, b); the two broadcast against each other and give
     (..., a, a).  Both selection metrics score these sandwiches."""
-    return np.einsum("...jab,...jbd,...jed->...ae", H, S, H.conj())
+    return product(product(H, S), H.conj().swapaxes(-1, -2)).sum(axis=-3)
 
 
 def sinr_matrix(G: np.ndarray, Delta: np.ndarray, P, N) -> np.ndarray:

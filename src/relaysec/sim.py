@@ -139,15 +139,16 @@ def _float_key(x: float) -> int:
     return int.from_bytes(struct.pack("<d", float(x)), "little")
 
 
-def _stream_keys(policy: str, config: SystemConfig, trial, slot: int) -> tuple:
-    """The (channel, policy) substream keys of a lane's slot: keyed by
-    (trial, slot) for a trial, by (policy, sigma2, eta, slot) for a
-    calibration pre-run (trial None)."""
+def _stream_keys(policy: str, config: SystemConfig, trial) -> tuple:
+    """The (channel, policy) substream keys of a lane, each as a (head,
+    tail) pair whose slot s key is head + (s,) + tail: keyed by (trial,
+    slot) for a trial, by (policy, sigma2, eta, slot) for a calibration
+    pre-run (trial None)."""
     if trial is None:
-        key = (STREAM_CALIBRATION, POLICY_ORDER.index(policy),
-               _float_key(config.sigma2), _float_key(config.eta), slot)
-        return key + (0,), key + (1,)
-    return (STREAM_CHANNEL, trial, slot), (STREAM_POLICY, trial, slot)
+        head = (STREAM_CALIBRATION, POLICY_ORDER.index(policy),
+                _float_key(config.sigma2), _float_key(config.eta))
+        return (head, (0,)), (head, (1,))
+    return ((STREAM_CHANNEL, trial), ()), ((STREAM_POLICY, trial), ())
 
 
 def _lockstep(lanes, slots: int, each, score: bool = True) -> PolicyState:
@@ -194,11 +195,13 @@ def _lockstep(lanes, slots: int, each, score: bool = True) -> PolicyState:
         ranges.append((LANE_STEPS[policy], at, *part, policy == "random"))
         start = at.stop
     config = configs[0]
+    # each lane's keys less the slot, built once
+    channel_keys, policy_keys = zip(*(_stream_keys(*lane) for lane in lanes))
     try:
         for slot in range(slots):
-            keys = [_stream_keys(*lane, slot) for lane in lanes]
             streams = {}        # channel key -> lane of the slot's draw
-            rows = [streams.setdefault(channel, len(streams)) for channel, _ in keys]
+            rows = [streams.setdefault(head + (slot,) + tail, len(streams))
+                    for head, tail in channel_keys]
             realization = gen_network_realization(
                 config, slot, [substream(config.seed, *key) for key in streams])
             if len(streams) < len(lanes):   # else rows is the identity
@@ -207,7 +210,8 @@ def _lockstep(lanes, slots: int, each, score: bool = True) -> PolicyState:
             for step, at, part, part_lanes, draws in ranges:
                 rngs = None
                 if draws:
-                    drawn_keys = [key for _, key in keys[at]]
+                    drawn_keys = [head + (slot,) + tail
+                                  for head, tail in policy_keys[at]]
                     generators = {key: substream(config.seed, *key)
                                   for key in dict.fromkeys(drawn_keys)}
                     rngs = [generators[key] for key in drawn_keys]

@@ -7,7 +7,8 @@ batched kernels against an implementation that shares none of their code.
 :func:`max_ratio_roles` is the ``max-ratio`` policy's role choice with one
 link-power call per matrix, for the batched policy to be checked against.
 :func:`reception_sinrs` writes out the relays' reception SINR in the
-labelled einsums that pin its float bits.
+order of evaluation that pins its float bits, or with the replay product
+as one labelled einsum.
 """
 
 from __future__ import annotations
@@ -158,14 +159,37 @@ def max_ratio_roles(config, realization, own: dict) -> tuple:
     return tuple(sorted(receivers)), tuple(sorted(transmitters))
 
 
-def reception_sinrs(H_rx, H_ki, snapshots, phi, p_tx, p_rel, sigma2, config):
+def replay_products(H_ki, snapshots):
+    """(B, A, R, N_i, N_t) replay products H_ki Hs_k of (B, A, R, N_i, N_k)
+    relay->relay channels and (B, A, N_k, N_t) snapshots, written as the
+    sum over the contracted index j of the outer products of column j of
+    H_ki and row j of Hs_k, added in ascending j: the order of evaluation
+    whose bits the calibrated thresholds depend on.  It mirrors the order
+    of ``channel.product`` on purpose, so an exact-bit comparison with it
+    pins that order and no more; :func:`labelled_replay_products` is the
+    independent check of the formula."""
+    total = H_ki[..., :, 0, None] * snapshots[:, :, None, None, 0, :]
+    for j in range(1, H_ki.shape[-1]):
+        total = total + H_ki[..., :, j, None] * snapshots[:, :, None, None, j, :]
+    return total
+
+
+def labelled_replay_products(H_ki, snapshots):
+    """:func:`replay_products` as one labelled einsum, an independent check
+    of the formula that does not pin its bits."""
+    return np.einsum("xkrab,xkbc->xkrac", H_ki, snapshots)
+
+
+def reception_sinrs(H_rx, H_ki, snapshots, phi, p_tx, p_rel, sigma2, config,
+                    replay=replay_products):
     """(B, R) reception SINRs of (B, R, N_i, N_t) source channels H_i against
     (B, A, R, N_i, N_k) relay->relay channels H_ki replaying (B, A, N_k, N_t)
     snapshots Hs_k: (p_tx/N_t) trace(H_i H_i^H) over the sum of the
     ``phi``-weighted (p_rel/N_k) trace(H_ki Hs_k Hs_k^H H_ki^H) plus N_i
-    sigma2, with (B,) ``p_tx``, ``p_rel`` and ``sigma2``.  Each trace is the
-    labelled einsum whose bits the calibrated thresholds depend on."""
-    prod = np.einsum("xkrab,xkbc->xkrac", H_ki, snapshots)
+    sigma2, with (B,) ``p_tx``, ``p_rel`` and ``sigma2``.  The replay
+    products H_ki Hs_k come from ``replay``; each trace is a labelled
+    einsum."""
+    prod = replay(H_ki, snapshots)
     gamma_S = (p_tx / config.N_t)[:, None] * np.einsum(
         "xrab,xrab->xr", H_rx, H_rx.conj()).real
     powers = (p_rel / config.N_k)[:, None, None] * np.einsum(

@@ -1,14 +1,21 @@
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relaysec.channel import (gen_network_realization, gram, received_power,
-                              substream)
+from relaysec.channel import (gen_network_realization, gram, product,
+                              received_power, substream)
 from relaysec.config import SystemConfig
 
 from conftest import cn_matrix
 from reference import solve_identity_plus
+from test_golden import _runs_haswell_kernels
 
 
 _gram_cases = [
@@ -35,6 +42,56 @@ def test_gram_hermitian_psd(rows, cols, seed):
 def test_gram_rejects_vector():
     with pytest.raises(ValueError):
         gram(np.ones(3))
+
+
+def cn_stack(rng, shape):
+    return np.sqrt(0.5) * (rng.standard_normal(shape)
+                           + 1j * rng.standard_normal(shape))
+
+
+@pytest.mark.parametrize("a,b", [
+    ((6, 3, 2, 2), (6, 1, 2, 2)),       # jam-metric sandwich, broadcast
+    ((2, 1, 4, 3), (5, 3, 2)),          # leading axes broadcast both ways
+    ((4, 2, 6), (4, 6, 2)),             # an N_t-wide Gram
+    ((3, 1, 1), (3, 1, 1)),             # single antenna
+    ((2, 0, 3, 2, 2), (2, 0, 1, 2, 2)),  # no transmitters
+    ((0, 2, 2), (2, 2)),                # no lanes
+    ((2, 3), (3, 4)),                   # plain matrices
+], ids=str)
+def test_product_matches_matmul(rng, a, b):
+    A, B = cn_stack(rng, a), cn_stack(rng, b)
+    got, want = product(A, B), A @ B
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("a,b", [((2, 3), (2, 3)), ((2, 0), (0, 2)), ((3,), (3, 1))])
+def test_product_rejects_bad_shapes(a, b):
+    with pytest.raises(ValueError):
+        product(np.ones(a), np.ones(b))
+
+
+def _product_digest() -> str:
+    rng = np.random.default_rng(20260808)
+    A, B = cn_stack(rng, (50, 6, 3, 2, 2)), cn_stack(rng, (50, 6, 1, 2, 2))
+    H = cn_stack(rng, (50, 6, 2, 6))
+    out = [product(A, B), product(H, H.conj().swapaxes(-1, -2))]
+    return hashlib.sha256(b"".join(x.tobytes() for x in out)).hexdigest()
+
+
+@pytest.mark.skipif(not _runs_haswell_kernels(),
+                    reason="OpenBLAS's Haswell kernels need x86-64 with AVX2")
+def test_product_bits_under_other_blas_kernels():
+    # the kernel calls no BLAS, so another OpenBLAS kernel type gives its bits
+    tests = Path(__file__).parent
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
+               PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "from test_channel import _product_digest; print(_product_digest())"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == [_product_digest()]
 
 
 @pytest.mark.parametrize("H,expected", [
@@ -160,6 +217,19 @@ def test_realization_entry_statistics():
     assert n > 1e5
     assert abs(x.mean()) < 3.0 / np.sqrt(2 * n)        # complex mean, var 1/2 per part
     assert abs(np.mean(np.abs(x) ** 2) - 1.0) < 3.0 / np.sqrt(n)
+
+
+@pytest.mark.parametrize("seed,key", [
+    (0, ()), (20260808, (0, 3, 7)), (2**64 + 5, (1, 0, 2**32)),
+    (-1, (2, 4, 2**62, 2**63 + 2**32 - 1, 199, 1)), (9, (2**32 - 1, 2**96))])
+def test_substream_is_default_rng_of_the_key(seed, key):
+    want = np.random.default_rng([seed & (2**64 - 1), *key]).standard_normal(5)
+    assert np.array_equal(substream(seed, *key).standard_normal(5), want)
+
+
+def test_substream_rejects_negative_key():
+    with pytest.raises(ValueError):
+        substream(1, 0, -1)
 
 
 def test_substream_order_independence():

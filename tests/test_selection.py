@@ -842,12 +842,14 @@ def test_reception_matches_scalar_link_ops():
 @pytest.mark.parametrize("iri", [True, False], ids=["iri-on", "iri-off"])
 def test_reception_sinr_bits_match_labelled_einsums(iri):
     # the stored reception SINRs, which set every calibrated threshold, keep
-    # the bits of the labelled einsums in reference.reception_sinrs; lanes
-    # of one trial share a draw, and every lane has R = T < Q receivers
+    # the bits of reference.reception_sinrs, whose replay products are an
+    # explicit sum over the contracted index, and agree with the replay
+    # product as one labelled einsum; lanes of one trial share a draw, and
+    # every lane has R = T < Q receivers
     from relaysec.rates import iri_feasible
     from relaysec.selection import _members
     from relaysec.sim import _lockstep
-    from reference import reception_sinrs
+    from reference import labelled_replay_products, reception_sinrs
     base = SystemConfig(Q=6, T=2, K=3, gamma0=0.3, seed=41, iri_cancellation=iri)
     cells = [base.replace(eta=eta, sinr_threshold=0.3).with_snr_db(snr)
              for snr, eta in ((0.0, 0.5), (10.0, 1.0), (20.0, 1.5))]
@@ -869,10 +871,13 @@ def test_reception_sinr_bits_match_labelled_einsums(iri):
                                 gram(H_ki), ls.snr_tx[at], ls.snr_rel[at],
                                 base.N_t, base.N_k, base.gamma0)
         lane = np.arange(len(rx))[:, None]
-        want = reception_sinrs(H_rx, H_ki, replays.snapshot[lane, tx], phi,
-                               ls.p_tx, ls.p_rel, ls.sigma2, base)
+        args = (H_rx, H_ki, replays.snapshot[lane, tx], phi, ls.p_tx, ls.p_rel,
+                ls.sigma2, base)
+        want = reception_sinrs(*args)
+        labelled = reception_sinrs(*args, replay=labelled_replay_products)
         got = outcome.sinr[lane, rx]
         assert np.array_equal(got[rx_real], want[rx_real])
+        np.testing.assert_allclose(got[rx_real], labelled[rx_real], rtol=1e-13)
         checked.append(int(tx_real.sum()))
 
     _lockstep(lanes, 8, each, score=False)
